@@ -267,13 +267,13 @@ if(SOURCE_DIR)
 
   # ---- TSan pass over the concurrent surfaces ---------------------------
   # The serving layer (worker pool, bounded admission queue, reader
-  # threads, drain) and the parallel sweep engine are the two places a
-  # data race survives functional testing; rerun their suites under the
-  # `tsan` preset (build-tsan/). The c432 identity case is excluded: it
-  # is a single-threaded determinism check and dominates instrumented
-  # runtime without adding thread coverage.
+  # threads, drain), the parallel sweep engine and the threaded wide
+  # simulator are where a data race survives functional testing; rerun
+  # their suites under the `tsan` preset (build-tsan/). The c432 identity
+  # case is excluded: it is a single-threaded determinism check and
+  # dominates instrumented runtime without adding thread coverage.
   set(tsan_tests serve_test parallel_engine_test frozen_forest_test
-      store_test ndetect_test)
+      store_test ndetect_test sim_test hybrid_test)
   message(STATUS "bench_smoke: configuring tsan preset")
   execute_process(
       COMMAND "${CMAKE_COMMAND}" --preset tsan

@@ -3,7 +3,8 @@
 // Fires analyze requests at a target QPS from a fixed schedule (open
 // loop: a slow server does not slow the arrival process, it just gets
 // deeper queues -- which is exactly the admission-control behavior the
-// bench measures), records per-request latency split into COLD (the
+// bench measures), records per-request latency (from the request's due
+// time, so queueing behind busy connections counts) split into COLD (the
 // server computed the profile) and WARM (served from the resident
 // cache, per the response's "cached" flag), and writes a dp.served.v1
 // document that bench/validate_metrics accepts.
@@ -32,6 +33,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <cmath>
 #include <chrono>
 #include <csignal>
 #include <cstring>
@@ -70,14 +72,15 @@ struct Sample {
   std::string error_code;  ///< non-empty for ok=false responses
 };
 
-/// Nearest-rank percentile over an unsorted copy.
+/// Nearest-rank percentile over an unsorted copy: the smallest value with
+/// at least p% of the values at or below it, i.e. index ceil(p/100 * n) - 1
+/// (the rule ParallelStats uses).
 double percentile(std::vector<double> v, double p) {
   if (v.empty()) return 0.0;
   std::sort(v.begin(), v.end());
-  const std::size_t rank = std::min(
-      v.size() - 1,
-      static_cast<std::size_t>(p / 100.0 * static_cast<double>(v.size())));
-  return v[rank];
+  const double rank = std::ceil(p / 100.0 * static_cast<double>(v.size()));
+  const std::size_t i = rank < 1.0 ? 0 : static_cast<std::size_t>(rank) - 1;
+  return v[std::min(v.size() - 1, i)];
 }
 
 JsonValue latency_block(const std::vector<double>& v) {
@@ -244,7 +247,9 @@ int main(int argc, char** argv) {
 
   // Open-loop schedule: request i is DUE at start + i/qps; sender
   // threads claim indices atomically and sleep until the due time, so
-  // lateness never compresses later arrivals.
+  // lateness never compresses later arrivals. Latency runs from the due
+  // time, not the send time: a request sent late because every connection
+  // was busy still counts the wait it suffered.
   std::vector<Sample> samples(requests);
   std::atomic<std::size_t> next{0};
   std::atomic<bool> transport_failed{false};
@@ -277,7 +282,6 @@ int main(int argc, char** argv) {
         opts["model"] = model;
         opts["jobs"] = jobs;
         req["options"] = std::move(opts);
-        const auto t0 = Clock::now();
         JsonValue resp;
         if (!client->call(req, &resp, &err)) {
           samples[i].error_code = "transport:" + err;
@@ -285,7 +289,7 @@ int main(int argc, char** argv) {
           return;
         }
         samples[i].latency_ms =
-            std::chrono::duration<double, std::milli>(Clock::now() - t0)
+            std::chrono::duration<double, std::milli>(Clock::now() - due)
                 .count();
         samples[i].ok = resp.is_object() && resp.find("ok") &&
                         resp.at("ok").as_bool();

@@ -1,7 +1,9 @@
 #include "analysis/hybrid.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <string>
+#include <thread>
 
 #include "obs/span.hpp"
 
@@ -81,6 +83,7 @@ HybridProfile analyze_hybrid(const Circuit& circuit,
     const sim::WideFaultSimulator wide(circuit);
     sim::WideSimOptions wopt;
     wopt.drop_detected = hybrid.drop_detected;
+    wopt.jobs = options.jobs;
     grade = wide.grade_random(faults, hybrid.prefilter_patterns,
                               hybrid.prefilter_seed, wopt);
     span.attr("resolved", grade.detected());
@@ -111,8 +114,14 @@ HybridProfile analyze_hybrid(const Circuit& circuit,
     obs::ScopedSpan span(spans, "hybrid.dp_remainder");
     span.attr("faults", remainder_faults.size());
     const Structure structure(circuit);
+    // A worker per remainder fault at most: a 3-fault remainder gets 3
+    // workers, not the whole pool and its per-worker managers.
+    std::size_t jobs = options.jobs;
+    if (jobs == 0) {
+      jobs = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+    }
     core::ParallelEngine::Options popt;
-    popt.jobs = options.jobs;
+    popt.jobs = std::min(jobs, remainder_faults.size());
     popt.bdd_node_limit = options.bdd_node_limit;
     popt.dp = options.dp;
     popt.shared_forest = options.shared_forest;

@@ -176,6 +176,8 @@ class Manager : public obs::ProfileSource {
   /// Combined slot-space size: frozen prefix + private pool.
   std::size_t pool_size() const { return frozen_base_ + nodes_.size(); }
   std::size_t unique_bucket_count() const { return unique_.size(); }
+  /// Computed-table slots; grows with the work (see computed_cache.hpp).
+  std::size_t cache_slots() const { return cache_.size(); }
   const ManagerStats& stats() const { return stats_; }
   void reset_stats() { stats_ = ManagerStats{}; }
 

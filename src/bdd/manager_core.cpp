@@ -367,15 +367,9 @@ std::size_t Manager::gc() {
   stats_.gc_reclaimed += reclaimed;
 
   // Caches may reference dead nodes; the unique table must drop them.
-  // Scale the computed cache with the surviving working set (capped) --
-  // a cache much smaller than the pool thrashes on collisions.
-  std::size_t want_cache = next_pow2(live_nodes_);
-  want_cache = std::min<std::size_t>(want_cache, 1u << 22);
-  if (want_cache > cache_.size()) {
-    cache_.resize(want_cache);
-  } else {
-    cache_.clear();
-  }
+  // The computed cache is emptied and, by its one sizing rule, grown to
+  // hold the surviving working set (see computed_cache.hpp).
+  cache_.clear(live_nodes_);
   rehash_unique(unique_.size());
 
   // Re-arm the trigger well above the live baseline so collections happen

@@ -167,6 +167,7 @@ void Manager::export_metrics(obs::MetricsRegistry& registry,
   g("apply_calls", static_cast<double>(stats_.apply_calls));
   g("cache_hits", static_cast<double>(stats_.cache_hits));
   g("cache_hit_rate", stats_.cache_hit_rate());
+  g("cache_slots", static_cast<double>(cache_.size()));
   g("negations_constant_time",
     static_cast<double>(stats_.negations_constant_time));
   g("cache_canonical_swaps",

@@ -1,9 +1,13 @@
 #include "sim/wide_sim.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <barrier>
 #include <bit>
+#include <functional>
 #include <random>
 #include <stdexcept>
+#include <thread>
 
 #include "obs/span.hpp"
 
@@ -60,6 +64,17 @@ WideFaultSimulator::WideFaultSimulator(const Circuit& circuit)
     num_levels_ = std::max<std::size_t>(num_levels_, level + 1);
   }
   if (num_levels_ == 0) num_levels_ = 1;  // PI-only circuit
+
+  fanout_begin_.reserve(circuit.num_nets() + 1);
+  is_output_.assign(circuit.num_nets(), 0);
+  for (NetId id = 0; id < circuit.num_nets(); ++id) {
+    fanout_begin_.push_back(static_cast<std::uint32_t>(fanout_flat_.size()));
+    for (const netlist::PinRef& pin : circuit.fanouts(id)) {
+      fanout_flat_.push_back(schedule_index_[pin.gate]);
+    }
+  }
+  fanout_begin_.push_back(static_cast<std::uint32_t>(fanout_flat_.size()));
+  for (const NetId po : circuit.outputs()) is_output_[po] = 1;
 }
 
 template <typename FaninValue>
@@ -85,52 +100,93 @@ WideWord WideFaultSimulator::eval_entry(const GateRef& g,
   return acc;
 }
 
-WideFaultSimulator::FaultPlan WideFaultSimulator::make_plan(
-    const StuckAtFault& f) const {
-  const Circuit& c = *circuit_;
-  FaultPlan plan;
-  plan.forced = f.stuck_value ? ~Word{0} : 0;
+void WideFaultSimulator::check_fault(const StuckAtFault& f) const {
+  if (!f.branch) return;
+  const std::uint32_t si = schedule_index_[f.branch->gate];
+  if (si == kNotScheduled || f.branch->pin >= schedule_[si].fanin_count) {
+    throw netlist::NetlistError(
+        "branch fault pin " + std::to_string(f.branch->pin) +
+        " out of range on zero-fanin or input gate '" +
+        circuit_->net_name(f.branch->gate) + "'");
+  }
+}
+
+WideWord WideFaultSimulator::propagate(const StuckAtFault& f,
+                                       const WideWord* good,
+                                       Worker& w) const {
+  if (++w.epoch == 0) {  // stamp wrap: invalidate everything once
+    std::fill(w.stamp.begin(), w.stamp.end(), 0u);
+    std::fill(w.queued.begin(), w.queued.end(), 0u);
+    w.epoch = 1;
+  }
+  const std::uint32_t epoch = w.epoch;
+  std::vector<WideWord>& scratch = w.scratch;
+  std::vector<std::uint32_t>& stamp = w.stamp;
+
+  // Inject the difference at the site: the stem net, or for a branch the
+  // gate it feeds, evaluated with the faulty pin forced.
+  WideWord forced;
+  for (std::size_t j = 0; j < kWideWords; ++j) {
+    forced.w[j] = f.stuck_value ? ~Word{0} : 0;
+  }
+  NetId site = f.net;
+  WideWord v = forced;
   if (f.branch) {
-    plan.is_branch = true;
-    plan.site = f.branch->gate;
-    plan.pin = f.branch->pin;
-    const std::uint32_t si = schedule_index_[plan.site];
-    if (si == kNotScheduled || plan.pin >= schedule_[si].fanin_count) {
-      throw netlist::NetlistError(
-          "branch fault pin " + std::to_string(plan.pin) +
-          " out of range on zero-fanin or input gate '" +
-          c.net_name(plan.site) + "'");
+    site = f.branch->gate;
+    const GateRef& gr = schedule_[schedule_index_[site]];
+    v = eval_entry(gr, [&](std::uint32_t k) -> const WideWord& {
+      return k == f.branch->pin ? forced
+                                : good[fanin_flat_[gr.fanin_begin + k]];
+    });
+  }
+  WideWord diff{};
+  if (v == good[site]) return diff;  // no lane differs under this block
+
+  // Event-driven chase: a net whose faulty value differs from its good
+  // value queues the gates it feeds, by level, and only queued gates are
+  // evaluated. Levels are drained in increasing order, so every gate sees
+  // its fanins' final values; a gate whose faulty value equals its good
+  // value kills the difference on that path.
+  w.reached_pos.clear();
+  std::size_t top = net_level_[site];
+  auto differs = [&](NetId net, const WideWord& value) {
+    scratch[net] = value;
+    stamp[net] = epoch;
+    if (is_output_[net]) w.reached_pos.push_back(net);
+    for (std::uint32_t k = fanout_begin_[net]; k < fanout_begin_[net + 1];
+         ++k) {
+      const std::uint32_t si = fanout_flat_[k];
+      const NetId gate = schedule_[si].net;
+      if (w.queued[gate] == epoch) continue;
+      w.queued[gate] = epoch;
+      const std::uint32_t level = net_level_[gate];
+      w.pending[level].push_back(si);
+      top = std::max<std::size_t>(top, level);
     }
-  } else {
-    plan.site = f.net;
+  };
+  ++w.level_events[net_level_[site]];
+  differs(site, v);
+  for (std::size_t level = net_level_[site] + 1; level <= top; ++level) {
+    std::vector<std::uint32_t>& queue = w.pending[level];
+    w.level_events[level] += queue.size();
+    for (const std::uint32_t si : queue) {
+      const GateRef& gr = schedule_[si];
+      const WideWord fv =
+          eval_entry(gr, [&](std::uint32_t k) -> const WideWord& {
+            const NetId n = fanin_flat_[gr.fanin_begin + k];
+            return stamp[n] == epoch ? scratch[n] : good[n];
+          });
+      if (!(fv == good[gr.net])) differs(gr.net, fv);
+    }
+    queue.clear();
   }
 
-  // Fanout cone: every net a difference at the site can reach. The gates
-  // are collected in schedule (== topological) order so the block loop can
-  // chase the difference with one linear pass.
-  std::vector<bool> in_cone(c.num_nets(), false);
-  std::vector<NetId> queue{plan.site};
-  in_cone[plan.site] = true;
-  while (!queue.empty()) {
-    const NetId id = queue.back();
-    queue.pop_back();
-    for (const netlist::PinRef& pin : c.fanouts(id)) {
-      if (!in_cone[pin.gate]) {
-        in_cone[pin.gate] = true;
-        queue.push_back(pin.gate);
-      }
+  for (const NetId po : w.reached_pos) {
+    for (std::size_t j = 0; j < kWideWords; ++j) {
+      diff.w[j] |= scratch[po].w[j] ^ good[po].w[j];
     }
   }
-  for (std::size_t si = 0; si < schedule_.size(); ++si) {
-    const NetId net = schedule_[si].net;
-    if (in_cone[net] && net != plan.site) {
-      plan.cone.push_back(static_cast<std::uint32_t>(si));
-    }
-  }
-  for (NetId po : c.outputs()) {
-    if (in_cone[po]) plan.observe.push_back(po);
-  }
-  return plan;
+  return diff;
 }
 
 template <typename LoadBlock>
@@ -138,127 +194,154 @@ WideFaultSimulator::Grade WideFaultSimulator::run(
     const std::vector<StuckAtFault>& faults, std::size_t num_patterns,
     const Options& options, LoadBlock&& load_block) const {
   const Circuit& c = *circuit_;
+  const std::size_t num_nets = c.num_nets();
   obs::ScopedSpan span(obs::SpanCollector::current(), "sim.grade");
   Grade g;
   g.total = faults.size();
   g.num_patterns = num_patterns;
   g.detection_counts.assign(faults.size(), 0);
   g.first_detection.assign(faults.size(), kNotDetected);
-  g.level_events.assign(num_levels_, 0);
 
-  std::vector<FaultPlan> plans;
-  plans.reserve(faults.size());
-  for (const StuckAtFault& f : faults) plans.push_back(make_plan(f));
+  for (const StuckAtFault& f : faults) check_fault(f);
 
-  // All scratch is allocated once here; the block loop is allocation-free.
-  std::vector<WideWord> good(c.num_nets());
-  std::vector<WideWord> scratch(c.num_nets());
-  std::vector<std::uint32_t> stamp(c.num_nets(), 0);
-  std::uint32_t epoch = 0;
-  std::vector<std::uint8_t> alive(faults.size(), 1);
-  std::size_t num_alive = faults.size();
+  std::size_t jobs = options.jobs;
+  if (jobs == 0) {
+    jobs = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  }
+  jobs = std::max<std::size_t>(1, std::min(jobs, faults.size()));
 
-  for (std::size_t base = 0; base < num_patterns; base += kWideLanes) {
-    if (options.drop_detected && num_alive == 0) break;
-    load_block(base / kWideLanes, good);
+  // Blocks are graded in groups: a group's good values are evaluated once,
+  // up front, and every fault is then chased through all of the group's
+  // blocks in turn. A group holds as many blocks as fit kGroupBytes, so the
+  // default 4096-pattern prefilter is one group on every benchmark circuit.
+  constexpr std::size_t kGroupBytes = std::size_t{8} << 20;
+  const std::size_t num_blocks = (num_patterns + kWideLanes - 1) / kWideLanes;
+  const std::size_t group_cap = std::clamp<std::size_t>(
+      kGroupBytes / (std::max<std::size_t>(1, num_nets) * sizeof(WideWord)),
+      1, std::max<std::size_t>(1, num_blocks));
 
-    WideWord mask;
-    const std::size_t remaining = num_patterns - base;
-    for (std::size_t j = 0; j < kWideWords; ++j) {
-      const std::size_t lo = j * 64;
-      mask.w[j] = remaining >= lo + 64
-                      ? ~Word{0}
-                      : remaining <= lo
-                            ? 0
-                            : ((Word{1} << (remaining - lo)) - 1);
+  // All scratch is allocated once here; the grading loop is
+  // allocation-free.
+  std::vector<Worker> workers(jobs);
+  for (Worker& w : workers) {
+    w.scratch.resize(num_nets);
+    w.stamp.assign(num_nets, 0);
+    w.queued.assign(num_nets, 0);
+    w.pending.resize(num_levels_);
+    w.level_events.assign(num_levels_, 0);
+  }
+  std::vector<WideWord> good(group_cap * num_nets);  // block-major
+  std::vector<WideWord> masks(group_cap);
+  // Faults still graded, in input order; dropped faults leave between
+  // groups.
+  std::vector<std::uint32_t> alive(faults.size());
+  for (std::size_t fi = 0; fi < faults.size(); ++fi) {
+    alive[fi] = static_cast<std::uint32_t>(fi);
+  }
+
+  // Groups are separated by a barrier whose completion step -- run by
+  // exactly one thread while the others wait -- drops detected faults and
+  // loads and evaluates the next group. Within a group, threads claim
+  // small runs of faults from `next`; a fault's outcome goes to its own
+  // slots and level events to the claiming thread's counters, which are
+  // summed at the end, so the schedule never shows in a result.
+  std::atomic<std::size_t> next{0};
+  std::size_t first_block = 0;  // of the current group
+  std::size_t group_blocks = 0;
+  bool done = false;
+
+  auto next_group = [&]() noexcept {
+    first_block += group_blocks;
+    if (options.drop_detected) {
+      std::erase_if(alive, [&](std::uint32_t fi) {
+        return g.first_detection[fi] != kNotDetected;
+      });
     }
-
-    for (const GateRef& gr : schedule_) {
-      good[gr.net] = eval_entry(
-          gr, [&](std::uint32_t k) -> const WideWord& {
-            return good[fanin_flat_[gr.fanin_begin + k]];
-          });
-    }
-
-    for (std::size_t fi = 0; fi < faults.size(); ++fi) {
-      if (!alive[fi]) continue;
-      const FaultPlan& plan = plans[fi];
-      if (++epoch == 0) {  // stamp wrap: invalidate everything once
-        std::fill(stamp.begin(), stamp.end(), 0u);
-        epoch = 1;
-      }
-
-      // Inject the difference at the site.
-      WideWord forced_wide;
-      for (std::size_t j = 0; j < kWideWords; ++j) {
-        forced_wide.w[j] = plan.forced;
-      }
-      WideWord v = forced_wide;
-      if (plan.is_branch) {
-        const GateRef& gr = schedule_[schedule_index_[plan.site]];
-        v = eval_entry(gr, [&](std::uint32_t k) -> const WideWord& {
-          return k == plan.pin ? forced_wide
-                               : good[fanin_flat_[gr.fanin_begin + k]];
-        });
-      }
-      if (v == good[plan.site]) continue;  // no lane differs under this block
-      scratch[plan.site] = v;
-      stamp[plan.site] = epoch;
-      ++g.level_events[net_level_[plan.site]];
-
-      // Chase the difference through the cone; a gate whose fanins all
-      // carry good values is skipped, and a gate whose faulty value equals
-      // its good value kills the difference on that path.
-      for (const std::uint32_t si : plan.cone) {
-        const GateRef& gr = schedule_[si];
-        bool touched = false;
-        for (std::uint32_t k = 0; k < gr.fanin_count; ++k) {
-          if (stamp[fanin_flat_[gr.fanin_begin + k]] == epoch) {
-            touched = true;
-            break;
-          }
-        }
-        if (!touched) continue;
-        ++g.level_events[net_level_[gr.net]];
-        const WideWord fv =
+    done = first_block >= num_blocks ||
+           (options.drop_detected && alive.empty());
+    if (done) return;
+    group_blocks = std::min(group_cap, num_blocks - first_block);
+    for (std::size_t b = 0; b < group_blocks; ++b) {
+      WideWord* values = &good[b * num_nets];
+      load_block(first_block + b, values);
+      for (const GateRef& gr : schedule_) {
+        values[gr.net] =
             eval_entry(gr, [&](std::uint32_t k) -> const WideWord& {
-              const NetId f = fanin_flat_[gr.fanin_begin + k];
-              return stamp[f] == epoch ? scratch[f] : good[f];
+              return values[fanin_flat_[gr.fanin_begin + k]];
             });
-        if (fv == good[gr.net]) continue;
-        scratch[gr.net] = fv;
-        stamp[gr.net] = epoch;
       }
+      const std::size_t remaining =
+          num_patterns - (first_block + b) * kWideLanes;
+      for (std::size_t j = 0; j < kWideWords; ++j) {
+        const std::size_t lo = j * 64;
+        masks[b].w[j] = remaining >= lo + 64
+                            ? ~Word{0}
+                            : remaining <= lo
+                                  ? 0
+                                  : ((Word{1} << (remaining - lo)) - 1);
+      }
+    }
+    next.store(0, std::memory_order_relaxed);
+  };
+  std::barrier sync(static_cast<std::ptrdiff_t>(jobs), next_group);
 
-      WideWord diff{};
-      for (const NetId po : plan.observe) {
-        if (stamp[po] != epoch) continue;
-        for (std::size_t j = 0; j < kWideWords; ++j) {
-          diff.w[j] |= scratch[po].w[j] ^ good[po].w[j];
-        }
-      }
+  // Grades fault `fi` against every block of the current group.
+  auto grade_fault = [&](std::uint32_t fi, Worker& w) {
+    for (std::size_t b = 0; b < group_blocks; ++b) {
+      const WideWord diff = propagate(faults[fi], &good[b * num_nets], w);
       std::uint64_t hits = 0;
       for (std::size_t j = 0; j < kWideWords; ++j) {
         hits += static_cast<std::uint64_t>(
-            std::popcount(diff.w[j] & mask.w[j]));
+            std::popcount(diff.w[j] & masks[b].w[j]));
       }
       if (hits == 0) continue;
       g.detection_counts[fi] += hits;
       if (g.first_detection[fi] == kNotDetected) {
         for (std::size_t j = 0; j < kWideWords; ++j) {
-          const Word masked = diff.w[j] & mask.w[j];
+          const Word masked = diff.w[j] & masks[b].w[j];
           if (masked) {
             g.first_detection[fi] =
-                base + j * 64 +
+                (first_block + b) * kWideLanes + j * 64 +
                 static_cast<std::uint64_t>(std::countr_zero(masked));
             break;
           }
         }
       }
-      if (options.drop_detected) {
-        alive[fi] = 0;
-        --num_alive;
+      if (options.drop_detected) return;
+    }
+  };
+
+  auto work = [&](Worker& w) {
+    sync.arrive_and_wait();  // the first group is loaded
+    while (!done) {
+      // Runs of kClaim faults per claim keep the shared counter cool
+      // while still balancing cones of very different sizes.
+      constexpr std::size_t kClaim = 4;
+      for (;;) {
+        const std::size_t lo =
+            next.fetch_add(kClaim, std::memory_order_relaxed);
+        if (lo >= alive.size()) break;
+        const std::size_t hi = std::min(alive.size(), lo + kClaim);
+        for (std::size_t k = lo; k < hi; ++k) grade_fault(alive[k], w);
       }
+      sync.arrive_and_wait();
+    }
+  };
+
+  {
+    std::vector<std::thread> threads;
+    threads.reserve(jobs - 1);
+    for (std::size_t t = 1; t < jobs; ++t) {
+      threads.emplace_back(work, std::ref(workers[t]));
+    }
+    work(workers[0]);
+    for (std::thread& t : threads) t.join();
+  }
+
+  g.level_events.assign(num_levels_, 0);
+  for (const Worker& w : workers) {
+    for (std::size_t level = 0; level < num_levels_; ++level) {
+      g.level_events[level] += w.level_events[level];
     }
   }
   if (span.enabled()) {
@@ -266,6 +349,7 @@ WideFaultSimulator::Grade WideFaultSimulator::run(
     span.attr("patterns", g.num_patterns);
     span.attr("events", g.events());
     span.attr("detected", g.detected());
+    span.attr("jobs", jobs);
   }
   return g;
 }
@@ -276,7 +360,7 @@ WideFaultSimulator::Grade WideFaultSimulator::grade_random(
   std::mt19937_64 rng(seed);
   const auto& pis = circuit_->inputs();
   return run(faults, num_patterns, options,
-             [&](std::uint64_t /*block*/, std::vector<WideWord>& values) {
+             [&](std::uint64_t /*block*/, WideWord* values) {
                // Draw order matches the legacy 64-wide grader (one word
                // per PI per 64-pattern slice, slices in order), so the
                // detected set is bit-identical to the narrow engine for
@@ -300,7 +384,7 @@ WideFaultSimulator::Grade WideFaultSimulator::grade_vectors(
     }
   }
   return run(faults, vectors.size(), options,
-             [&](std::uint64_t block, std::vector<WideWord>& values) {
+             [&](std::uint64_t block, WideWord* values) {
                const std::size_t base = block * kWideLanes;
                const std::size_t lanes =
                    std::min(kWideLanes, vectors.size() - base);

@@ -3,14 +3,16 @@
 // Where PatternSimulator re-evaluates the whole circuit once per fault per
 // 64-pattern block, this engine simulates 256 patterns per block (four
 // 64-bit words, plain loops the compiler auto-vectorizes) and propagates
-// each fault only through its fanout cone: the good-circuit block is
+// each fault only through its fanout cone: each good-circuit block is
 // evaluated once over a flattened levelized schedule, then per fault the
-// difference is injected at the site and chased through the cone with
-// epoch-stamped scratch values, dying as soon as it stops differing from
-// the good value. Combined with fault dropping this is the classic
-// parallel-pattern single-fault-propagation design, and it is what makes
-// random-pattern prefiltering cheap enough to sit in front of exact DP
-// (see analysis/hybrid.hpp).
+// difference is injected at the site and chased, level by level, through
+// the gates it reaches with epoch-stamped scratch values, dying as soon as
+// it stops differing from the good value. Combined with fault dropping
+// this is the classic parallel-pattern single-fault-propagation design,
+// and it is what makes random-pattern prefiltering cheap enough to sit in
+// front of exact DP (see analysis/hybrid.hpp). Faults are independent
+// given the good values, so WideSimOptions::jobs threads grade them
+// concurrently with bit-identical results.
 #pragma once
 
 #include <array>
@@ -43,6 +45,11 @@ struct WideSimOptions {
   /// pattern set (n-detect analytics) at the cost of simulating every
   /// fault against every block.
   bool drop_detected = true;
+  /// Grading threads; 0 = one per hardware thread. Never more threads
+  /// than faults. Each good-circuit block is evaluated once and read by
+  /// every thread; threads claim faults dynamically and keep private
+  /// scratch, so every Grade field is bit-identical for every value.
+  std::size_t jobs = 1;
 };
 
 class WideFaultSimulator {
@@ -102,17 +109,26 @@ class WideFaultSimulator {
     std::uint32_t fanin_count = 0;
   };
 
-  /// Per-fault propagation plan: injection site plus the cone schedule.
-  struct FaultPlan {
-    bool is_branch = false;
-    NetId site = netlist::kInvalidNet;  ///< stem net, or the fed gate for a branch
-    std::uint32_t pin = 0;     ///< branch only
-    Word forced = 0;           ///< stuck value replicated across lanes
-    std::vector<std::uint32_t> cone;  ///< schedule indices, topo order
-    std::vector<NetId> observe;       ///< POs the difference can reach
+  /// One grading thread's private state.
+  struct Worker {
+    std::vector<WideWord> scratch;      ///< faulty values, valid where stamped
+    std::vector<std::uint32_t> stamp;   ///< per net: epoch of its faulty value
+    std::vector<std::uint32_t> queued;  ///< per net: epoch it was queued in
+    std::uint32_t epoch = 0;
+    /// Per level: schedule indices of gates waiting to be evaluated.
+    std::vector<std::vector<std::uint32_t>> pending;
+    std::vector<NetId> reached_pos;  ///< POs carrying a difference
+    std::vector<std::uint64_t> level_events;
   };
 
-  FaultPlan make_plan(const StuckAtFault& f) const;
+  /// Throws NetlistError for a branch fault on a pin its gate lacks.
+  void check_fault(const StuckAtFault& f) const;
+
+  /// Chases one fault's difference through its fanout cone under the block
+  /// whose good values (indexed by net) are `good`; returns the lanes
+  /// (unmasked) on which some PO differs.
+  WideWord propagate(const StuckAtFault& f, const WideWord* good,
+                     Worker& w) const;
 
   /// Evaluates one schedule entry; `fanin_value(k)` supplies fanin k.
   template <typename FaninValue>
@@ -125,6 +141,11 @@ class WideFaultSimulator {
   const Circuit* circuit_;
   std::vector<GateRef> schedule_;  ///< topo order over non-PI nets
   std::vector<NetId> fanin_flat_;
+  /// Per net: the schedule indices of the gates it feeds, as the slice
+  /// [fanout_begin_[net], fanout_begin_[net + 1]) of fanout_flat_.
+  std::vector<std::uint32_t> fanout_begin_;
+  std::vector<std::uint32_t> fanout_flat_;
+  std::vector<std::uint8_t> is_output_;  ///< per net
   /// Per net: its index in schedule_, or kNotScheduled for PIs.
   std::vector<std::uint32_t> schedule_index_;
   /// Per net: longest path (in gate levels) from any PI; PIs are 0.

@@ -213,7 +213,7 @@ bool run_self_test(const CampaignConfig& base, std::ostream& log,
   for (Mutation m :
        {Mutation::InflateDetectability, Mutation::DropTestVector,
         Mutation::FlipSyndrome, Mutation::PerturbParallelMerge,
-        Mutation::PerturbNDetectCount}) {
+        Mutation::PerturbNDetectCount, Mutation::PerturbPrefilterCount}) {
     OracleConfig oracle = base.oracle;
     oracle.mutate = m;
     if (m == Mutation::PerturbParallelMerge && !oracle.check_parallel) {
@@ -226,12 +226,17 @@ bool run_self_test(const CampaignConfig& base, std::ostream& log,
           << ": SKIP (ndetect arm disabled)\n";
       continue;
     }
-    // The store and hybrid arms are orthogonal to every injected
-    // perturbation (both compare against unperturbed serial results);
-    // keep the self-test lean. The n-detect arm only needs to run when
-    // its own count is the perturbed quantity.
+    if (m == Mutation::PerturbPrefilterCount && !oracle.check_hybrid) {
+      log << "[self-test] " << to_string(m)
+          << ": SKIP (hybrid arm disabled)\n";
+      continue;
+    }
+    // The store arm is orthogonal to every injected perturbation (it
+    // compares against unperturbed serial results); keep the self-test
+    // lean. The n-detect and hybrid arms only need to run when their own
+    // count is the perturbed quantity.
     oracle.check_store = false;
-    oracle.check_hybrid = false;
+    oracle.check_hybrid = m == Mutation::PerturbPrefilterCount;
     oracle.check_ndetect = m == Mutation::PerturbNDetectCount;
 
     // Any case with at least one stuck-at fault trips every mutation

@@ -27,6 +27,7 @@ const char* to_string(Mutation m) {
     case Mutation::FlipSyndrome: return "flip_syndrome";
     case Mutation::PerturbParallelMerge: return "perturb_parallel_merge";
     case Mutation::PerturbNDetectCount: return "perturb_ndetect_count";
+    case Mutation::PerturbPrefilterCount: return "perturb_prefilter_count";
   }
   return "none";
 }
@@ -328,11 +329,27 @@ OracleResult run_oracles(const FuzzCase& fc, const OracleConfig& config) {
       hybrid_analysis.jobs = config.jobs;
       analysis::HybridOptions hybrid_options;
       hybrid_options.prefilter_patterns = config.hybrid_prefilter_patterns;
-      const analysis::HybridProfile hp = analysis::analyze_hybrid(
+      analysis::HybridProfile hp = analysis::analyze_hybrid(
           fc.circuit, fc.sa_faults, hybrid_analysis, hybrid_options);
+      if (config.mutate == Mutation::PerturbPrefilterCount &&
+          !hp.faults.empty()) {
+        hp.faults[0].detection_count += 1;
+      }
+      // The prefilter graded on config.jobs threads; a serial grade of the
+      // same stream must repeat its counts exactly.
+      const sim::WideFaultSimulator wide(fc.circuit);
+      const auto serial_grade = wide.grade_random(
+          fc.sa_faults, hybrid_options.prefilter_patterns,
+          hybrid_options.prefilter_seed);
+      rec.expect_eq("hybrid.prefilter_events", "case", serial_grade.events(),
+                    hp.sim_events);
       for (std::size_t i = 0; i < fc.sa_faults.size(); ++i) {
         const std::string what = describe(fc.sa_faults[i], fc.circuit);
         const analysis::HybridFaultRecord& hr = hp.faults[i];
+        rec.expect_eq("hybrid.prefilter_count", what,
+                      serial_grade.detection_counts[i], hr.detection_count);
+        rec.expect_eq("hybrid.first_detection", what,
+                      serial_grade.first_detection[i], hr.first_detection);
         rec.expect_eq("hybrid.partition", what, serial_sa[i].detectable,
                       hr.detectable);
         if (hr.resolved_by == analysis::ResolvedBy::Prefilter) {

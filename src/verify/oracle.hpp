@@ -15,11 +15,14 @@
 //                vs warm (profile cache hit) vs resumed (profile dropped,
 //                truncated checkpoint installed): FaultRecord vectors
 //                compared field-exact.
-//   hybrid       the prefilter+DP pipeline (analysis/hybrid.hpp) vs the
-//                serial engine: the detectable/undetectable partition must
-//                match exactly, every prefilter resolution must carry a
+//   hybrid       the prefilter+DP pipeline (analysis/hybrid.hpp) at jobs N
+//                vs the serial engine: the detectable/undetectable partition
+//                must match exactly, every prefilter resolution must carry a
 //                detection witness count, and every DP-resolved fault's
-//                record must equal the serial analysis field-for-field.
+//                record must equal the serial analysis field-for-field. The
+//                prefilter's per-fault detection counts, first detections
+//                and event total must equal a jobs-1 wide-simulator grade
+//                of the same pattern stream.
 //   ndetect      the n-detection analytics (analysis/ndetect.hpp) vs the
 //                wide fault simulator: a deterministic per-case vector
 //                sample is topped up to n = 2, then every fault's exact
@@ -60,6 +63,10 @@ enum class Mutation : std::uint8_t {
   /// The n-detect arm's view of the first fault's exact detection count
   /// is one high (a stand-in for a vector-set BDD intersection bug).
   PerturbNDetectCount,
+  /// The hybrid arm's view of the first fault's prefilter detection count
+  /// is one high (a stand-in for a lost or doubled count when the
+  /// prefilter's threads merge).
+  PerturbPrefilterCount,
 };
 
 const char* to_string(Mutation m);

@@ -368,5 +368,108 @@ TEST_P(BddRandomTest, CanonicityAcrossConstructions) {
 INSTANTIATE_TEST_SUITE_P(MoreSeeds, BddRandomTest,
                          ::testing::Values(101, 202, 303));
 
+TEST(ComputedCacheTest, GrowsOnInsertPressureAndLiveNodesUpToTheCap) {
+  ComputedCache cache;
+  EXPECT_EQ(cache.size(), ComputedCache::kMinSlots);
+  cache.insert(Op::And, 2, 4, 6);
+  EXPECT_EQ(cache.lookup(Op::And, 2, 4), 6u);
+  EXPECT_EQ(cache.lookup(Op::Xor, 2, 4), kInvalidNode);  // op is keyed
+  cache.clear();
+  EXPECT_EQ(cache.lookup(Op::And, 2, 4), kInvalidNode);
+  EXPECT_EQ(cache.size(), ComputedCache::kMinSlots);  // no demand, no growth
+
+  // One table's worth of inserts since the last resize doubles it.
+  for (NodeIndex i = 0; i <= ComputedCache::kMinSlots; ++i) {
+    cache.insert(Op::And, i, i + 2, i);
+  }
+  EXPECT_EQ(cache.size(), 2 * ComputedCache::kMinSlots);
+
+  // A collection's live count is demand too; the table never shrinks and
+  // never passes the cap.
+  cache.clear(ComputedCache::kMinSlots * 5);
+  EXPECT_EQ(cache.size(), 8 * ComputedCache::kMinSlots);
+  cache.clear(10);
+  EXPECT_EQ(cache.size(), 8 * ComputedCache::kMinSlots);
+  cache.clear(ComputedCache::kMaxSlots * 4);
+  EXPECT_EQ(cache.size(), ComputedCache::kMaxSlots);
+  cache.insert(Op::Xor, 8, 10, 12);
+  EXPECT_EQ(cache.lookup(Op::Xor, 8, 10), 12u);
+}
+
+/// Random functions of kVars variables, built by one fixed sequence of
+/// operations so two managers build the same functions.
+std::vector<Bdd> build_random_functions(Manager& mgr, std::uint64_t seed,
+                                        std::size_t count, bool collect) {
+  constexpr std::size_t kVars = 24;
+  std::mt19937_64 rng(seed);
+  std::vector<Bdd> pool;
+  for (Var v = 0; v < kVars; ++v) pool.push_back(mgr.var(v));
+  std::vector<Bdd> out;
+  for (std::size_t i = 0; i < count; ++i) {
+    const Bdd& a = pool[rng() % pool.size()];
+    const Bdd& b = pool[rng() % pool.size()];
+    Bdd f;
+    switch (rng() % 5) {
+      case 0: f = a & !b; break;
+      case 1: f = a | b; break;
+      case 2: f = a ^ b; break;
+      case 3: f = a.exists(static_cast<Var>(rng() % kVars)); break;
+      default: f = a.ite(b, pool[rng() % pool.size()]); break;
+    }
+    // Bounded pool of bounded functions: old or oversized functions drop
+    // out and become garbage.
+    if (mgr.dag_size(f.index()) > 200) continue;
+    if (pool.size() < 200) {
+      pool.push_back(f);
+    } else {
+      pool[kVars + rng() % (pool.size() - kVars)] = f;
+    }
+    if (i % 50 == 0) out.push_back(f);
+    if (i % 400 == 399 && collect) mgr.gc();
+  }
+  return out;
+}
+
+TEST(ComputedCacheTest, GrowingCacheGivesTheSameFunctionsAsAFullSizeOne) {
+  // `grown` starts at the minimum table and grows (and is collected)
+  // while it builds; `full` is driven to the maximum table first by
+  // unrelated work. The cache is only an accelerator, so every function
+  // built afterwards must be the same in both: equal satcounts, equal
+  // canonical DAG sizes, equal values on random assignments.
+  Manager full(24);
+  for (std::uint64_t seed = 1; full.cache_slots() < ComputedCache::kMaxSlots;
+       ++seed) {
+    ASSERT_LT(seed, 400u) << "warm-up never filled the table";
+    build_random_functions(full, 1000 + seed, 2000, true);
+  }
+  full.gc();
+
+  Manager grown(24);
+  ASSERT_EQ(grown.cache_slots(), ComputedCache::kMinSlots);
+  const std::vector<Bdd> a = build_random_functions(grown, 7, 3000, true);
+  const std::vector<Bdd> b = build_random_functions(full, 7, 3000, true);
+  EXPECT_GT(grown.cache_slots(), ComputedCache::kMinSlots);
+  EXPECT_GT(grown.stats().gc_runs, 0u);
+  EXPECT_EQ(full.cache_slots(), ComputedCache::kMaxSlots);
+
+  ASSERT_EQ(a.size(), b.size());
+  std::mt19937_64 rng(99);
+  std::vector<bool> assignment(24);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].sat_count(24), b[i].sat_count(24)) << "function " << i;
+    EXPECT_EQ(grown.dag_size(a[i].index()), full.dag_size(b[i].index()))
+        << "function " << i;
+    for (int k = 0; k < 16; ++k) {
+      for (std::size_t v = 0; v < assignment.size(); ++v) {
+        assignment[v] = rng() & 1;
+      }
+      EXPECT_EQ(grown.eval(a[i].index(), assignment),
+                full.eval(b[i].index(), assignment))
+          << "function " << i;
+    }
+  }
+  grown.check_canonical();
+}
+
 }  // namespace
 }  // namespace dp::bdd

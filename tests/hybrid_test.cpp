@@ -93,20 +93,23 @@ TEST(HybridTest, LargeBudgetResolvesEverythingDetectableOnC17) {
   EXPECT_EQ(hp.detectable_count(), hp.faults.size());
 }
 
-TEST(HybridTest, DeterministicAcrossRunsAndJobCounts) {
-  const netlist::Circuit c = netlist::make_benchmark("alu181");
+/// Runs the pipeline at jobs 1 (twice) and jobs 4, which also threads the
+/// prefilter, and requires every per-fault output and the prefilter's
+/// event counts to be identical.
+void expect_identical_across_jobs(const netlist::Circuit& c,
+                                  const HybridOptions& hopt) {
   AnalysisOptions opt1, opt4;
   opt1.jobs = 1;
   opt4.jobs = 4;
-  HybridOptions hopt;
-  hopt.prefilter_patterns = 48;
   const HybridProfile a = analyze_stuck_at_hybrid(c, opt1, hopt);
   const HybridProfile b = analyze_stuck_at_hybrid(c, opt1, hopt);
   const HybridProfile d = analyze_stuck_at_hybrid(c, opt4, hopt);
   ASSERT_EQ(a.faults.size(), b.faults.size());
   ASSERT_EQ(a.faults.size(), d.faults.size());
-  for (std::size_t i = 0; i < a.faults.size(); ++i) {
-    for (const HybridProfile* other : {&b, &d}) {
+  for (const HybridProfile* other : {&b, &d}) {
+    EXPECT_EQ(a.sim_events, other->sim_events);
+    EXPECT_EQ(a.sim_level_events, other->sim_level_events);
+    for (std::size_t i = 0; i < a.faults.size(); ++i) {
       EXPECT_EQ(a.faults[i].resolved_by, other->faults[i].resolved_by)
           << "fault " << i;
       EXPECT_EQ(a.faults[i].detectable, other->faults[i].detectable)
@@ -119,6 +122,20 @@ TEST(HybridTest, DeterministicAcrossRunsAndJobCounts) {
           << "fault " << i;
     }
   }
+}
+
+TEST(HybridTest, DeterministicAcrossRunsAndJobCounts) {
+  HybridOptions hopt;
+  hopt.prefilter_patterns = 48;
+  expect_identical_across_jobs(netlist::make_benchmark("alu181"), hopt);
+}
+
+TEST(HybridTest, DeterministicAcrossJobCountsOnC1355) {
+  // The benchmark's configuration: full prefilter budget, dropping off so
+  // every fault is graded against every block.
+  HybridOptions hopt;
+  hopt.drop_detected = false;
+  expect_identical_across_jobs(netlist::make_benchmark("c1355"), hopt);
 }
 
 TEST(HybridTest, ProfileAccountingIsConsistent) {

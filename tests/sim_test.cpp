@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <bit>
 #include <random>
+#include <string>
 
 #include "fault/bridging.hpp"
 #include "fault/stuck_at.hpp"
@@ -422,6 +423,119 @@ TEST(WideSimTest, FaultDroppingPreservesDetectedSetAndFirstDetection) {
         << "fault " << i;
     EXPECT_EQ(dropped.detection_counts[i] > 0, kept.detection_counts[i] > 0)
         << "fault " << i;
+  }
+}
+
+void expect_same_grade(const WideFaultSimulator::Grade& expected,
+                       const WideFaultSimulator::Grade& got,
+                       const std::string& what) {
+  EXPECT_EQ(got.total, expected.total) << what;
+  EXPECT_EQ(got.num_patterns, expected.num_patterns) << what;
+  EXPECT_EQ(got.detection_counts, expected.detection_counts) << what;
+  EXPECT_EQ(got.first_detection, expected.first_detection) << what;
+  EXPECT_EQ(got.level_events, expected.level_events) << what;
+}
+
+TEST(WideSimTest, GradeIsIdenticalAtEveryJobCount) {
+  // Threads claim faults in whatever order the scheduler allows; every
+  // Grade field must still equal the serial grade, with dropping on and
+  // off, at pattern counts straddling the block boundary, and with more
+  // threads than faults.
+  const Circuit c = netlist::make_benchmark("c432");
+  const WideFaultSimulator wide(c);
+  const auto all = fault::collapse_checkpoint_faults(c);
+  const std::vector<StuckAtFault> few(all.begin(), all.begin() + 3);
+  for (const bool drop : {true, false}) {
+    for (const std::size_t n :
+         {std::size_t{1}, std::size_t{255}, std::size_t{256},
+          std::size_t{257}, std::size_t{4096}}) {
+      for (const auto* faults : {&all, &few}) {
+        WideSimOptions opt;
+        opt.drop_detected = drop;
+        const auto serial = wide.grade_random(*faults, n, 0xab5eed, opt);
+        for (const std::size_t jobs :
+             {std::size_t{2}, std::size_t{3}, std::size_t{4},
+              std::size_t{7}}) {
+          opt.jobs = jobs;
+          expect_same_grade(
+              serial, wide.grade_random(*faults, n, 0xab5eed, opt),
+              "drop=" + std::to_string(drop) + " n=" + std::to_string(n) +
+                  " faults=" + std::to_string(faults->size()) +
+                  " jobs=" + std::to_string(jobs));
+        }
+      }
+    }
+  }
+}
+
+TEST(WideSimTest, VectorGradeIsIdenticalAtEveryJobCount) {
+  const Circuit c = netlist::make_benchmark("alu181");
+  const WideFaultSimulator wide(c);
+  const auto faults = fault::checkpoint_faults(c);
+  const auto vectors = wide.random_patterns(300, 17);
+  WideSimOptions opt;
+  opt.drop_detected = false;
+  const auto serial = wide.grade_vectors(faults, vectors, opt);
+  opt.jobs = 4;
+  expect_same_grade(serial, wide.grade_vectors(faults, vectors, opt),
+                    "jobs=4");
+}
+
+TEST(WideSimTest, EmptyFaultListAndZeroJobs) {
+  const Circuit c = netlist::make_c17();
+  const WideFaultSimulator wide(c);
+  WideSimOptions opt;
+  opt.jobs = 0;  // one thread per hardware thread, capped at the faults
+  const auto none = wide.grade_random({}, 300, 3, opt);
+  EXPECT_EQ(none.total, 0u);
+  EXPECT_EQ(none.events(), 0u);
+  const auto faults = fault::checkpoint_faults(c);
+  expect_same_grade(wide.grade_random(faults, 300, 3),
+                    wide.grade_random(faults, 300, 3, opt), "jobs=0");
+}
+
+TEST(WideSimTest, MultiGroupGradeMatchesPerBlockRegrade) {
+  // Enough patterns that c1908's good values span several block groups:
+  // counts and first detections must equal a regrade of every 256-pattern
+  // block on its own, offset by the block's position, with and without
+  // dropping and at several job counts.
+  const Circuit c = netlist::make_benchmark("c1908");
+  const WideFaultSimulator wide(c);
+  const auto all = fault::collapse_checkpoint_faults(c);
+  std::vector<StuckAtFault> faults;
+  for (std::size_t i = 0; i < all.size(); i += 50) faults.push_back(all[i]);
+  const std::size_t n = 100000;
+  const std::uint64_t seed = 1908;
+  const auto stream = wide.random_patterns(n, seed);
+
+  std::vector<std::uint64_t> counts(faults.size(), 0);
+  std::vector<std::uint64_t> first(faults.size(),
+                                   WideFaultSimulator::kNotDetected);
+  WideSimOptions keep;
+  keep.drop_detected = false;
+  for (std::size_t base = 0; base < n; base += kWideLanes) {
+    const std::vector<std::vector<bool>> block(
+        stream.begin() + static_cast<std::ptrdiff_t>(base),
+        stream.begin() +
+            static_cast<std::ptrdiff_t>(std::min(n, base + kWideLanes)));
+    const auto g = wide.grade_vectors(faults, block, keep);
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+      counts[i] += g.detection_counts[i];
+      if (first[i] == WideFaultSimulator::kNotDetected &&
+          g.first_detection[i] != WideFaultSimulator::kNotDetected) {
+        first[i] = base + g.first_detection[i];
+      }
+    }
+  }
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{3}}) {
+    keep.jobs = jobs;
+    const auto kept = wide.grade_random(faults, n, seed, keep);
+    EXPECT_EQ(kept.detection_counts, counts) << "jobs=" << jobs;
+    EXPECT_EQ(kept.first_detection, first) << "jobs=" << jobs;
+    WideSimOptions drop;
+    drop.jobs = jobs;
+    const auto dropped = wide.grade_random(faults, n, seed, drop);
+    EXPECT_EQ(dropped.first_detection, first) << "jobs=" << jobs;
   }
 }
 
