@@ -112,8 +112,10 @@ int main(int argc, char** argv) {
   std::vector<fault::StuckAtFault> dp_faults = faults;
   if (hybrid) {
     const sim::WideFaultSimulator wide(circuit);
+    sim::WideSimOptions wopt;
+    wopt.jobs = jobs;
     const sim::WideFaultSimulator::Grade grade =
-        wide.grade_random(faults, prefilter_patterns, kPrefilterSeed);
+        wide.grade_random(faults, prefilter_patterns, kPrefilterSeed, wopt);
     std::vector<std::uint64_t> picks;
     dp_faults.clear();
     for (std::size_t i = 0; i < faults.size(); ++i) {
@@ -159,6 +161,11 @@ int main(int argc, char** argv) {
     forest_key = kb.hex();
   }
 
+  // On the cold path the engine must stay alive until vector minting is
+  // done: the test-set BDDs live in its worker managers. Declared before
+  // `entries` so it is destroyed after the handles into it.
+  std::optional<core::ParallelEngine> engine;
+
   struct Entry {
     const fault::StuckAtFault* fault;
     bdd::Bdd test_set;
@@ -166,10 +173,6 @@ int main(int argc, char** argv) {
   };
   std::vector<Entry> entries;
   std::size_t redundant = 0;
-
-  // On the cold path the engine must stay alive until vector minting is
-  // done: the test-set BDDs live in its worker managers.
-  std::optional<core::ParallelEngine> engine;
   bool from_cache = false;
   if (tel.store()) {
     if (auto roots =

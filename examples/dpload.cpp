@@ -33,8 +33,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <cmath>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstring>
 #include <iostream>

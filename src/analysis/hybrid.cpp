@@ -73,6 +73,12 @@ HybridProfile analyze_hybrid(const Circuit& circuit,
   p.prefilter_seed = hybrid.prefilter_seed;
   p.faults.resize(faults.size());
 
+  // Both phases share the one --jobs budget (0 = all hardware threads).
+  const std::size_t jobs =
+      options.jobs != 0
+          ? options.jobs
+          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+
   obs::SpanCollector* const spans = obs::SpanCollector::current();
   const auto t0 = clock::now();
   sim::WideFaultSimulator::Grade grade;
@@ -83,7 +89,7 @@ HybridProfile analyze_hybrid(const Circuit& circuit,
     const sim::WideFaultSimulator wide(circuit);
     sim::WideSimOptions wopt;
     wopt.drop_detected = hybrid.drop_detected;
-    wopt.jobs = options.jobs;
+    wopt.jobs = jobs;
     grade = wide.grade_random(faults, hybrid.prefilter_patterns,
                               hybrid.prefilter_seed, wopt);
     span.attr("resolved", grade.detected());
@@ -116,10 +122,6 @@ HybridProfile analyze_hybrid(const Circuit& circuit,
     const Structure structure(circuit);
     // A worker per remainder fault at most: a 3-fault remainder gets 3
     // workers, not the whole pool and its per-worker managers.
-    std::size_t jobs = options.jobs;
-    if (jobs == 0) {
-      jobs = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-    }
     core::ParallelEngine::Options popt;
     popt.jobs = std::min(jobs, remainder_faults.size());
     popt.bdd_node_limit = options.bdd_node_limit;

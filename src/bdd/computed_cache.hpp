@@ -51,7 +51,7 @@ class ComputedCache {
   }
 
   void insert(Op op, NodeIndex a, NodeIndex b, NodeIndex result) {
-    if (++inserts_ > size_) grow_to(inserts_);
+    if (++inserts_ > size_ && size_ < kMaxSlots) grow_to(inserts_);
     entries_[slot(op, a, b)] = Entry{a, b, result, tag_of(op)};
   }
 

@@ -220,8 +220,8 @@ WideFaultSimulator::Grade WideFaultSimulator::run(
       kGroupBytes / (std::max<std::size_t>(1, num_nets) * sizeof(WideWord)),
       1, std::max<std::size_t>(1, num_blocks));
 
-  // All scratch is allocated once here; the grading loop is
-  // allocation-free.
+  // All scratch is allocated here; in the grading loop only the level
+  // queues allocate, while they first grow to their high-water marks.
   std::vector<Worker> workers(jobs);
   for (Worker& w : workers) {
     w.scratch.resize(num_nets);

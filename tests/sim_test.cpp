@@ -495,38 +495,63 @@ TEST(WideSimTest, EmptyFaultListAndZeroJobs) {
 }
 
 TEST(WideSimTest, MultiGroupGradeMatchesPerBlockRegrade) {
-  // Enough patterns that c1908's good values span several block groups:
-  // counts and first detections must equal a regrade of every 256-pattern
-  // block on its own, offset by the block's position, with and without
-  // dropping and at several job counts.
-  const Circuit c = netlist::make_benchmark("c1908");
-  const WideFaultSimulator wide(c);
-  const auto all = fault::collapse_checkpoint_faults(c);
+  // A group holds as many 256-lane blocks as fit 8 MiB of good values; a
+  // 40k-gate buffer chain shrinks that to six blocks, so 4096 patterns
+  // span three groups. Wide ANDs are detected rarely enough that some
+  // first detections fall in a later group. Counts and first detections
+  // must equal a regrade of every block on its own, offset by the
+  // block's position, with and without dropping and at two job counts.
+  Circuit c("groups");
+  std::vector<NetId> pis;
+  for (int i = 0; i < 12; ++i) pis.push_back(c.add_input("x" + std::to_string(i)));
   std::vector<StuckAtFault> faults;
-  for (std::size_t i = 0; i < all.size(); i += 50) faults.push_back(all[i]);
-  const std::size_t n = 100000;
-  const std::uint64_t seed = 1908;
-  const auto stream = wide.random_patterns(n, seed);
+  for (std::size_t width = 9; width <= 12; ++width) {
+    const NetId a = c.add_gate(
+        GateType::And, std::vector<NetId>(pis.begin(), pis.begin() + width),
+        "and" + std::to_string(width));
+    c.mark_output(a);
+    faults.push_back({a, std::nullopt, false});
+    faults.push_back({pis[width - 1], netlist::PinRef{a, static_cast<std::uint32_t>(width - 1)}, false});
+  }
+  NetId tail = pis[0];
+  for (int i = 0; i < 40000; ++i) {
+    tail = c.add_gate(GateType::Buf, {tail}, "b" + std::to_string(i));
+  }
+  c.mark_output(tail);
+  faults.push_back({pis[0], std::nullopt, true});
+  c.finalize();
 
+  const WideFaultSimulator wide(c);
+  const std::size_t n = 4096;
+  const std::uint64_t seed = 4242;
+  const auto stream = wide.random_patterns(n, seed);
   std::vector<std::uint64_t> counts(faults.size(), 0);
   std::vector<std::uint64_t> first(faults.size(),
                                    WideFaultSimulator::kNotDetected);
+  // With dropping, counting stops after the first detecting block.
+  std::vector<std::uint64_t> first_block_counts(faults.size(), 0);
   WideSimOptions keep;
   keep.drop_detected = false;
   for (std::size_t base = 0; base < n; base += kWideLanes) {
     const std::vector<std::vector<bool>> block(
         stream.begin() + static_cast<std::ptrdiff_t>(base),
-        stream.begin() +
-            static_cast<std::ptrdiff_t>(std::min(n, base + kWideLanes)));
+        stream.begin() + static_cast<std::ptrdiff_t>(base + kWideLanes));
     const auto g = wide.grade_vectors(faults, block, keep);
     for (std::size_t i = 0; i < faults.size(); ++i) {
       counts[i] += g.detection_counts[i];
       if (first[i] == WideFaultSimulator::kNotDetected &&
           g.first_detection[i] != WideFaultSimulator::kNotDetected) {
         first[i] = base + g.first_detection[i];
+        first_block_counts[i] = g.detection_counts[i];
       }
     }
   }
+  std::uint64_t latest = 0;
+  for (const std::uint64_t f : first) {
+    if (f != WideFaultSimulator::kNotDetected) latest = std::max(latest, f);
+  }
+  ASSERT_GE(latest, 6 * kWideLanes) << "no first detection past group 0";
+
   for (const std::size_t jobs : {std::size_t{1}, std::size_t{3}}) {
     keep.jobs = jobs;
     const auto kept = wide.grade_random(faults, n, seed, keep);
@@ -536,6 +561,7 @@ TEST(WideSimTest, MultiGroupGradeMatchesPerBlockRegrade) {
     drop.jobs = jobs;
     const auto dropped = wide.grade_random(faults, n, seed, drop);
     EXPECT_EQ(dropped.first_detection, first) << "jobs=" << jobs;
+    EXPECT_EQ(dropped.detection_counts, first_block_counts) << "jobs=" << jobs;
   }
 }
 
