@@ -19,8 +19,11 @@
 // Growing drops every entry: the old table is released before the new one
 // is mapped, so peak memory never holds both. Tables are mapped directly
 // from the OS (not the heap), so a released table is returned at once
-// instead of lingering in an allocator arena, and fresh pages arrive
-// zero-filled on first touch -- the empty encoding is all-zero bytes.
+// instead of lingering in an allocator arena, and a fresh mapping is
+// zero-filled -- the empty encoding is all-zero bytes. The mapping is
+// populated up front: lookups hit random slots, and faulting pages in one
+// at a time from inside the apply recursion costs far more than one bulk
+// fill.
 #pragma once
 
 #include <sys/mman.h>
