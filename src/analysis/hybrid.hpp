@@ -71,9 +71,11 @@ struct HybridProfile {
   core::ParallelStats engine_stats;
   double prefilter_seconds = 0.0;
   double dp_seconds = 0.0;
-  /// Wide-sim faulty-value evaluations during the prefilter, total and per
-  /// circuit level (copied from Grade::level_events; deterministic for a
-  /// fixed fault list / pattern budget / seed).
+  /// Wide-sim stem-propagation evaluations during the prefilter (one per
+  /// fanout-free-region root flip and one per gate the flip reaches),
+  /// total and per circuit level (copied from Grade::level_events;
+  /// deterministic for a fixed fault list / pattern budget / seed at every
+  /// job count).
   std::uint64_t sim_events = 0;
   std::vector<std::uint64_t> sim_level_events;
 

@@ -5,6 +5,7 @@
 #include <barrier>
 #include <bit>
 #include <functional>
+#include <numeric>
 #include <random>
 #include <stdexcept>
 #include <thread>
@@ -75,6 +76,40 @@ WideFaultSimulator::WideFaultSimulator(const Circuit& circuit)
   }
   fanout_begin_.push_back(static_cast<std::uint32_t>(fanout_flat_.size()));
   for (const NetId po : circuit.outputs()) is_output_[po] = 1;
+
+  // Fanout-free regions. Walking the topological order backwards reaches
+  // every gate before its fanins, so a single-fanout net can take the
+  // region of the gate it feeds; any other net, and every PO, is a root
+  // and opens a region of its own. The same walk lists each region's
+  // members root first, every net after its fed gate.
+  const std::size_t num_nets = circuit.num_nets();
+  region_of_.assign(num_nets, 0);
+  member_pos_.assign(num_nets, 0);
+  sink_pin_.assign(num_nets, 0);
+  std::vector<std::uint32_t> region_size;
+  const auto& topo = circuit.topo_order();
+  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
+    const NetId id = *it;
+    const auto& fo = circuit.fanouts(id);
+    std::uint32_t r;
+    if (fo.size() != 1 || is_output_[id]) {
+      r = static_cast<std::uint32_t>(region_size.size());
+      region_size.push_back(0);
+    } else {
+      r = region_of_[fo[0].gate];
+      sink_pin_[id] = fo[0].pin;
+    }
+    region_of_[id] = r;
+    member_pos_[id] = region_size[r]++;
+  }
+  region_begin_.assign(region_size.size() + 1, 0);
+  for (std::size_t r = 0; r < region_size.size(); ++r) {
+    region_begin_[r + 1] = region_begin_[r] + region_size[r];
+  }
+  members_.resize(num_nets);
+  for (NetId id = 0; id < num_nets; ++id) {
+    members_[region_begin_[region_of_[id]] + member_pos_[id]] = id;
+  }
 }
 
 template <typename FaninValue>
@@ -101,17 +136,71 @@ WideWord WideFaultSimulator::eval_entry(const GateRef& g,
 }
 
 void WideFaultSimulator::check_fault(const StuckAtFault& f) const {
+  const std::size_t num_nets = circuit_->num_nets();
+  if (f.net >= num_nets) {
+    throw netlist::NetlistError("stuck-at fault on net " +
+                                std::to_string(f.net) + " of a " +
+                                std::to_string(num_nets) + "-net circuit");
+  }
   if (!f.branch) return;
-  const std::uint32_t si = schedule_index_[f.branch->gate];
+  const NetId gate = f.branch->gate;
+  const std::uint32_t si =
+      gate < num_nets ? schedule_index_[gate] : kNotScheduled;
   if (si == kNotScheduled || f.branch->pin >= schedule_[si].fanin_count) {
     throw netlist::NetlistError(
         "branch fault pin " + std::to_string(f.branch->pin) +
-        " out of range on zero-fanin or input gate '" +
-        circuit_->net_name(f.branch->gate) + "'");
+        " out of range on zero-fanin or input gate " +
+        (gate < num_nets ? "'" + circuit_->net_name(gate) + "'"
+                         : std::to_string(gate)));
+  }
+  const NetId source = fanin_flat_[schedule_[si].fanin_begin + f.branch->pin];
+  if (source != f.net) {
+    throw netlist::NetlistError(
+        "branch fault on net '" + circuit_->net_name(f.net) + "' names pin " +
+        std::to_string(f.branch->pin) + " of gate '" +
+        circuit_->net_name(gate) + "', which '" +
+        circuit_->net_name(source) + "' drives");
   }
 }
 
-WideWord WideFaultSimulator::propagate(const StuckAtFault& f,
+WideWord WideFaultSimulator::side_lanes(const GateRef& g, std::uint32_t pin,
+                                        const WideWord* good) const {
+  WideWord s;
+  for (std::size_t j = 0; j < kWideWords; ++j) s.w[j] = ~Word{0};
+  // AND/NAND side inputs must be 1 and OR/NOR side inputs 0; a flip on
+  // any XOR/XNOR/BUF/NOT input always reaches the output.
+  const GateType base = netlist::base_of(g.type);
+  if (base != GateType::And && base != GateType::Or) return s;
+  const Word invert = base == GateType::Or ? ~Word{0} : 0;
+  for (std::uint32_t k = 0; k < g.fanin_count; ++k) {
+    if (k == pin) continue;
+    const WideWord& v = good[fanin_flat_[g.fanin_begin + k]];
+    for (std::size_t j = 0; j < kWideWords; ++j) s.w[j] &= v.w[j] ^ invert;
+  }
+  return s;
+}
+
+void WideFaultSimulator::trace_region(std::uint32_t region,
+                                      std::uint32_t trace_len,
+                                      const WideWord& mask,
+                                      const WideWord* good,
+                                      Worker& w) const {
+  // Members are listed after the gate they feed, so each one's sink is
+  // traced before it; an FFR has one path from a member to its root.
+  const NetId* member = &members_[region_begin_[region]];
+  w.crit[member[0]] = mask;
+  for (std::uint32_t k = 1; k < trace_len; ++k) {
+    const NetId net = member[k];
+    const GateRef& sink = schedule_[fanout_flat_[fanout_begin_[net]]];
+    const WideWord side = side_lanes(sink, sink_pin_[net], good);
+    const WideWord& down = w.crit[sink.net];
+    for (std::size_t j = 0; j < kWideWords; ++j) {
+      w.crit[net].w[j] = down.w[j] & side.w[j];
+    }
+  }
+}
+
+WideWord WideFaultSimulator::propagate(NetId root, const WideWord& flip,
                                        const WideWord* good,
                                        Worker& w) const {
   if (++w.epoch == 0) {  // stamp wrap: invalidate everything once
@@ -123,32 +212,13 @@ WideWord WideFaultSimulator::propagate(const StuckAtFault& f,
   std::vector<WideWord>& scratch = w.scratch;
   std::vector<std::uint32_t>& stamp = w.stamp;
 
-  // Inject the difference at the site: the stem net, or for a branch the
-  // gate it feeds, evaluated with the faulty pin forced.
-  WideWord forced;
-  for (std::size_t j = 0; j < kWideWords; ++j) {
-    forced.w[j] = f.stuck_value ? ~Word{0} : 0;
-  }
-  NetId site = f.net;
-  WideWord v = forced;
-  if (f.branch) {
-    site = f.branch->gate;
-    const GateRef& gr = schedule_[schedule_index_[site]];
-    v = eval_entry(gr, [&](std::uint32_t k) -> const WideWord& {
-      return k == f.branch->pin ? forced
-                                : good[fanin_flat_[gr.fanin_begin + k]];
-    });
-  }
-  WideWord diff{};
-  if (v == good[site]) return diff;  // no lane differs under this block
-
   // Event-driven chase: a net whose faulty value differs from its good
   // value queues the gates it feeds, by level, and only queued gates are
   // evaluated. Levels are drained in increasing order, so every gate sees
   // its fanins' final values; a gate whose faulty value equals its good
   // value kills the difference on that path.
   w.reached_pos.clear();
-  std::size_t top = net_level_[site];
+  std::size_t top = net_level_[root];
   auto differs = [&](NetId net, const WideWord& value) {
     scratch[net] = value;
     stamp[net] = epoch;
@@ -164,9 +234,14 @@ WideWord WideFaultSimulator::propagate(const StuckAtFault& f,
       top = std::max<std::size_t>(top, level);
     }
   };
-  ++w.level_events[net_level_[site]];
-  differs(site, v);
-  for (std::size_t level = net_level_[site] + 1; level <= top; ++level) {
+  WideWord v;
+  for (std::size_t j = 0; j < kWideWords; ++j) {
+    v.w[j] = good[root].w[j] ^ flip.w[j];
+  }
+  ++w.stem_propagations;
+  ++w.level_events[net_level_[root]];
+  differs(root, v);
+  for (std::size_t level = net_level_[root] + 1; level <= top; ++level) {
     std::vector<std::uint32_t>& queue = w.pending[level];
     w.level_events[level] += queue.size();
     for (const std::uint32_t si : queue) {
@@ -181,6 +256,7 @@ WideWord WideFaultSimulator::propagate(const StuckAtFault& f,
     queue.clear();
   }
 
+  WideWord diff{};
   for (const NetId po : w.reached_pos) {
     for (std::size_t j = 0; j < kWideWords; ++j) {
       diff.w[j] |= scratch[po].w[j] ^ good[po].w[j];
@@ -204,14 +280,40 @@ WideFaultSimulator::Grade WideFaultSimulator::run(
 
   for (const StuckAtFault& f : faults) check_fault(f);
 
+  // Group the faults by the region of their site, regions in index order
+  // and each region's faults in input order.
+  auto region_of_fault = [&](std::uint32_t fi) {
+    return region_of_[site_of(faults[fi])];
+  };
+  std::vector<std::uint32_t> order(faults.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return region_of_fault(a) < region_of_fault(b);
+                   });
+  std::vector<RegionRun> regions;
+  std::size_t max_region_faults = 0;
+  for (std::uint32_t k = 0; k < order.size(); ++k) {
+    const std::uint32_t r = region_of_fault(order[k]);
+    if (regions.empty() || regions.back().region != r) {
+      regions.push_back({r, 0, k, k});
+    }
+    RegionRun& rr = regions.back();
+    rr.fault_end = k + 1;
+    rr.trace_len = std::max(rr.trace_len,
+                            member_pos_[site_of(faults[order[k]])] + 1);
+    max_region_faults =
+        std::max<std::size_t>(max_region_faults, k + 1 - rr.fault_begin);
+  }
+
   std::size_t jobs = options.jobs;
   if (jobs == 0) {
     jobs = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
-  jobs = std::max<std::size_t>(1, std::min(jobs, faults.size()));
+  jobs = std::max<std::size_t>(1, std::min(jobs, regions.size()));
 
   // Blocks are graded in groups: a group's good values are evaluated once,
-  // up front, and every fault is then chased through all of the group's
+  // up front, and every region is then graded against all of the group's
   // blocks in turn. A group holds as many blocks as fit kGroupBytes, so the
   // default 4096-pattern prefilter is one group on every benchmark circuit.
   constexpr std::size_t kGroupBytes = std::size_t{8} << 20;
@@ -228,23 +330,30 @@ WideFaultSimulator::Grade WideFaultSimulator::run(
     w.stamp.assign(num_nets, 0);
     w.queued.assign(num_nets, 0);
     w.pending.resize(num_levels_);
+    w.crit.resize(num_nets);
+    w.local.resize(max_region_faults);
     w.level_events.assign(num_levels_, 0);
   }
   std::vector<WideWord> good(group_cap * num_nets);  // block-major
   std::vector<WideWord> masks(group_cap);
-  // Faults still graded, in input order; dropped faults leave between
-  // groups.
-  std::vector<std::uint32_t> alive(faults.size());
-  for (std::size_t fi = 0; fi < faults.size(); ++fi) {
-    alive[fi] = static_cast<std::uint32_t>(fi);
-  }
+  // Regions still graded, in region order; with dropping, a region whose
+  // faults are all detected leaves between groups.
+  std::vector<std::uint32_t> alive(regions.size());
+  std::iota(alive.begin(), alive.end(), 0u);
+  auto dropped = [&](std::uint32_t fi) {
+    return options.drop_detected && g.first_detection[fi] != kNotDetected;
+  };
+  auto all_dropped = [&](const RegionRun& rr) {
+    return std::all_of(order.begin() + rr.fault_begin,
+                       order.begin() + rr.fault_end, dropped);
+  };
 
   // Groups are separated by a barrier whose completion step -- run by
-  // exactly one thread while the others wait -- drops detected faults and
+  // exactly one thread while the others wait -- drops finished regions and
   // loads and evaluates the next group. Within a group, threads claim
-  // small runs of faults from `next`; a fault's outcome goes to its own
-  // slots and level events to the claiming thread's counters, which are
-  // summed at the end, so the schedule never shows in a result.
+  // regions from `next`; a fault's outcome goes to its own slots and level
+  // events to the claiming thread's counters, which are summed at the end,
+  // so the schedule never shows in a result.
   std::atomic<std::size_t> next{0};
   std::size_t first_block = 0;  // of the current group
   std::size_t group_blocks = 0;
@@ -253,9 +362,8 @@ WideFaultSimulator::Grade WideFaultSimulator::run(
   auto next_group = [&]() noexcept {
     first_block += group_blocks;
     if (options.drop_detected) {
-      std::erase_if(alive, [&](std::uint32_t fi) {
-        return g.first_detection[fi] != kNotDetected;
-      });
+      std::erase_if(alive,
+                    [&](std::uint32_t k) { return all_dropped(regions[k]); });
     }
     done = first_block >= num_blocks ||
            (options.drop_detected && alive.empty());
@@ -285,44 +393,77 @@ WideFaultSimulator::Grade WideFaultSimulator::run(
   };
   std::barrier sync(static_cast<std::ptrdiff_t>(jobs), next_group);
 
-  // Grades fault `fi` against every block of the current group.
-  auto grade_fault = [&](std::uint32_t fi, Worker& w) {
+  // Grades one region against every block of the current group. A fault's
+  // local lanes are those on which it is activated (good value != stuck
+  // value), its branch's side inputs let it through, and critical-path
+  // tracing carries it to the root. The root is flipped once on the union
+  // of those lanes: lanes are independent and the region has no
+  // reconvergence, so on each local lane the faulty circuit equals the
+  // flipped-root circuit, and the fault is detected exactly on its local
+  // lanes that the root's flip carries to a PO.
+  auto grade_region = [&](const RegionRun& rr, Worker& w) {
+    const std::uint32_t* region_faults = &order[rr.fault_begin];
+    const std::uint32_t count = rr.fault_end - rr.fault_begin;
     for (std::size_t b = 0; b < group_blocks; ++b) {
-      const WideWord diff = propagate(faults[fi], &good[b * num_nets], w);
-      std::uint64_t hits = 0;
-      for (std::size_t j = 0; j < kWideWords; ++j) {
-        hits += static_cast<std::uint64_t>(
-            std::popcount(diff.w[j] & masks[b].w[j]));
-      }
-      if (hits == 0) continue;
-      g.detection_counts[fi] += hits;
-      if (g.first_detection[fi] == kNotDetected) {
+      if (all_dropped(rr)) return;
+      const WideWord* gv = &good[b * num_nets];
+      trace_region(rr.region, rr.trace_len, masks[b], gv, w);
+      WideWord reach{};
+      for (std::uint32_t k = 0; k < count; ++k) {
+        const StuckAtFault& f = faults[region_faults[k]];
+        WideWord& local = w.local[k];
+        if (dropped(region_faults[k])) {
+          local = WideWord{};
+          continue;
+        }
+        const Word stuck = f.stuck_value ? ~Word{0} : 0;
+        WideWord side;
+        if (f.branch) {
+          side = side_lanes(schedule_[schedule_index_[f.branch->gate]],
+                            f.branch->pin, gv);
+        } else {
+          for (std::size_t j = 0; j < kWideWords; ++j) side.w[j] = ~Word{0};
+        }
+        const WideWord& crit = w.crit[site_of(f)];
         for (std::size_t j = 0; j < kWideWords; ++j) {
-          const Word masked = diff.w[j] & masks[b].w[j];
-          if (masked) {
-            g.first_detection[fi] =
-                (first_block + b) * kWideLanes + j * 64 +
-                static_cast<std::uint64_t>(std::countr_zero(masked));
-            break;
+          local.w[j] = (gv[f.net].w[j] ^ stuck) & side.w[j] & crit.w[j];
+          reach.w[j] |= local.w[j];
+        }
+      }
+      if (reach == WideWord{}) continue;
+      const WideWord observed = propagate(members_[region_begin_[rr.region]],
+                                          reach, gv, w);
+      for (std::uint32_t k = 0; k < count; ++k) {
+        const std::uint32_t fi = region_faults[k];
+        std::uint64_t hits = 0;
+        WideWord detect;
+        for (std::size_t j = 0; j < kWideWords; ++j) {
+          detect.w[j] = w.local[k].w[j] & observed.w[j];
+          hits += static_cast<std::uint64_t>(std::popcount(detect.w[j]));
+        }
+        if (hits == 0) continue;
+        g.detection_counts[fi] += hits;
+        if (g.first_detection[fi] == kNotDetected) {
+          for (std::size_t j = 0; j < kWideWords; ++j) {
+            if (detect.w[j]) {
+              g.first_detection[fi] =
+                  (first_block + b) * kWideLanes + j * 64 +
+                  static_cast<std::uint64_t>(std::countr_zero(detect.w[j]));
+              break;
+            }
           }
         }
       }
-      if (options.drop_detected) return;
     }
   };
 
   auto work = [&](Worker& w) {
     sync.arrive_and_wait();  // the first group is loaded
     while (!done) {
-      // Runs of kClaim faults per claim keep the shared counter cool
-      // while still balancing cones of very different sizes.
-      constexpr std::size_t kClaim = 4;
       for (;;) {
-        const std::size_t lo =
-            next.fetch_add(kClaim, std::memory_order_relaxed);
-        if (lo >= alive.size()) break;
-        const std::size_t hi = std::min(alive.size(), lo + kClaim);
-        for (std::size_t k = lo; k < hi; ++k) grade_fault(alive[k], w);
+        const std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
+        if (k >= alive.size()) break;
+        grade_region(regions[alive[k]], w);
       }
       sync.arrive_and_wait();
     }
@@ -339,14 +480,18 @@ WideFaultSimulator::Grade WideFaultSimulator::run(
   }
 
   g.level_events.assign(num_levels_, 0);
+  std::uint64_t stem_propagations = 0;
   for (const Worker& w : workers) {
     for (std::size_t level = 0; level < num_levels_; ++level) {
       g.level_events[level] += w.level_events[level];
     }
+    stem_propagations += w.stem_propagations;
   }
   if (span.enabled()) {
     span.attr("faults", g.total);
     span.attr("patterns", g.num_patterns);
+    span.attr("regions", regions.size());
+    span.attr("stem_propagations", stem_propagations);
     span.attr("events", g.events());
     span.attr("detected", g.detected());
     span.attr("jobs", jobs);

@@ -2,15 +2,21 @@
 //
 // Where PatternSimulator re-evaluates the whole circuit once per fault per
 // 64-pattern block, this engine simulates 256 patterns per block (four
-// 64-bit words, plain loops the compiler auto-vectorizes) and propagates
-// each fault only through its fanout cone: each good-circuit block is
-// evaluated once over a flattened levelized schedule, then per fault the
-// difference is injected at the site and chased, level by level, through
-// the gates it reaches with epoch-stamped scratch values, dying as soon as
-// it stops differing from the good value. Combined with fault dropping
-// this is the classic parallel-pattern single-fault-propagation design,
-// and it is what makes random-pattern prefiltering cheap enough to sit in
-// front of exact DP (see analysis/hybrid.hpp). Faults are independent
+// 64-bit words, plain loops the compiler auto-vectorizes) and grades the
+// faults one fanout-free region (FFR) at a time. Each good-circuit block
+// is evaluated once over a flattened levelized schedule. An FFR is a tree
+// of single-fanout nets that meets the rest of the circuit only at its
+// root (a net whose fanout count is not 1, or a PO). Inside the region,
+// critical-path tracing -- one backward pass from the root over the good
+// values -- gives every fault's "local" lanes, those on which its effect
+// reaches the root. The root is then flipped once, on the union of its
+// faults' local lanes, and the difference is chased level by level
+// through the gates it reaches with epoch-stamped scratch values, dying
+// as soon as it stops differing from the good value. A fault is detected
+// on its local lanes on which that flip reaches a PO. Combined with fault
+// dropping this is the classic parallel-pattern stem-region design, and
+// it is what makes random-pattern prefiltering cheap enough to sit in
+// front of exact DP (see analysis/hybrid.hpp). Regions are independent
 // given the good values, so WideSimOptions::jobs threads grade them
 // concurrently with bit-identical results.
 #pragma once
@@ -46,9 +52,10 @@ struct WideSimOptions {
   /// fault against every block.
   bool drop_detected = true;
   /// Grading threads; 0 = one per hardware thread. Never more threads
-  /// than faults. Each good-circuit block is evaluated once and read by
-  /// every thread; threads claim faults dynamically and keep private
-  /// scratch, so every Grade field is bit-identical for every value.
+  /// than fanout-free regions holding a fault. Each good-circuit block is
+  /// evaluated once and read by every thread; threads claim regions
+  /// dynamically and keep private scratch, so every Grade field is
+  /// bit-identical for every value.
   std::size_t jobs = 1;
 };
 
@@ -71,15 +78,17 @@ class WideFaultSimulator {
     /// Pattern index of the first detection, kNotDetected if none. Exact
     /// regardless of dropping (dropping only skips post-detection blocks).
     std::vector<std::uint64_t> first_detection;
-    /// Faulty-value evaluations per circuit level (index = longest path
-    /// from a PI; PIs are level 0): one count per difference injection and
-    /// per touched cone-gate evaluation. Deterministic for a fixed fault
-    /// list / pattern stream, and a direct picture of how deep differences
-    /// travel before dying.
+    /// Stem-propagation evaluations per circuit level (index = longest
+    /// path from a PI; PIs are level 0): one count per FFR-root flip, at
+    /// the root's level, and one per gate evaluation that flip triggers.
+    /// Work inside a region (critical-path tracing) is not counted.
+    /// Deterministic for a fixed fault list / pattern stream at every job
+    /// count, and a direct picture of how deep root differences travel
+    /// before dying.
     std::vector<std::uint64_t> level_events;
 
     std::size_t detected() const;
-    /// Total faulty-value evaluations (sum of level_events).
+    /// Total stem-propagation evaluations (sum of level_events).
     std::uint64_t events() const;
   };
 
@@ -118,16 +127,48 @@ class WideFaultSimulator {
     /// Per level: schedule indices of gates waiting to be evaluated.
     std::vector<std::vector<std::uint32_t>> pending;
     std::vector<NetId> reached_pos;  ///< POs carrying a difference
+    /// Per net: the lanes on which flipping it flips its region's root;
+    /// valid for the traced members of the region being graded.
+    std::vector<WideWord> crit;
+    /// Per fault of the region being graded: its local lanes.
+    std::vector<WideWord> local;
     std::vector<std::uint64_t> level_events;
+    std::uint64_t stem_propagations = 0;
   };
 
-  /// Throws NetlistError for a branch fault on a pin its gate lacks.
+  /// The faults of one run that sit in one region, and how far down the
+  /// region's member list critical-path tracing must go to reach them.
+  struct RegionRun {
+    std::uint32_t region = 0;
+    std::uint32_t trace_len = 0;    ///< members [0, trace_len) are traced
+    std::uint32_t fault_begin = 0;  ///< slice of the run's fault order
+    std::uint32_t fault_end = 0;
+  };
+
+  /// Throws NetlistError for a fault on a net the circuit lacks, a branch
+  /// on a pin its gate lacks, or a branch whose pin another net drives.
   void check_fault(const StuckAtFault& f) const;
 
-  /// Chases one fault's difference through its fanout cone under the block
-  /// whose good values (indexed by net) are `good`; returns the lanes
-  /// (unmasked) on which some PO differs.
-  WideWord propagate(const StuckAtFault& f, const WideWord* good,
+  /// The net a fault's effect starts from: the stem, or the fed gate.
+  static NetId site_of(const StuckAtFault& f) {
+    return f.branch ? f.branch->gate : f.net;
+  }
+
+  /// Lanes on which fanin `pin` of `g` alone decides the gate's output
+  /// under the good values `good` (side inputs non-controlling).
+  WideWord side_lanes(const GateRef& g, std::uint32_t pin,
+                      const WideWord* good) const;
+
+  /// Critical-path tracing: fills w.crit for the first `trace_len`
+  /// members of `region`, with the root's word set to `mask`.
+  void trace_region(std::uint32_t region, std::uint32_t trace_len,
+                    const WideWord& mask, const WideWord* good,
+                    Worker& w) const;
+
+  /// Flips `root` on the lanes `flip` under the block whose good values
+  /// (indexed by net) are `good` and chases the difference through the
+  /// root's fanout cone; returns the lanes on which some PO differs.
+  WideWord propagate(NetId root, const WideWord& flip, const WideWord* good,
                      Worker& w) const;
 
   /// Evaluates one schedule entry; `fanin_value(k)` supplies fanin k.
@@ -151,6 +192,15 @@ class WideFaultSimulator {
   /// Per net: longest path (in gate levels) from any PI; PIs are 0.
   std::vector<std::uint32_t> net_level_;
   std::size_t num_levels_ = 0;  ///< deepest level + 1
+  /// Fanout-free regions. Region r's members are the slice
+  /// [region_begin_[r], region_begin_[r + 1]) of members_: its root first,
+  /// then every net after the gate it feeds (reverse topological order).
+  std::vector<std::uint32_t> region_begin_;
+  std::vector<NetId> members_;
+  std::vector<std::uint32_t> region_of_;   ///< per net
+  std::vector<std::uint32_t> member_pos_;  ///< per net: index in its region
+  /// Per non-root net: the pin of the one gate it feeds.
+  std::vector<std::uint32_t> sink_pin_;
 
   static constexpr std::uint32_t kNotScheduled = 0xffffffffu;
 };

@@ -1,5 +1,6 @@
 #include "verify/oracle.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <sstream>
@@ -370,6 +371,35 @@ OracleResult run_oracles(const FuzzCase& fc, const OracleConfig& config) {
                         serial_sa[i].pos_observable, hr.dp.pos_observable);
         }
       }
+
+      // The checks above compare the region grader with itself; this
+      // recount holds it to the whole-circuit resimulation behind
+      // exhaustive_test_set: over all 2^n vectors, every fault's count is
+      // its test-set size and its first detection the lowest member.
+      std::vector<std::vector<bool>> vectors(std::size_t{1} << n,
+                                             std::vector<bool>(n));
+      for (std::size_t v = 0; v < vectors.size(); ++v) {
+        for (std::size_t i = 0; i < n; ++i) vectors[v][i] = (v >> i) & 1;
+      }
+      sim::WideSimOptions exhaustive;
+      exhaustive.drop_detected = false;
+      exhaustive.jobs = config.jobs;
+      const auto all = wide.grade_vectors(fc.sa_faults, vectors, exhaustive);
+      for (std::size_t i = 0; i < fc.sa_faults.size(); ++i) {
+        const std::vector<bool> tests = fs.exhaustive_test_set(fc.sa_faults[i]);
+        const auto first = std::find(tests.begin(), tests.end(), true);
+        const std::string what = describe(fc.sa_faults[i], fc.circuit);
+        rec.expect_eq("hybrid.exhaustive_count", what,
+                      static_cast<std::uint64_t>(
+                          std::count(tests.begin(), tests.end(), true)),
+                      all.detection_counts[i]);
+        rec.expect_eq("hybrid.exhaustive_count", what,
+                      first == tests.end()
+                          ? sim::WideFaultSimulator::kNotDetected
+                          : static_cast<std::uint64_t>(first - tests.begin()),
+                      all.first_detection[i]);
+      }
+      result.vectors_checked += vectors.size() * fc.sa_faults.size();
     }
 
     // ---- n-detect analytics vs exhaustive simulation -------------------

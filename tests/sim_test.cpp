@@ -494,17 +494,15 @@ TEST(WideSimTest, EmptyFaultListAndZeroJobs) {
                     wide.grade_random(faults, 300, 3, opt), "jobs=0");
 }
 
-TEST(WideSimTest, MultiGroupGradeMatchesPerBlockRegrade) {
-  // A group holds as many 256-lane blocks as fit 8 MiB of good values; a
-  // 40k-gate buffer chain shrinks that to six blocks, so 4096 patterns
-  // span three groups. Wide ANDs are detected rarely enough that some
-  // first detections fall in a later group. Counts and first detections
-  // must equal a regrade of every block on its own, offset by the
-  // block's position, with and without dropping and at two job counts.
+/// Twelve PIs feeding ANDs of widths 9..12 (POs, rarely detected) plus a
+/// 40k-gate buffer chain from PI 0 to a PO: 8 MiB of good values hold
+/// only six 256-lane blocks of this circuit. `faults` receives each AND's
+/// output stuck-at-0, its last pin's branch stuck-at-0, and PI 0
+/// stuck-at-1.
+Circuit make_and_chain_circuit(std::vector<StuckAtFault>& faults) {
   Circuit c("groups");
   std::vector<NetId> pis;
   for (int i = 0; i < 12; ++i) pis.push_back(c.add_input("x" + std::to_string(i)));
-  std::vector<StuckAtFault> faults;
   for (std::size_t width = 9; width <= 12; ++width) {
     const NetId a = c.add_gate(
         GateType::And, std::vector<NetId>(pis.begin(), pis.begin() + width),
@@ -520,7 +518,18 @@ TEST(WideSimTest, MultiGroupGradeMatchesPerBlockRegrade) {
   c.mark_output(tail);
   faults.push_back({pis[0], std::nullopt, true});
   c.finalize();
+  return c;
+}
 
+TEST(WideSimTest, MultiGroupGradeMatchesPerBlockRegrade) {
+  // A group holds as many 256-lane blocks as fit 8 MiB of good values; a
+  // 40k-gate buffer chain shrinks that to six blocks, so 4096 patterns
+  // span three groups. Wide ANDs are detected rarely enough that some
+  // first detections fall in a later group. Counts and first detections
+  // must equal a regrade of every block on its own, offset by the
+  // block's position, with and without dropping and at two job counts.
+  std::vector<StuckAtFault> faults;
+  const Circuit c = make_and_chain_circuit(faults);
   const WideFaultSimulator wide(c);
   const std::size_t n = 4096;
   const std::uint64_t seed = 4242;
@@ -580,6 +589,184 @@ TEST(WideSimTest, BranchFaultOnZeroFaninGateThrows) {
   FaultSimulator fs(c);
   std::vector<Word> values(c.num_nets());
   EXPECT_THROW(fs.faulty_values(values, bad[0]), netlist::NetlistError);
+
+  // Nor may a fault name a net past the circuit (an out-of-bounds read)
+  // or a branch whose pin another net drives (which would grade that
+  // other net instead).
+  const auto past_end = static_cast<NetId>(c.num_nets());
+  for (const StuckAtFault& f :
+       {StuckAtFault{past_end, std::nullopt, true},
+        StuckAtFault{past_end, netlist::PinRef{o, 0}, true},
+        StuckAtFault{a, netlist::PinRef{o, 1}, false},
+        StuckAtFault{a, netlist::PinRef{past_end, 0}, false}}) {
+    EXPECT_THROW(wide.grade_random({f}, 64, 1), netlist::NetlistError);
+    EXPECT_THROW(wide.grade_vectors({f}, {{true, true}}),
+                 netlist::NetlistError);
+  }
+  const StuckAtFault branch_b{b, netlist::PinRef{o, 1}, false};
+  EXPECT_EQ(wide.grade_vectors({branch_b}, {{true, true}}).detected(), 1u);
+}
+
+/// Every input vector of `c`; vector v gives PI i the bit (v >> i) & 1,
+/// the index order of FaultSimulator::exhaustive_test_set.
+std::vector<std::vector<bool>> all_vectors(const Circuit& c) {
+  const std::size_t n = c.num_inputs();
+  std::vector<std::vector<bool>> vectors(std::size_t{1} << n,
+                                         std::vector<bool>(n));
+  for (std::size_t v = 0; v < vectors.size(); ++v) {
+    for (std::size_t i = 0; i < n; ++i) vectors[v][i] = (v >> i) & 1;
+  }
+  return vectors;
+}
+
+/// Both polarities on every stem, and on every branch of a net that
+/// feeds more than one pin: faults on every line of every FFR, not only
+/// the checkpoints.
+std::vector<StuckAtFault> every_line_fault(const Circuit& c) {
+  std::vector<StuckAtFault> faults;
+  for (NetId id = 0; id < c.num_nets(); ++id) {
+    for (const bool v : {false, true}) {
+      faults.push_back({id, std::nullopt, v});
+      if (c.fanout_count(id) < 2) continue;
+      for (const netlist::PinRef& pin : c.fanouts(id)) {
+        faults.push_back({id, pin, v});
+      }
+    }
+  }
+  return faults;
+}
+
+/// Grades `faults` over all 2^n vectors and checks every count and first
+/// detection against the fault's exhaustive test set, which the 64-lane
+/// engine computes by resimulating the whole faulty circuit.
+void expect_exhaustive_grade(const Circuit& c,
+                             const std::vector<StuckAtFault>& faults,
+                             const std::string& what) {
+  const WideFaultSimulator wide(c);
+  const FaultSimulator fs(c);
+  std::vector<std::uint64_t> counts;
+  std::vector<std::uint64_t> first;
+  for (const StuckAtFault& f : faults) {
+    const std::vector<bool> tests = fs.exhaustive_test_set(f);
+    counts.push_back(static_cast<std::uint64_t>(
+        std::count(tests.begin(), tests.end(), true)));
+    const auto hit = std::find(tests.begin(), tests.end(), true);
+    first.push_back(hit == tests.end()
+                        ? WideFaultSimulator::kNotDetected
+                        : static_cast<std::uint64_t>(hit - tests.begin()));
+  }
+  const auto vectors = all_vectors(c);
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    WideSimOptions opt;
+    opt.jobs = jobs;
+    opt.drop_detected = false;
+    const auto kept = wide.grade_vectors(faults, vectors, opt);
+    opt.drop_detected = true;
+    const auto dropped = wide.grade_vectors(faults, vectors, opt);
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+      const std::string where = what + " jobs=" + std::to_string(jobs) +
+                                " " + fault::describe(faults[i], c);
+      EXPECT_EQ(kept.detection_counts[i], counts[i]) << where;
+      EXPECT_EQ(kept.first_detection[i], first[i]) << where;
+      EXPECT_EQ(dropped.first_detection[i], first[i]) << where;
+    }
+  }
+}
+
+void expect_exhaustive_grades(const Circuit& c, const std::string& what) {
+  expect_exhaustive_grade(c, fault::collapse_checkpoint_faults(c),
+                          what + " collapsed");
+  expect_exhaustive_grade(c, fault::checkpoint_faults(c),
+                          what + " checkpoint");
+  expect_exhaustive_grade(c, every_line_fault(c), what + " every line");
+}
+
+TEST(WideSimTest, ExhaustiveGradeMatchesTestSetsOnRandomCircuits) {
+  // Region grading against an engine that shares none of its math: every
+  // shape of random circuit, graded over all 2^n vectors, must reproduce
+  // each fault's exhaustive test-set size and lowest member.
+  for (const netlist::CircuitShape shape : netlist::all_circuit_shapes()) {
+    for (const int inputs : {5, 9, 12}) {
+      const std::uint64_t seed = 1000 + static_cast<std::uint64_t>(inputs);
+      const Circuit c = netlist::make_random_circuit(seed, inputs,
+                                                     4 * inputs, 3, shape);
+      expect_exhaustive_grades(c, std::string(netlist::to_string(shape)) +
+                                      " n=" + std::to_string(inputs));
+    }
+  }
+}
+
+TEST(WideSimTest, ExhaustiveGradeMatchesTestSetsOnEdgeCases) {
+  {
+    // The same net on two pins of one gate, for every gate kind.
+    Circuit c("twin_pins");
+    const NetId a = c.add_input("a");
+    const NetId b = c.add_input("b");
+    const NetId x = c.add_input("x");
+    for (const GateType t : {GateType::And, GateType::Nand, GateType::Or,
+                             GateType::Nor, GateType::Xor, GateType::Xnor}) {
+      const NetId g = c.add_gate(t, {a, a, b},
+                                 "g" + std::string(netlist::to_string(t)));
+      c.mark_output(c.add_gate(GateType::And, {g, x}));
+    }
+    c.finalize();
+    expect_exhaustive_grades(c, "twin pins");
+  }
+  {
+    // A PO that also fans out, an unused PI, and constants on gates and
+    // on a PO.
+    Circuit c("po_fanout");
+    const NetId a = c.add_input("a");
+    const NetId b = c.add_input("b");
+    const NetId d = c.add_input("d");
+    c.add_input("unused");
+    const NetId k0 = c.add_const(false, "k0");
+    const NetId k1 = c.add_const(true, "k1");
+    const NetId p = c.add_gate(GateType::Nand, {a, b}, "p");
+    c.mark_output(p);
+    const NetId q = c.add_gate(GateType::Or, {p, d, k0}, "q");
+    c.mark_output(q);
+    c.mark_output(c.add_gate(GateType::And, {q, k1, a}, "r"));
+    c.mark_output(c.add_gate(GateType::Not, {p}, "s"));
+    c.mark_output(k1);
+    c.finalize();
+    expect_exhaustive_grades(c, "po fanout");
+  }
+  {
+    // A balanced XOR tree is one FFR: its root is the only PO.
+    Circuit c("xor_tree");
+    std::vector<NetId> level;
+    for (int i = 0; i < 8; ++i) {
+      level.push_back(c.add_input("x" + std::to_string(i)));
+    }
+    while (level.size() > 1) {
+      std::vector<NetId> up;
+      for (std::size_t i = 0; i + 1 < level.size(); i += 2) {
+        up.push_back(c.add_gate(i % 4 ? GateType::Xnor : GateType::Xor,
+                                {level[i], level[i + 1]}));
+      }
+      level = up;
+    }
+    c.mark_output(level[0]);
+    c.finalize();
+    expect_exhaustive_grades(c, "xor tree");
+  }
+  {
+    // The 40k buffer chain: one region 40k nets deep, traced from its
+    // far end by a fault on the branch that enters it and by stem faults
+    // halfway along and at the root. (Each exhaustive test set
+    // resimulates all 40k gates per block, so the sample stays small.)
+    std::vector<StuckAtFault> faults;
+    const Circuit c = make_and_chain_circuit(faults);
+    const NetId stem = c.inputs()[0];
+    const NetId root = static_cast<NetId>(c.num_nets() - 1);
+    for (const bool v : {false, true}) {
+      faults.push_back({stem, c.fanouts(stem).back(), v});
+      faults.push_back({root / 2, std::nullopt, v});
+      faults.push_back({root, std::nullopt, v});
+    }
+    expect_exhaustive_grade(c, faults, "buffer chain");
+  }
 }
 
 TEST(FaultSimTest, BridgeOrderIsDeterministicAndReusable) {
