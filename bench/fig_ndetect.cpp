@@ -130,6 +130,7 @@ int main(int argc, char** argv) {
     const sim::WideFaultSimulator wide(circuit);
     sim::WideFaultSimulator::Options wopt;
     wopt.drop_detected = false;
+    wopt.jobs = jobs;
     const auto regrade = wide.grade_vectors(faults, vectors, wopt);
     std::size_t mismatches = 0;
     for (std::size_t i = 0; i < faults.size(); ++i) {

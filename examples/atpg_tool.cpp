@@ -316,6 +316,7 @@ int main(int argc, char** argv) {
     sim::WideFaultSimulator wide(circuit);
     sim::WideFaultSimulator::Options wopt;
     wopt.drop_detected = false;
+    wopt.jobs = jobs;
     const auto regrade = wide.grade_vectors(faults, vectors, wopt);
     std::size_t mismatches = 0;
     std::size_t below = 0;

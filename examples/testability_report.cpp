@@ -77,6 +77,7 @@ bool print_ndetect_resistance(const netlist::Circuit& circuit,
 
   sim::WideFaultSimulator::Options wopt;
   wopt.drop_detected = false;
+  wopt.jobs = jobs;
   const auto grade = wide.grade_vectors(faults, patterns, wopt);
 
   analysis::NDetectOptions nopt;

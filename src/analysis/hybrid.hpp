@@ -71,11 +71,11 @@ struct HybridProfile {
   core::ParallelStats engine_stats;
   double prefilter_seconds = 0.0;
   double dp_seconds = 0.0;
-  /// Wide-sim stem-propagation evaluations during the prefilter (one per
-  /// fanout-free-region root flip and one per gate the flip reaches),
-  /// total and per circuit level (copied from Grade::level_events;
-  /// deterministic for a fixed fault list / pattern budget / seed at every
-  /// job count).
+  /// Wide-sim stem-chase evaluations during the prefilter (one per chase
+  /// of a fanout-free-region root's flip and one per gate that chase
+  /// evaluates up to the root's immediate post-dominator), total and per
+  /// circuit level (copied from Grade::level_events; deterministic for a
+  /// fixed fault list / pattern budget / seed at every job count).
   std::uint64_t sim_events = 0;
   std::vector<std::uint64_t> sim_level_events;
 

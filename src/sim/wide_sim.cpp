@@ -77,20 +77,49 @@ WideFaultSimulator::WideFaultSimulator(const Circuit& circuit)
   fanout_begin_.push_back(static_cast<std::uint32_t>(fanout_flat_.size()));
   for (const NetId po : circuit.outputs()) is_output_[po] = 1;
 
-  // Fanout-free regions. Walking the topological order backwards reaches
-  // every gate before its fanins, so a single-fanout net can take the
-  // region of the gate it feeds; any other net, and every PO, is a root
-  // and opens a region of its own. The same walk lists each region's
-  // members root first, every net after its fed gate.
+  // Fanout-free regions and post-dominators. Walking the topological
+  // order backwards reaches every gate before its fanins, so a
+  // single-fanout net can take the region of the gate it feeds; any other
+  // net, and every PO, is a root and opens a region of its own. The same
+  // walk lists each region's members root first, every net after its fed
+  // gate. A net's immediate post-dominator is the meeting point of its
+  // observable fanout gates' post-dominator chains (the two-finger
+  // intersect: the finger earlier in topological order steps up its
+  // chain, since a post-dominator always comes later).
   const std::size_t num_nets = circuit.num_nets();
+  const auto& topo = circuit.topo_order();
+  std::vector<std::uint32_t> topo_pos(num_nets);
+  for (std::size_t k = 0; k < topo.size(); ++k) {
+    topo_pos[topo[k]] = static_cast<std::uint32_t>(k);
+  }
+  auto rank = [&](NetId n) {
+    return n == kSink ? 0xffffffffu : topo_pos[n];
+  };
+  ipdom_.assign(num_nets, kUnobservable);
   region_of_.assign(num_nets, 0);
   member_pos_.assign(num_nets, 0);
   sink_pin_.assign(num_nets, 0);
   std::vector<std::uint32_t> region_size;
-  const auto& topo = circuit.topo_order();
   for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
     const NetId id = *it;
     const auto& fo = circuit.fanouts(id);
+    if (is_output_[id]) {
+      ipdom_[id] = kSink;
+    } else {
+      for (const netlist::PinRef& pin : fo) {
+        NetId finger = pin.gate;
+        if (ipdom_[finger] == kUnobservable) continue;
+        NetId& dom = ipdom_[id];
+        if (dom == kUnobservable) dom = finger;
+        while (dom != finger) {
+          if (rank(dom) < rank(finger)) {
+            dom = ipdom_[dom];
+          } else {
+            finger = ipdom_[finger];
+          }
+        }
+      }
+    }
     std::uint32_t r;
     if (fo.size() != 1 || is_output_[id]) {
       r = static_cast<std::uint32_t>(region_size.size());
@@ -182,13 +211,13 @@ WideWord WideFaultSimulator::side_lanes(const GateRef& g, std::uint32_t pin,
 
 void WideFaultSimulator::trace_region(std::uint32_t region,
                                       std::uint32_t trace_len,
-                                      const WideWord& mask,
+                                      const WideWord& root_obs,
                                       const WideWord* good,
                                       Worker& w) const {
   // Members are listed after the gate they feed, so each one's sink is
   // traced before it; an FFR has one path from a member to its root.
   const NetId* member = &members_[region_begin_[region]];
-  w.crit[member[0]] = mask;
+  w.crit[member[0]] = root_obs;
   for (std::uint32_t k = 1; k < trace_len; ++k) {
     const NetId net = member[k];
     const GateRef& sink = schedule_[fanout_flat_[fanout_begin_[net]]];
@@ -201,35 +230,41 @@ void WideFaultSimulator::trace_region(std::uint32_t region,
 }
 
 WideWord WideFaultSimulator::propagate(NetId root, const WideWord& flip,
-                                       const WideWord* good,
-                                       Worker& w) const {
-  if (++w.epoch == 0) {  // stamp wrap: invalidate everything once
-    std::fill(w.stamp.begin(), w.stamp.end(), 0u);
+                                       const WideWord* good, Worker& w,
+                                       NetId stop) const {
+  if (++w.epoch == 0) {  // epoch wrap: invalidate every queue mark once
     std::fill(w.queued.begin(), w.queued.end(), 0u);
     w.epoch = 1;
   }
   const std::uint32_t epoch = w.epoch;
-  std::vector<WideWord>& scratch = w.scratch;
-  std::vector<std::uint32_t>& stamp = w.stamp;
+  std::vector<WideWord>& faulty = w.faulty;
 
   // Event-driven chase: a net whose faulty value differs from its good
   // value queues the gates it feeds, by level, and only queued gates are
   // evaluated. Levels are drained in increasing order, so every gate sees
   // its fanins' final values; a gate whose faulty value equals its good
-  // value kills the difference on that path.
-  w.reached_pos.clear();
+  // value kills the difference on that path. Gates that reach no PO are
+  // never queued. Below a post-dominator `stop`, every other gate that
+  // reaches a PO feeds `stop`, so gates at or past its level are not
+  // queued either. A differing net's faulty value overwrites its good
+  // value in w.faulty and is restored when the chase ends.
+  w.changed.clear();
+  const std::size_t last =
+      stop == kSink ? num_levels_ : std::size_t{net_level_[stop]};
   std::size_t top = net_level_[root];
   auto differs = [&](NetId net, const WideWord& value) {
-    scratch[net] = value;
-    stamp[net] = epoch;
-    if (is_output_[net]) w.reached_pos.push_back(net);
+    faulty[net] = value;
+    w.changed.push_back(net);
     for (std::uint32_t k = fanout_begin_[net]; k < fanout_begin_[net + 1];
          ++k) {
       const std::uint32_t si = fanout_flat_[k];
       const NetId gate = schedule_[si].net;
-      if (w.queued[gate] == epoch) continue;
-      w.queued[gate] = epoch;
       const std::uint32_t level = net_level_[gate];
+      if (w.queued[gate] == epoch || ipdom_[gate] == kUnobservable ||
+          level > last || (level == last && gate != stop)) {
+        continue;
+      }
+      w.queued[gate] = epoch;
       w.pending[level].push_back(si);
       top = std::max<std::size_t>(top, level);
     }
@@ -248,8 +283,7 @@ WideWord WideFaultSimulator::propagate(NetId root, const WideWord& flip,
       const GateRef& gr = schedule_[si];
       const WideWord fv =
           eval_entry(gr, [&](std::uint32_t k) -> const WideWord& {
-            const NetId n = fanin_flat_[gr.fanin_begin + k];
-            return stamp[n] == epoch ? scratch[n] : good[n];
+            return faulty[fanin_flat_[gr.fanin_begin + k]];
           });
       if (!(fv == good[gr.net])) differs(gr.net, fv);
     }
@@ -257,12 +291,61 @@ WideWord WideFaultSimulator::propagate(NetId root, const WideWord& flip,
   }
 
   WideWord diff{};
-  for (const NetId po : w.reached_pos) {
-    for (std::size_t j = 0; j < kWideWords; ++j) {
-      diff.w[j] |= scratch[po].w[j] ^ good[po].w[j];
+  for (const NetId net : w.changed) {
+    if (stop == kSink ? is_output_[net] != 0 : net == stop) {
+      for (std::size_t j = 0; j < kWideWords; ++j) {
+        diff.w[j] |= faulty[net].w[j] ^ good[net].w[j];
+      }
     }
+    faulty[net] = good[net];
   }
   return diff;
+}
+
+void WideFaultSimulator::observe_block(
+    const std::vector<std::uint32_t>& needed, const WideWord& mask,
+    const WideWord* good, WideWord* obs, Worker& w) const {
+  // A root's post-dominator d lies in a region with a lower index (regions
+  // are numbered in reverse topological order), so ascending order
+  // computes obs for d's region before the roots that need it. Every path
+  // from the root to a PO crosses d, and nothing past d is reachable from
+  // the root except through d, so the root is observed exactly on the
+  // lanes where its flip arrives at d and d's flip is observed. Those are
+  // the lanes of d's critical path to its region root and of that root's
+  // observability: the side inputs on that path cannot be in the root's
+  // cone, because a net on the path feeds only the next gate of the path.
+  // The flip is restricted to those lanes up front; lanes are
+  // independent, so the arrival at d is the observability itself.
+  std::copy(good, good + circuit_->num_nets(), w.faulty.begin());
+  for (const std::uint32_t region : needed) {
+    const NetId root = members_[region_begin_[region]];
+    const NetId d = ipdom_[root];
+    WideWord& o = obs[region];
+    if (is_output_[root]) {
+      o = mask;
+    } else if (d == kUnobservable) {
+      o = WideWord{};
+    } else if (d == kSink) {
+      o = propagate(root, mask, good, w);
+    } else {
+      const NetId d_root = members_[region_begin_[region_of_[d]]];
+      WideWord through = obs[region_of_[d]];
+      for (NetId n = d; n != d_root && !(through == WideWord{});) {
+        const GateRef& sink = schedule_[fanout_flat_[fanout_begin_[n]]];
+        const WideWord side = side_lanes(sink, sink_pin_[n], good);
+        for (std::size_t j = 0; j < kWideWords; ++j) {
+          through.w[j] &= side.w[j];
+        }
+        n = sink.net;
+      }
+      if (through == WideWord{}) {
+        o = WideWord{};
+        continue;
+      }
+      ++w.dominated_stems;
+      o = propagate(root, through, good, w, d);
+    }
+  }
 }
 
 template <typename LoadBlock>
@@ -292,7 +375,6 @@ WideFaultSimulator::Grade WideFaultSimulator::run(
                      return region_of_fault(a) < region_of_fault(b);
                    });
   std::vector<RegionRun> regions;
-  std::size_t max_region_faults = 0;
   for (std::uint32_t k = 0; k < order.size(); ++k) {
     const std::uint32_t r = region_of_fault(order[k]);
     if (regions.empty() || regions.back().region != r) {
@@ -302,8 +384,6 @@ WideFaultSimulator::Grade WideFaultSimulator::run(
     rr.fault_end = k + 1;
     rr.trace_len = std::max(rr.trace_len,
                             member_pos_[site_of(faults[order[k]])] + 1);
-    max_region_faults =
-        std::max<std::size_t>(max_region_faults, k + 1 - rr.fault_begin);
   }
 
   std::size_t jobs = options.jobs;
@@ -313,33 +393,42 @@ WideFaultSimulator::Grade WideFaultSimulator::run(
   jobs = std::max<std::size_t>(1, std::min(jobs, regions.size()));
 
   // Blocks are graded in groups: a group's good values are evaluated once,
-  // up front, and every region is then graded against all of the group's
-  // blocks in turn. A group holds as many blocks as fit kGroupBytes, so the
-  // default 4096-pattern prefilter is one group on every benchmark circuit.
+  // up front, then phase A fills every needed root's observability for
+  // each of the group's blocks, and phase B grades every region against
+  // all of them. A group holds at most as many blocks as fit kGroupBytes,
+  // so the default 4096-pattern prefilter without dropping is one group on
+  // every benchmark circuit. With dropping, groups start at one block and
+  // double, so that phase A stops soon after the faults that need a root
+  // are detected.
   constexpr std::size_t kGroupBytes = std::size_t{8} << 20;
+  const std::size_t num_regions = region_begin_.size() - 1;
   const std::size_t num_blocks = (num_patterns + kWideLanes - 1) / kWideLanes;
   const std::size_t group_cap = std::clamp<std::size_t>(
-      kGroupBytes / (std::max<std::size_t>(1, num_nets) * sizeof(WideWord)),
-      1, std::max<std::size_t>(1, num_blocks));
+      kGroupBytes / ((num_nets + num_regions) * sizeof(WideWord)), 1,
+      std::max<std::size_t>(1, num_blocks));
 
   // All scratch is allocated here; in the grading loop only the level
-  // queues allocate, while they first grow to their high-water marks.
+  // queues and the changed-net lists allocate, while they first grow to
+  // their high-water marks.
   std::vector<Worker> workers(jobs);
   for (Worker& w : workers) {
-    w.scratch.resize(num_nets);
-    w.stamp.assign(num_nets, 0);
+    w.faulty.resize(num_nets);
     w.queued.assign(num_nets, 0);
     w.pending.resize(num_levels_);
     w.crit.resize(num_nets);
-    w.local.resize(max_region_faults);
     w.level_events.assign(num_levels_, 0);
   }
   std::vector<WideWord> good(group_cap * num_nets);  // block-major
+  std::vector<WideWord> obs(group_cap * num_regions);  // block-major
   std::vector<WideWord> masks(group_cap);
   // Regions still graded, in region order; with dropping, a region whose
   // faults are all detected leaves between groups.
   std::vector<std::uint32_t> alive(regions.size());
   std::iota(alive.begin(), alive.end(), 0u);
+  // Regions whose root observability phase A computes: those of `alive`
+  // and, transitively, those of their roots' post-dominators; ascending.
+  std::vector<std::uint32_t> needed;
+  std::vector<std::uint8_t> need(num_regions);
   auto dropped = [&](std::uint32_t fi) {
     return options.drop_detected && g.first_detection[fi] != kNotDetected;
   };
@@ -348,15 +437,18 @@ WideFaultSimulator::Grade WideFaultSimulator::run(
                        order.begin() + rr.fault_end, dropped);
   };
 
-  // Groups are separated by a barrier whose completion step -- run by
-  // exactly one thread while the others wait -- drops finished regions and
-  // loads and evaluates the next group. Within a group, threads claim
-  // regions from `next`; a fault's outcome goes to its own slots and level
-  // events to the claiming thread's counters, which are summed at the end,
-  // so the schedule never shows in a result.
+  // Phases are separated by a barrier whose completion step -- run by
+  // exactly one thread while the others wait -- either opens phase B or
+  // drops finished regions and loads and evaluates the next group. Within
+  // a phase, threads claim blocks (A) or regions (B) from `next`; a root's
+  // observability goes to its own slot, a fault's outcome to its own
+  // slots and level events to the claiming thread's counters, which are
+  // summed at the end, so the schedule never shows in a result.
   std::atomic<std::size_t> next{0};
   std::size_t first_block = 0;  // of the current group
   std::size_t group_blocks = 0;
+  std::size_t groups = 0;
+  bool phase_b = true;  // the first completion step loads the first group
   bool done = false;
 
   auto next_group = [&]() noexcept {
@@ -365,10 +457,14 @@ WideFaultSimulator::Grade WideFaultSimulator::run(
       std::erase_if(alive,
                     [&](std::uint32_t k) { return all_dropped(regions[k]); });
     }
-    done = first_block >= num_blocks ||
-           (options.drop_detected && alive.empty());
+    done = first_block >= num_blocks || alive.empty();
     if (done) return;
-    group_blocks = std::min(group_cap, num_blocks - first_block);
+    group_blocks = std::min(
+        options.drop_detected ? std::min(group_cap, std::max<std::size_t>(
+                                                        1, 2 * group_blocks))
+                              : group_cap,
+        num_blocks - first_block);
+    ++groups;
     for (std::size_t b = 0; b < group_blocks; ++b) {
       WideWord* values = &good[b * num_nets];
       load_block(first_block + b, values);
@@ -389,33 +485,45 @@ WideFaultSimulator::Grade WideFaultSimulator::run(
                                   : ((Word{1} << (remaining - lo)) - 1);
       }
     }
+    // A post-dominator's region has a lower index than the root's, so one
+    // descending pass closes `need` under post-dominator regions.
+    std::fill(need.begin(), need.end(), 0);
+    for (const std::uint32_t k : alive) need[regions[k].region] = 1;
+    for (std::size_t r = num_regions; r-- > 0;) {
+      const NetId d = ipdom_[members_[region_begin_[r]]];
+      if (need[r] && d < num_nets) need[region_of_[d]] = 1;
+    }
+    needed.clear();
+    for (std::uint32_t r = 0; r < num_regions; ++r) {
+      if (need[r]) needed.push_back(r);
+    }
+  };
+  auto step = [&]() noexcept {
+    phase_b = !phase_b;
+    if (!phase_b) next_group();
     next.store(0, std::memory_order_relaxed);
   };
-  std::barrier sync(static_cast<std::ptrdiff_t>(jobs), next_group);
+  std::barrier sync(static_cast<std::ptrdiff_t>(jobs), step);
 
-  // Grades one region against every block of the current group. A fault's
-  // local lanes are those on which it is activated (good value != stuck
-  // value), its branch's side inputs let it through, and critical-path
-  // tracing carries it to the root. The root is flipped once on the union
-  // of those lanes: lanes are independent and the region has no
-  // reconvergence, so on each local lane the faulty circuit equals the
-  // flipped-root circuit, and the fault is detected exactly on its local
-  // lanes that the root's flip carries to a PO.
+  // Grades one region against every block of the current group. Tracing
+  // from the root's observability gives each member's lanes on which its
+  // flip reaches a PO (the region has no reconvergence, and lanes are
+  // independent). A fault is detected on the lanes where it is activated
+  // (good value != stuck value), its branch's side inputs let it through,
+  // and its site's flip is observed.
   auto grade_region = [&](const RegionRun& rr, Worker& w) {
     const std::uint32_t* region_faults = &order[rr.fault_begin];
     const std::uint32_t count = rr.fault_end - rr.fault_begin;
     for (std::size_t b = 0; b < group_blocks; ++b) {
       if (all_dropped(rr)) return;
+      const WideWord& root_obs = obs[b * num_regions + rr.region];
+      if (root_obs == WideWord{}) continue;
       const WideWord* gv = &good[b * num_nets];
-      trace_region(rr.region, rr.trace_len, masks[b], gv, w);
-      WideWord reach{};
+      trace_region(rr.region, rr.trace_len, root_obs, gv, w);
       for (std::uint32_t k = 0; k < count; ++k) {
-        const StuckAtFault& f = faults[region_faults[k]];
-        WideWord& local = w.local[k];
-        if (dropped(region_faults[k])) {
-          local = WideWord{};
-          continue;
-        }
+        const std::uint32_t fi = region_faults[k];
+        if (dropped(fi)) continue;
+        const StuckAtFault& f = faults[fi];
         const Word stuck = f.stuck_value ? ~Word{0} : 0;
         WideWord side;
         if (f.branch) {
@@ -425,20 +533,10 @@ WideFaultSimulator::Grade WideFaultSimulator::run(
           for (std::size_t j = 0; j < kWideWords; ++j) side.w[j] = ~Word{0};
         }
         const WideWord& crit = w.crit[site_of(f)];
-        for (std::size_t j = 0; j < kWideWords; ++j) {
-          local.w[j] = (gv[f.net].w[j] ^ stuck) & side.w[j] & crit.w[j];
-          reach.w[j] |= local.w[j];
-        }
-      }
-      if (reach == WideWord{}) continue;
-      const WideWord observed = propagate(members_[region_begin_[rr.region]],
-                                          reach, gv, w);
-      for (std::uint32_t k = 0; k < count; ++k) {
-        const std::uint32_t fi = region_faults[k];
         std::uint64_t hits = 0;
         WideWord detect;
         for (std::size_t j = 0; j < kWideWords; ++j) {
-          detect.w[j] = w.local[k].w[j] & observed.w[j];
+          detect.w[j] = (gv[f.net].w[j] ^ stuck) & side.w[j] & crit.w[j];
           hits += static_cast<std::uint64_t>(std::popcount(detect.w[j]));
         }
         if (hits == 0) continue;
@@ -460,7 +558,14 @@ WideFaultSimulator::Grade WideFaultSimulator::run(
   auto work = [&](Worker& w) {
     sync.arrive_and_wait();  // the first group is loaded
     while (!done) {
-      for (;;) {
+      for (;;) {  // phase A
+        const std::size_t b = next.fetch_add(1, std::memory_order_relaxed);
+        if (b >= group_blocks) break;
+        observe_block(needed, masks[b], &good[b * num_nets],
+                      &obs[b * num_regions], w);
+      }
+      sync.arrive_and_wait();
+      for (;;) {  // phase B
         const std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
         if (k >= alive.size()) break;
         grade_region(regions[alive[k]], w);
@@ -481,17 +586,21 @@ WideFaultSimulator::Grade WideFaultSimulator::run(
 
   g.level_events.assign(num_levels_, 0);
   std::uint64_t stem_propagations = 0;
+  std::uint64_t dominated_stems = 0;
   for (const Worker& w : workers) {
     for (std::size_t level = 0; level < num_levels_; ++level) {
       g.level_events[level] += w.level_events[level];
     }
     stem_propagations += w.stem_propagations;
+    dominated_stems += w.dominated_stems;
   }
   if (span.enabled()) {
     span.attr("faults", g.total);
     span.attr("patterns", g.num_patterns);
     span.attr("regions", regions.size());
+    span.attr("groups", groups);
     span.attr("stem_propagations", stem_propagations);
+    span.attr("dominated_stems", dominated_stems);
     span.attr("events", g.events());
     span.attr("detected", g.detected());
     span.attr("jobs", jobs);

@@ -6,19 +6,26 @@
 // faults one fanout-free region (FFR) at a time. Each good-circuit block
 // is evaluated once over a flattened levelized schedule. An FFR is a tree
 // of single-fanout nets that meets the rest of the circuit only at its
-// root (a net whose fanout count is not 1, or a PO). Inside the region,
+// root (a net whose fanout count is not 1, or a PO).
+//
+// Grading a block has two phases. Phase A gives every region root (stem)
+// an observability word: the lanes on which flipping the root flips some
+// PO. Every net's immediate post-dominator toward the POs is computed once
+// in the constructor, and a stem's flip is chased, level by level through
+// the gates it reaches, only up to its post-dominator d. Every path from
+// the stem to a PO crosses d, so the stem is observed exactly where its
+// flip arrives at d and d's own flip is observed: along d's critical path
+// to its region root, then through that root's observability, which
+// phase A computed first because it is deeper. Only stems post-dominated
+// by the PO sink alone are chased to the POs. Phase B grades each region:
 // critical-path tracing -- one backward pass from the root over the good
-// values -- gives every fault's "local" lanes, those on which its effect
-// reaches the root. The root is then flipped once, on the union of its
-// faults' local lanes, and the difference is chased level by level
-// through the gates it reaches with epoch-stamped scratch values, dying
-// as soon as it stops differing from the good value. A fault is detected
-// on its local lanes on which that flip reaches a PO. Combined with fault
-// dropping this is the classic parallel-pattern stem-region design, and
-// it is what makes random-pattern prefiltering cheap enough to sit in
-// front of exact DP (see analysis/hybrid.hpp). Regions are independent
-// given the good values, so WideSimOptions::jobs threads grade them
-// concurrently with bit-identical results.
+// values, seeded with the root's observability -- gives the lanes on
+// which each fault's effect reaches a PO, with no further chase. Combined
+// with fault dropping this is the classic parallel-pattern stem-region
+// design, and it is what makes random-pattern prefiltering cheap enough
+// to sit in front of exact DP (see analysis/hybrid.hpp). Blocks are
+// independent in phase A and regions in phase B, so WideSimOptions::jobs
+// threads share them with bit-identical results.
 #pragma once
 
 #include <array>
@@ -53,9 +60,10 @@ struct WideSimOptions {
   bool drop_detected = true;
   /// Grading threads; 0 = one per hardware thread. Never more threads
   /// than fanout-free regions holding a fault. Each good-circuit block is
-  /// evaluated once and read by every thread; threads claim regions
-  /// dynamically and keep private scratch, so every Grade field is
-  /// bit-identical for every value.
+  /// evaluated once and read by every thread; threads claim blocks for
+  /// stem observability and then regions for grading, dynamically, and
+  /// keep private scratch, so every Grade field is bit-identical for
+  /// every value.
   std::size_t jobs = 1;
 };
 
@@ -78,17 +86,20 @@ class WideFaultSimulator {
     /// Pattern index of the first detection, kNotDetected if none. Exact
     /// regardless of dropping (dropping only skips post-detection blocks).
     std::vector<std::uint64_t> first_detection;
-    /// Stem-propagation evaluations per circuit level (index = longest
-    /// path from a PI; PIs are level 0): one count per FFR-root flip, at
-    /// the root's level, and one per gate evaluation that flip triggers.
-    /// Work inside a region (critical-path tracing) is not counted.
-    /// Deterministic for a fixed fault list / pattern stream at every job
-    /// count, and a direct picture of how deep root differences travel
-    /// before dying.
+    /// Stem-chase evaluations per circuit level (index = longest path
+    /// from a PI; PIs are level 0): one count per chase of an FFR root's
+    /// flip, at the root's level, and one per gate that chase evaluates up
+    /// to the root's immediate post-dominator (up to the POs for a root
+    /// post-dominated only by the PO sink). Roots that are POs, reach no
+    /// PO, or are known unobservable from their post-dominator are never
+    /// chased. Work inside a region (critical-path tracing) is not
+    /// counted. Deterministic for a fixed fault list / pattern stream at
+    /// every job count, and a direct picture of how deep stem differences
+    /// travel before dying or meeting their post-dominator.
     std::vector<std::uint64_t> level_events;
 
     std::size_t detected() const;
-    /// Total stem-propagation evaluations (sum of level_events).
+    /// Total stem-chase evaluations (sum of level_events).
     std::uint64_t events() const;
   };
 
@@ -120,20 +131,20 @@ class WideFaultSimulator {
 
   /// One grading thread's private state.
   struct Worker {
-    std::vector<WideWord> scratch;      ///< faulty values, valid where stamped
-    std::vector<std::uint32_t> stamp;   ///< per net: epoch of its faulty value
+    /// Per net: the block's good value, except for the nets a running
+    /// chase has changed, which hold their faulty values.
+    std::vector<WideWord> faulty;
+    std::vector<NetId> changed;         ///< nets the running chase changed
     std::vector<std::uint32_t> queued;  ///< per net: epoch it was queued in
     std::uint32_t epoch = 0;
     /// Per level: schedule indices of gates waiting to be evaluated.
     std::vector<std::vector<std::uint32_t>> pending;
-    std::vector<NetId> reached_pos;  ///< POs carrying a difference
-    /// Per net: the lanes on which flipping it flips its region's root;
-    /// valid for the traced members of the region being graded.
+    /// Per net: the lanes on which flipping it flips a PO; valid for the
+    /// traced members of the region being graded.
     std::vector<WideWord> crit;
-    /// Per fault of the region being graded: its local lanes.
-    std::vector<WideWord> local;
     std::vector<std::uint64_t> level_events;
     std::uint64_t stem_propagations = 0;
+    std::uint64_t dominated_stems = 0;  ///< chases stopped at a post-dominator
   };
 
   /// The faults of one run that sit in one region, and how far down the
@@ -160,16 +171,26 @@ class WideFaultSimulator {
                       const WideWord* good) const;
 
   /// Critical-path tracing: fills w.crit for the first `trace_len`
-  /// members of `region`, with the root's word set to `mask`.
+  /// members of `region`, with the root's word set to `root_obs`.
   void trace_region(std::uint32_t region, std::uint32_t trace_len,
-                    const WideWord& mask, const WideWord* good,
+                    const WideWord& root_obs, const WideWord* good,
                     Worker& w) const;
 
   /// Flips `root` on the lanes `flip` under the block whose good values
-  /// (indexed by net) are `good` and chases the difference through the
-  /// root's fanout cone; returns the lanes on which some PO differs.
+  /// (indexed by net) are `good`, which w.faulty must hold on entry, and
+  /// chases the difference through the root's fanout cone. With `stop` = kSink, returns the lanes on which
+  /// some PO differs. Otherwise `stop` must post-dominate `root`: the
+  /// chase evaluates only gates below `stop`'s level (and `stop`), and
+  /// returns the lanes on which `stop` differs.
   WideWord propagate(NetId root, const WideWord& flip, const WideWord* good,
-                     Worker& w) const;
+                     Worker& w, NetId stop = kSink) const;
+
+  /// Phase A for one block: the observability of every region root in
+  /// `needed` (ascending region order, closed under post-dominator
+  /// regions) into `obs`, indexed by region.
+  void observe_block(const std::vector<std::uint32_t>& needed,
+                     const WideWord& mask, const WideWord* good,
+                     WideWord* obs, Worker& w) const;
 
   /// Evaluates one schedule entry; `fanin_value(k)` supplies fanin k.
   template <typename FaninValue>
@@ -201,8 +222,15 @@ class WideFaultSimulator {
   std::vector<std::uint32_t> member_pos_;  ///< per net: index in its region
   /// Per non-root net: the pin of the one gate it feeds.
   std::vector<std::uint32_t> sink_pin_;
+  /// Per net: its immediate post-dominator toward the POs -- the first net
+  /// every path from it to a PO crosses -- or kSink when only the virtual
+  /// sink behind the POs does (every PO), or kUnobservable when no path
+  /// reaches a PO.
+  std::vector<NetId> ipdom_;
 
   static constexpr std::uint32_t kNotScheduled = 0xffffffffu;
+  static constexpr NetId kSink = netlist::kInvalidNet;
+  static constexpr NetId kUnobservable = netlist::kInvalidNet - 1;
 };
 
 }  // namespace dp::sim

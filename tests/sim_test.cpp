@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <map>
 #include <random>
 #include <string>
 
@@ -11,6 +12,7 @@
 #include "fault/stuck_at.hpp"
 #include "netlist/generators.hpp"
 #include "netlist/structure.hpp"
+#include "obs/span.hpp"
 #include "sim/fault_sim.hpp"
 #include "sim/wide_sim.hpp"
 
@@ -481,6 +483,40 @@ TEST(WideSimTest, VectorGradeIsIdenticalAtEveryJobCount) {
                     "jobs=4");
 }
 
+TEST(WideSimTest, GradeSpanReportsChasesAndGroups) {
+  // The sim.grade span tells shorter chases (stopped at a post-dominator)
+  // from fewer chases, and how many block groups ran; like every other
+  // count, those do not depend on the job count.
+  const Circuit c = netlist::make_benchmark("c1355");
+  const WideFaultSimulator wide(c);
+  const auto faults = fault::collapse_checkpoint_faults(c);
+  auto span_attrs = [&](bool drop, std::size_t jobs) {
+    obs::SpanCollector collector(16);
+    obs::SpanCollector::install(&collector);
+    WideSimOptions opt;
+    opt.drop_detected = drop;
+    opt.jobs = jobs;
+    const auto grade = wide.grade_random(faults, 1024, 9, opt);
+    obs::SpanCollector::install(nullptr);
+    const auto snap = collector.snapshot();
+    EXPECT_EQ(snap.spans.size(), 1u);
+    std::map<std::string, std::int64_t> attrs;
+    for (const obs::SpanAttr& a : snap.spans.at(0).attrs) {
+      if (a.key != "jobs") attrs[a.key] = a.i;
+    }
+    EXPECT_EQ(attrs.at("events"), static_cast<std::int64_t>(grade.events()));
+    return attrs;
+  };
+  const auto kept = span_attrs(false, 1);
+  EXPECT_EQ(kept.at("groups"), 1);  // four blocks fit one group
+  EXPECT_GT(kept.at("dominated_stems"), 0);
+  EXPECT_LT(kept.at("dominated_stems"), kept.at("stem_propagations"));
+  const auto dropped = span_attrs(true, 1);
+  EXPECT_EQ(dropped.at("groups"), 3);  // groups of 1, 2 and 1 blocks
+  EXPECT_EQ(span_attrs(false, 3), kept);
+  EXPECT_EQ(span_attrs(true, 3), dropped);
+}
+
 TEST(WideSimTest, EmptyFaultListAndZeroJobs) {
   const Circuit c = netlist::make_c17();
   const WideFaultSimulator wide(c);
@@ -750,6 +786,95 @@ TEST(WideSimTest, ExhaustiveGradeMatchesTestSetsOnEdgeCases) {
     c.mark_output(level[0]);
     c.finalize();
     expect_exhaustive_grades(c, "xor tree");
+  }
+  {
+    // A stem whose immediate post-dominator lies inside another region,
+    // below that region's root, with the stem's own source as a side
+    // input on the path between them: the stem is observed only where
+    // that side input lets the post-dominator's flip through. The stem's
+    // second branch reaches no PO.
+    Circuit c("dom_in_region");
+    const NetId i0 = c.add_input("i0");
+    const NetId i1 = c.add_input("i1");
+    c.add_input("i2");
+    const NetId i3 = c.add_input("i3");
+    const NetId n = c.add_gate(GateType::Not, {i3}, "n");
+    const NetId stem = c.add_gate(GateType::Buf, {n}, "stem");
+    const NetId d = c.add_gate(GateType::Buf, {stem}, "d");
+    c.add_gate(GateType::Buf, {stem}, "dead");
+    const NetId x = c.add_gate(GateType::Nand, {d, i3}, "x");
+    const NetId y = c.add_gate(GateType::And, {x, i0}, "y");
+    c.mark_output(c.add_gate(GateType::Or, {y, i1}, "po"));
+    c.finalize();
+    expect_exhaustive_grades(c, "post-dominator inside a region");
+  }
+  {
+    // A stem with one branch into the observable logic and two that
+    // reach no PO (one through a further dead gate).
+    Circuit c("dead_branch");
+    const NetId a = c.add_input("a");
+    const NetId b = c.add_input("b");
+    const NetId e = c.add_input("e");
+    const NetId s = c.add_gate(GateType::Xor, {a, b}, "s");
+    const NetId dead = c.add_gate(GateType::Or, {s, e}, "dead");
+    c.add_gate(GateType::Nand, {dead, a}, "dead2");
+    c.add_gate(GateType::Not, {s}, "dead3");
+    c.mark_output(c.add_gate(GateType::And, {s, e}, "po"));
+    c.finalize();
+    expect_exhaustive_grades(c, "dead branch");
+  }
+  {
+    // Three nested post-dominators: stem s1 reconverges at stem d1, d1 at
+    // stem d2, and d2 at d3, a single-fanout net inside the PO's region.
+    // Every reconvergence passes AND/OR side inputs, so each level's
+    // observability depends on the one above it.
+    Circuit c("nested_dominators");
+    std::vector<NetId> in;
+    for (int i = 0; i < 8; ++i) in.push_back(c.add_input("i" + std::to_string(i)));
+    NetId stem = c.add_gate(GateType::Nand, {in[0], in[1]}, "s1");
+    for (int k = 0; k < 3; ++k) {
+      const std::string tag = std::to_string(k + 1);
+      const NetId p = c.add_gate(GateType::And, {stem, in[2 + k]}, "p" + tag);
+      const NetId q = c.add_gate(GateType::Or, {stem, in[3 + k]}, "q" + tag);
+      stem = c.add_gate(k == 1 ? GateType::Xor : GateType::Nor, {p, q},
+                        "d" + tag);
+    }
+    const NetId top = c.add_gate(GateType::And, {stem, in[6]}, "top");
+    c.mark_output(c.add_gate(GateType::Nor, {top, in[7]}, "po"));
+    c.finalize();
+    expect_exhaustive_grades(c, "nested post-dominators");
+  }
+  {
+    // A stem whose branches reach different POs: only the virtual sink
+    // post-dominates it, so its flip is chased to the POs.
+    Circuit c("sink_dominated");
+    const NetId a = c.add_input("a");
+    const NetId b = c.add_input("b");
+    const NetId e = c.add_input("e");
+    const NetId s = c.add_gate(GateType::Nor, {a, b}, "s");
+    const NetId t = c.add_gate(GateType::And, {s, e}, "t");
+    c.mark_output(c.add_gate(GateType::Or, {t, a}, "po1"));
+    c.mark_output(c.add_gate(GateType::Xnor, {s, b}, "po2"));
+    c.finalize();
+    expect_exhaustive_grades(c, "sink-dominated stem");
+  }
+  {
+    // A post-dominator that is a PO and also fans out: the stem is
+    // observed wherever its flip reaches that PO, whatever lies beyond.
+    Circuit c("po_dominator");
+    const NetId a = c.add_input("a");
+    const NetId b = c.add_input("b");
+    const NetId e = c.add_input("e");
+    const NetId f = c.add_input("f");
+    const NetId s = c.add_gate(GateType::Xor, {a, b}, "s");
+    const NetId p = c.add_gate(GateType::And, {s, e}, "p");
+    const NetId q = c.add_gate(GateType::Or, {s, f}, "q");
+    const NetId d = c.add_gate(GateType::Nand, {p, q}, "d");
+    c.mark_output(d);
+    c.mark_output(c.add_gate(GateType::And, {d, a}, "po2"));
+    c.mark_output(c.add_gate(GateType::Or, {d, f}, "po3"));
+    c.finalize();
+    expect_exhaustive_grades(c, "PO post-dominator with fanout");
   }
   {
     // The 40k buffer chain: one region 40k nets deep, traced from its
