@@ -4,10 +4,10 @@
 //
 //   --jobs N            fault-parallel workers (0 = all hardware threads)
 //   --metrics-json PATH write a dp.metrics.v1 JSON document on exit
-//   --trace             keep a per-fault event trace (embedded in the JSON)
-//   --trace-out PATH    record hierarchical spans + profiler samples and
-//                       write a dp.trace.v1 document (also loadable in
-//                       Perfetto / chrome://tracing) on exit
+//   --trace-out PATH    record hierarchical spans (one dp.fault span per
+//                       analyzed fault) + profiler samples and write a
+//                       dp.trace.v1 document (also loadable in Perfetto /
+//                       chrome://tracing) on exit
 //   --cache-dir PATH    content-addressed artifact cache: completed
 //                       profiles are served without rebuilding BDDs, and
 //                       interrupted sweeps resume from their last batch
@@ -32,7 +32,6 @@
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/span.hpp"
-#include "obs/trace.hpp"
 #include "store/artifact_store.hpp"
 
 namespace dp::bench {
@@ -54,7 +53,6 @@ struct CommonArgs {
   std::string metrics_json;
   std::string trace_out;  ///< --trace-out or DP_BENCH_TRACE_DIR
   std::string cache_dir;  ///< --cache-dir or DP_BENCH_CACHE_DIR
-  bool trace = false;
   bool jobs_set = false;  ///< --jobs or DP_BENCH_JOBS was given
   /// Unrecognized argv entries, kept only in passthrough mode (the
   /// google-benchmark benches forward these to benchmark::Initialize).
@@ -64,15 +62,13 @@ struct CommonArgs {
 inline void print_usage(std::ostream& os, const char* prog,
                         bool passthrough) {
   os << "usage: " << (prog && *prog ? prog : "bench")
-     << " [--jobs N] [--metrics-json PATH] [--trace] [--trace-out PATH]\n"
+     << " [--jobs N] [--metrics-json PATH] [--trace-out PATH]\n"
         "            [--cache-dir PATH]";
   if (passthrough) os << " [benchmark flags...]";
   os << "\n"
         "  --jobs N            fault-parallel workers; 0 = all hardware "
         "threads, 1 = serial\n"
         "  --metrics-json PATH write a dp.metrics.v1 JSON document on exit\n"
-        "  --trace             record per-fault trace events into the JSON "
-        "document\n"
         "  --trace-out PATH    write a dp.trace.v1 span/profile document "
         "(Perfetto-loadable)\n"
         "  --cache-dir PATH    artifact cache: reuse completed profiles, "
@@ -135,8 +131,6 @@ inline CommonArgs parse_common_args(int argc, char** argv,
       args.trace_out = value_of();
     } else if (a == "--cache-dir") {
       args.cache_dir = value_of();
-    } else if (a == "--trace") {
-      args.trace = true;
     } else if (a == "--help" || a == "-h") {
       print_usage(std::cout, prog, passthrough);
       std::exit(0);
@@ -163,15 +157,14 @@ inline void shape_check(bool ok, const std::string& what) {
 }
 
 /// One bench run: parses the shared flags, owns the metrics registry and
-/// (optional) trace buffer, times phases, folds every analyzed circuit's
+/// (optional) span collector, times phases, folds every analyzed circuit's
 /// engine stats into the registry, and writes the JSON document on
 /// destruction when --metrics-json (or DP_BENCH_METRICS_DIR) asked for
 /// one. Document shape:
 ///
 ///   { "bench": "<id>", "schema": "dp.metrics.v1", "jobs": N,
 ///     "metrics": { counters, gauges, timers, histograms },
-///     "circuits": [ { circuit, gates, inputs, outputs, faults, ... } ],
-///     "trace": { ... }            // only with --trace
+///     "circuits": [ { circuit, gates, inputs, outputs, faults, ... } ]
 ///   }
 class Session {
  public:
@@ -195,10 +188,6 @@ class Session {
         args_.trace_out = std::string(dir) + "/TRACE_" + id_ + ".json";
       }
     }
-    if (args_.trace) {
-      trace_ = std::make_unique<obs::TraceBuffer>(1u << 16);
-      args_.options.dp.trace = trace_.get();
-    }
     if (!args_.trace_out.empty()) {
       // Install the collector process-wide so the engines' instrumentation
       // points find it via SpanCollector::current() -- no plumbing through
@@ -221,8 +210,6 @@ class Session {
   /// Mutable so a bench can tweak sampling/collapse before the sweep.
   analysis::AnalysisOptions& options() { return args_.options; }
   obs::MetricsRegistry& metrics() { return metrics_; }
-  /// Non-null only with --trace.
-  obs::TraceBuffer* trace() { return trace_.get(); }
   /// Non-null only with --cache-dir / DP_BENCH_CACHE_DIR (already wired
   /// into options().persistence).
   store::ArtifactStore* store() { return store_.get(); }
@@ -308,7 +295,6 @@ class Session {
       cache["dir"] = store_->dir();
       cache["bytes"] = store_->size_bytes();
     }
-    if (trace_) doc["trace"] = trace_->to_json();
 
     // Atomic rename: a bench killed mid-write leaves the previous
     // document (or nothing), never a torn half-file.
@@ -362,7 +348,6 @@ class Session {
   std::string id_;
   detail::CommonArgs args_;
   obs::MetricsRegistry metrics_;
-  std::unique_ptr<obs::TraceBuffer> trace_;
   std::unique_ptr<obs::SpanCollector> spans_;
   std::unique_ptr<obs::SamplingProfiler> profiler_;
   std::unique_ptr<store::ArtifactStore> store_;

@@ -33,9 +33,7 @@ int main(int argc, char** argv) {
     netlist::Structure st(c);
     bdd::Manager mgr(0);
     core::GoodFunctions good(mgr, c);
-    core::DifferencePropagator::Options dp_opts;
-    dp_opts.trace = session.trace();
-    core::DifferencePropagator dp(good, st, dp_opts);
+    core::DifferencePropagator dp(good, st);
     core::BooleanDifferenceEngine bd(good, st);
     core::SymbolicFaultSimulator sym(good, st);
     const auto faults = fault::collapse_checkpoint_faults(c);

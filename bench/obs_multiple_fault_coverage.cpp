@@ -54,9 +54,7 @@ int main(int argc, char** argv) {
     netlist::Structure st(c);
     bdd::Manager mgr(0);
     core::GoodFunctions good(mgr, c);
-    core::DifferencePropagator::Options dp_opts;
-    dp_opts.trace = session.trace();
-    core::DifferencePropagator dp(good, st, dp_opts);
+    core::DifferencePropagator dp(good, st);
     const auto vectors = single_sa_test_set(c, dp);
 
     for (std::size_t multiplicity : {2u, 3u}) {

@@ -6,7 +6,7 @@
 // figure 2 translating into super-linear pattern-count growth.
 #include "common.hpp"
 #include "analysis/random_pattern.hpp"
-#include "sim/fault_sim.hpp"
+#include "sim/wide_sim.hpp"
 
 using namespace dp;
 
@@ -36,13 +36,13 @@ int main(int argc, char** argv) {
 
     // Simulated: grade 256 random patterns over the same collapsed set,
     // averaged across seeds to damp sampling noise.
-    sim::FaultSimulator fs(c);
+    const sim::WideFaultSimulator grader(c);
     const auto faults = fault::collapse_checkpoint_faults(c);
     double simulated = 0.0;
     constexpr int kSeeds = 5;
     for (int seed = 0; seed < kSeeds; ++seed) {
-      const auto cov = fs.grade_random(faults, 256, 1000 + seed);
-      simulated += cov.fraction();
+      const auto grade = grader.grade_random(faults, 256, 1000 + seed);
+      simulated += static_cast<double>(grade.detected()) / grade.total;
     }
     simulated /= kSeeds;
     // Normalize the prediction to all faults (it covers detectable only).

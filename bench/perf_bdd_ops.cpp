@@ -232,8 +232,8 @@ BENCHMARK(BM_SatCount)->Arg(16)->Arg(32)->Arg(48);
 BENCHMARK(BM_BuildRandomDnf)->Arg(64)->Arg(256)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_GarbageCollection)->Unit(benchmark::kMicrosecond);
 
-// Hand-rolled BENCHMARK_MAIN so the common flags (--metrics-json, --trace,
-// --jobs) work here too; everything unrecognized passes through to
+// Hand-rolled BENCHMARK_MAIN so the common flags (--metrics-json,
+// --trace-out, --jobs) work here too; everything unrecognized passes through to
 // google-benchmark untouched. Document id "bdd_ops" -> BENCH_bdd_ops.json
 // under DP_BENCH_METRICS_DIR.
 int main(int argc, char** argv) {

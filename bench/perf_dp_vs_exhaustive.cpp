@@ -79,8 +79,8 @@ BENCHMARK(BM_ExhaustiveSimulation)->DenseRange(0, 6)->Unit(benchmark::kMicroseco
 BENCHMARK(BM_DifferencePropagation)->DenseRange(0, 6)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_DifferencePropagationLarge)->DenseRange(0, 1)->Unit(benchmark::kMicrosecond);
 
-// Hand-rolled BENCHMARK_MAIN so the common flags (--metrics-json, --trace,
-// --jobs) work here too; everything unrecognized passes through to
+// Hand-rolled BENCHMARK_MAIN so the common flags (--metrics-json,
+// --trace-out, --jobs) work here too; everything unrecognized passes through to
 // google-benchmark untouched.
 int main(int argc, char** argv) {
   bench::Session session("perf_dp_vs_exhaustive", argc, argv,

@@ -99,7 +99,6 @@ int main(int argc, char** argv) {
                                 Scalars{false, 0, 0, 0, 0, 0});
   core::ParallelEngine::Options popt;
   popt.jobs = jobs;
-  popt.dp.trace = session.trace();
   core::ParallelEngine engine(circuit, structure, popt);
   engine.analyze_each(faults, [&](std::size_t i, core::FaultAnalysis&& a) {
     parallel[i] = scalars(a);

@@ -83,9 +83,7 @@ int main(int argc, char** argv) {
     netlist::Structure st(c);
     bdd::Manager m2(0);
     core::GoodFunctions good(m2, c);
-    core::DifferencePropagator::Options with_opts;
-    with_opts.trace = session.trace();
-    core::DifferencePropagator with(good, st, with_opts);
+    core::DifferencePropagator with(good, st);
     core::DifferencePropagator without(good, st, {/*selective_trace=*/false});
 
     std::uint64_t eval_with = 0, eval_without = 0;

@@ -398,17 +398,6 @@ JsonValue validate(const std::string& file) {
       if (const JsonValue* c = counters->find(key)) rec[key] = *c;
     }
   }
-  // An embedded --trace event buffer carries its own drop counter; lift
-  // it into the record so the summary's drop accounting covers both the
-  // per-fault trace ring and the span rings.
-  if (const JsonValue* trace = doc.find("trace")) {
-    if (const JsonValue* dropped = trace->find("dropped")) {
-      rec["trace.dropped"] = *dropped;
-    }
-    if (const JsonValue* recorded = trace->find("recorded")) {
-      rec["trace.spans"] = *recorded;
-    }
-  }
   // Shared-forest footprint gauges (exact keys): whole-engine peak live
   // nodes, the frozen universe size, and the largest per-worker private
   // pool. Lifted so the summary totals expose the memory story the

@@ -7,7 +7,7 @@
 //   $ ./atpg_tool             # defaults to c95
 //   $ ./atpg_tool c432
 //   $ ./atpg_tool c432 --jobs 4   # fault-parallel analysis sweep
-//   $ ./atpg_tool c432 --metrics-json atpg.json --trace
+//   $ ./atpg_tool c432 --metrics-json atpg.json --trace-out trace.json
 //   $ ./atpg_tool c432 --cache-dir .dpcache
 //       # first run serializes the per-fault test-set forest; a warm
 //       # rerun loads it and skips BDD construction and DP entirely
@@ -39,7 +39,6 @@
 #include "netlist/bench_io.hpp"
 #include "netlist/generators.hpp"
 #include "netlist/structure.hpp"
-#include "sim/fault_sim.hpp"
 #include "sim/wide_sim.hpp"
 #include "store/bdd_io.hpp"
 #include "store/hash.hpp"
@@ -199,7 +198,6 @@ int main(int argc, char** argv) {
     // flexible ones.
     core::ParallelEngine::Options popt;
     popt.jobs = jobs;
-    popt.dp.trace = tel.trace();
     engine.emplace(circuit, structure, popt);
     std::vector<core::FaultAnalysis> analyses = engine->analyze_all(dp_faults);
     engine->stats().export_metrics(tel.metrics());
@@ -257,23 +255,24 @@ int main(int argc, char** argv) {
 
   // Independent verification: grade the vector set with the simulator,
   // over the FULL fault list (prefilter-covered faults included).
-  sim::FaultSimulator fs(circuit);
-  const auto cov = fs.grade_vectors(faults, vectors);
-  std::cout << "Simulator-graded coverage: " << cov.detected << "/"
-            << cov.total << " = " << 100.0 * cov.fraction() << "%"
-            << " (expected: all but the " << redundant
+  const sim::WideFaultSimulator grader(circuit);
+  const auto cov = grader.grade_vectors(faults, vectors);
+  const std::size_t detected = cov.detected();
+  std::cout << "Simulator-graded coverage: " << detected << "/" << cov.total
+            << " = " << 100.0 * static_cast<double>(detected) / cov.total
+            << "% (expected: all but the " << redundant
             << " redundant faults)\n";
 
   // Comparison: how many random patterns reach the same coverage?
   std::size_t budget = 64;
   while (budget < 65536) {
-    if (fs.grade_random(faults, budget, 7).detected >= cov.detected) break;
+    if (grader.grade_random(faults, budget, 7).detected() >= detected) break;
     budget *= 2;
   }
   std::cout << "Random patterns needed for equal coverage: ~" << budget
             << " vs " << vectors.size() << " deterministic vectors\n";
 
-  bool ok = cov.detected + redundant == cov.total;
+  bool ok = detected + redundant == cov.total;
   std::cout << (ok ? "OK: complete coverage of all testable faults\n"
                    : "WARNING: coverage gap\n");
 

@@ -1,17 +1,17 @@
 // Shared telemetry and persistence flags for the example CLIs:
-// `--metrics-json PATH`, `--trace`, `--trace-out PATH`, `--cache-dir
-// PATH`, and `--resume`/`--no-resume` behave identically across dpcli,
+// `--metrics-json PATH`, `--trace-out PATH`, `--cache-dir PATH`, and
+// `--resume`/`--no-resume` behave identically across dpcli,
 // testability_report and atpg_tool. The written document mirrors the
 // bench schema (dp.metrics.v1) so one validator handles both:
 //
 //   { "tool": "<name>", "command": "<subcommand>",   // command optional
 //     "schema": "dp.metrics.v1",
-//     "metrics": { counters, gauges, timers, histograms },
-//     "trace": { ... } }                             // only with --trace
+//     "metrics": { counters, gauges, timers, histograms } }
 //
-// `--trace-out PATH` additionally records hierarchical spans plus
-// sampling-profiler gauge series and writes a separate dp.trace.v1
-// document (Perfetto / chrome://tracing loadable) beside the run.
+// `--trace-out PATH` records hierarchical spans (one dp.fault span per
+// analyzed fault) plus sampling-profiler gauge series and writes a
+// separate dp.trace.v1 document (Perfetto / chrome://tracing loadable)
+// beside the run.
 #pragma once
 
 #include <cstdlib>
@@ -24,7 +24,6 @@
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/span.hpp"
-#include "obs/trace.hpp"
 #include "store/artifact_store.hpp"
 
 namespace dp::cli {
@@ -67,14 +66,14 @@ inline std::size_t parse_count(const std::string& flag,
   return static_cast<std::size_t>(v);
 }
 
-/// Owns the metrics registry and the optional trace buffer for one CLI
+/// Owns the metrics registry and the optional span collector for one CLI
 /// invocation. strip_flags() removes the telemetry flags from argv before
 /// the tool's own positional parsing; write() emits the JSON document.
 class Telemetry {
  public:
   /// Removes the shared flags from `args`, exiting 2 when a flag that
   /// needs a value is the final token (a missing value must not be
-  /// swallowed as a path). Handled: `--metrics-json PATH`, `--trace`,
+  /// swallowed as a path). Handled: `--metrics-json PATH`,
   /// `--trace-out PATH` (installs the span collector and starts the
   /// sampling profiler), `--cache-dir PATH` (opens the artifact store),
   /// `--resume` / `--no-resume` (checkpoint consumption; on by default).
@@ -96,9 +95,6 @@ class Telemetry {
         trace_out_ = take_value(i);
       } else if (args[i] == "--cache-dir") {
         cache_dir_ = take_value(i);
-      } else if (args[i] == "--trace") {
-        if (!buffer_) buffer_ = std::make_unique<obs::TraceBuffer>(1u << 16);
-        args.erase(args.begin() + static_cast<std::ptrdiff_t>(i));
       } else if (args[i] == "--resume" || args[i] == "--no-resume") {
         resume_ = args[i] == "--resume";
         args.erase(args.begin() + static_cast<std::ptrdiff_t>(i));
@@ -119,8 +115,6 @@ class Telemetry {
   }
 
   obs::MetricsRegistry& metrics() { return metrics_; }
-  /// Non-null only with --trace; wire into DifferencePropagator options.
-  obs::TraceBuffer* trace() { return buffer_.get(); }
   /// Non-null only with --cache-dir; wire into
   /// AnalysisOptions::persistence (or use directly for forest caching).
   store::ArtifactStore* store() { return store_.get(); }
@@ -162,7 +156,6 @@ class Telemetry {
     if (!command.empty()) doc["command"] = command;
     doc["schema"] = "dp.metrics.v1";
     doc["metrics"] = metrics_.to_json();
-    if (buffer_) doc["trace"] = buffer_->to_json();
     std::string error;
     if (!obs::write_json_file_atomic(path_, doc, &error)) {
       std::cerr << "[metrics] FAILED to write " << path_ << ": " << error
@@ -179,7 +172,6 @@ class Telemetry {
   std::string cache_dir_;
   bool resume_ = true;
   obs::MetricsRegistry metrics_;
-  std::unique_ptr<obs::TraceBuffer> buffer_;
   std::unique_ptr<obs::SpanCollector> spans_;
   std::unique_ptr<obs::SamplingProfiler> profiler_;
   std::unique_ptr<store::ArtifactStore> store_;

@@ -38,6 +38,7 @@
 #include "netlist/generators.hpp"
 #include "netlist/structure.hpp"
 #include "sim/fault_sim.hpp"
+#include "sim/wide_sim.hpp"
 #include "store/hash.hpp"
 
 using namespace dp;
@@ -53,7 +54,8 @@ int usage() {
          "  (C = benchmark name or .bench path; sa and bf take --jobs N)\n"
          "  sa also takes --hybrid [--prefilter-patterns N]: random-pattern\n"
          "  prefilter first, exact DP only on the undetected remainder\n"
-         "  global: --metrics-json PATH (dp.metrics.v1 document), --trace,\n"
+         "  global: --metrics-json PATH (dp.metrics.v1 document),\n"
+         "          --trace-out PATH (dp.trace.v1 span document),\n"
          "          --cache-dir PATH (artifact cache), --resume/--no-resume\n";
   return 2;
 }
@@ -100,7 +102,6 @@ int cmd_sa_hybrid(const netlist::Circuit& c, bool full, std::size_t jobs,
   analysis::AnalysisOptions opt;
   opt.collapse = !full;
   opt.jobs = jobs;
-  opt.dp.trace = tel.trace();
   analysis::HybridOptions hopt;
   hopt.prefilter_patterns = prefilter_patterns;
   const analysis::HybridProfile p = analysis::analyze_stuck_at_hybrid(c, opt, hopt);
@@ -127,7 +128,6 @@ int cmd_sa(const netlist::Circuit& c, bool full, std::size_t jobs,
   analysis::AnalysisOptions opt;
   opt.collapse = !full;
   opt.jobs = jobs;
-  opt.dp.trace = tel.trace();
   opt.persistence.store = tel.store();
   opt.persistence.resume = tel.resume();
   const analysis::CircuitProfile p = analysis::analyze_stuck_at(c, opt);
@@ -159,7 +159,6 @@ int cmd_bf(const netlist::Circuit& c, std::size_t count, std::size_t jobs,
   analysis::AnalysisOptions opt;
   opt.sampling.target_count = count;
   opt.jobs = jobs;
-  opt.dp.trace = tel.trace();
   opt.persistence.store = tel.store();
   opt.persistence.resume = tel.resume();
   analysis::TextTable t({"type", "faults", "detectable", "mean det",
@@ -196,9 +195,7 @@ int cmd_fault(const netlist::Circuit& c, const std::string& net,
   netlist::Structure st(c);
   bdd::Manager mgr(0);
   core::GoodFunctions good(mgr, c);
-  core::DifferencePropagator::Options dpo;
-  dpo.trace = tel.trace();
-  core::DifferencePropagator dp(good, st, dpo);
+  core::DifferencePropagator dp(good, st);
   const fault::StuckAtFault f{*id, std::nullopt, value == "1"};
   const core::FaultAnalysis a = dp.analyze(f);
   mgr.export_metrics(tel.metrics());
@@ -275,18 +272,15 @@ int cmd_atpg(const netlist::Circuit& c, cli::Telemetry& tel) {
   netlist::Structure st(c);
   bdd::Manager mgr(0);
   core::GoodFunctions good(mgr, c);
-  core::DifferencePropagator::Options dpo;
-  dpo.trace = tel.trace();
-  core::DifferencePropagator dp(good, st, dpo);
-  sim::FaultSimulator fs(c);
+  core::DifferencePropagator dp(good, st);
 
   const auto faults = fault::collapse_checkpoint_faults(c);
   std::size_t redundant = 0;
   const auto vectors = build_compact_vectors(c, dp, &redundant);
   mgr.export_metrics(tel.metrics());
-  const auto cov = fs.grade_vectors(faults, vectors);
+  const auto cov = sim::WideFaultSimulator(c).grade_vectors(faults, vectors);
   std::cout << "# " << c.name() << ": " << vectors.size() << " vectors, "
-            << cov.detected << "/" << cov.total << " faults detected, "
+            << cov.detected() << "/" << cov.total << " faults detected, "
             << redundant << " redundant\n";
   for (const auto& v : vectors) {
     for (bool b : v) std::cout << (b ? '1' : '0');
@@ -310,9 +304,7 @@ int cmd_diagnose(const netlist::Circuit& c, const std::string& net,
   netlist::Structure st(c);
   bdd::Manager mgr(0);
   core::GoodFunctions good(mgr, c);
-  core::DifferencePropagator::Options dpo;
-  dpo.trace = tel.trace();
-  core::DifferencePropagator dp(good, st, dpo);
+  core::DifferencePropagator dp(good, st);
   sim::FaultSimulator fs(c);
 
   // Dictionary over a compact ATPG vector set.
@@ -463,6 +455,13 @@ int main(int argc, char** argv) {
       args.erase(args.begin() + static_cast<std::ptrdiff_t>(i),
                  args.begin() + static_cast<std::ptrdiff_t>(i) + 2);
       continue;
+    }
+    // The remaining flags are positional parts of one command; any other
+    // option is a typo or a removed flag, never something to ignore.
+    if (args[i].starts_with("--") && args[i] != "--full" &&
+        args[i] != "--count" && args[i] != "--hash") {
+      std::cerr << "error: unknown option '" << args[i] << "'\n";
+      return 2;
     }
     ++i;
   }

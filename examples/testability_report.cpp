@@ -7,7 +7,7 @@
 //   $ ./testability_report path/to.bench  # or an ISCAS-85 netlist file
 //   $ ./testability_report c432 --jobs 4  # fault-parallel sweep
 //                                         # (bit-identical to serial)
-//   $ ./testability_report c432 --metrics-json report.json --trace
+//   $ ./testability_report c432 --metrics-json m.json --trace-out t.json
 //   $ ./testability_report c432 --cache-dir .dpcache
 //                                         # reuse a cached profile /
 //                                         # resume an interrupted sweep
@@ -175,7 +175,6 @@ int main(int argc, char** argv) {
       arg = args[i];
     }
   }
-  opt.dp.trace = tel.trace();
   opt.persistence.store = tel.store();
   opt.persistence.resume = tel.resume();
   netlist::Circuit circuit = load(arg);

@@ -117,9 +117,7 @@ class Bdd {
   }
   /// Fraction of the 2^nvars input space that satisfies the function.
   double density(std::size_t nvars) const {
-    double total = 1.0;
-    for (std::size_t i = 0; i < nvars; ++i) total *= 2.0;
-    return sat_count(nvars) / total;
+    return check()->density(idx_, nvars);
   }
   std::vector<Var> support() const { return check()->support(idx_); }
   std::size_t dag_size() const { return check()->dag_size(idx_); }

@@ -134,6 +134,10 @@ class Manager : public obs::ProfileSource {
   /// Number of satisfying assignments over variables [0, nvars).
   /// Exact for nvars <= 52 (double holds the integer exactly).
   double sat_count(NodeIndex f, std::size_t nvars) const;
+  /// Fraction of the 2^nvars assignments that satisfy f. Never overflows
+  /// (any nvars); equal to sat_count / 2^nvars bit for bit while
+  /// nvars <= 53.
+  double density(NodeIndex f, std::size_t nvars) const;
 
   /// Variables the function actually depends on, ascending.
   std::vector<Var> support(NodeIndex f) const;

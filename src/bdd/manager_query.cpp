@@ -78,6 +78,49 @@ double Manager::sat_count(NodeIndex f, std::size_t nvars) const {
   return memo[f] * pow2(level_of(f));
 }
 
+double Manager::density(NodeIndex f, std::size_t nvars) const {
+  // The probability recursion p = (p_lo + p_hi) / 2 over a uniform input,
+  // with p(true) = 1 and a complement edge giving 1 - p. Every value stays
+  // in [0, 1], so unlike sat_count / 2^nvars it cannot overflow, and a
+  // variable the BDD skips leaves p unchanged, so it needs no levels.
+  // While nvars <= 53 every intermediate is a dyadic rational the double
+  // holds exactly, matching the count-based quotient bit for bit. The memo
+  // is keyed on slots (regular edges).
+  auto polarity = [](NodeIndex e, double p) {
+    return edge_complemented(e) ? 1.0 - p : p;
+  };
+  std::unordered_map<NodeIndex, double> memo;
+  memo.reserve(256);
+  memo.emplace(edge_slot(kTrueNode), 1.0);
+
+  // Iterative post-order to avoid deep recursion on path-shaped BDDs.
+  std::vector<NodeIndex> stack{edge_slot(f)};
+  while (!stack.empty()) {
+    const NodeIndex s = stack.back();
+    if (memo.count(s)) {
+      stack.pop_back();
+      continue;
+    }
+    const Node& nd = node(s);
+    if (nd.var >= nvars) {
+      throw BddError("density(): function depends on a variable >= nvars");
+    }
+    const auto it_lo = memo.find(edge_slot(nd.lo));
+    const auto it_hi = memo.find(edge_slot(nd.hi));
+    if (it_lo != memo.end() && it_hi != memo.end()) {
+      const double p = (polarity(nd.lo, it_lo->second) +
+                        polarity(nd.hi, it_hi->second)) /
+                       2.0;
+      memo.emplace(s, p);
+      stack.pop_back();
+    } else {
+      if (it_lo == memo.end()) stack.push_back(edge_slot(nd.lo));
+      if (it_hi == memo.end()) stack.push_back(edge_slot(nd.hi));
+    }
+  }
+  return polarity(f, memo.at(edge_slot(f)));
+}
+
 std::vector<Var> Manager::support(NodeIndex f) const {
   // Polarity cannot change the support; walk slots.
   std::vector<bool> present(num_vars_, false);

@@ -14,126 +14,67 @@ DifferencePropagator::DifferencePropagator(const GoodFunctions& good,
                                            Options options)
     : good_(good), structure_(structure), options_(options) {}
 
-void DifferencePropagator::trace_fault(std::string label,
-                                       std::size_t seed_sites,
-                                       const FaultAnalysis& out) const {
-  if (!options_.trace) return;
-  options_.trace->record(obs::TraceKind::Fault, std::move(label),
-                         static_cast<std::int64_t>(out.stats.gates_evaluated),
-                         static_cast<std::int64_t>(out.stats.gates_skipped),
-                         static_cast<std::int64_t>(seed_sites),
-                         static_cast<std::int64_t>(out.pos_observable));
-}
-
-PropagationStats DifferencePropagator::propagate(std::vector<bdd::Bdd>& diff,
-                                                 const PinSeed* pin_seed) const {
+PropagationStats DifferencePropagator::propagate(
+    const Seeds& seeds, std::vector<bdd::Bdd>& diff) const {
   const Circuit& c = good_.circuit();
   bdd::Manager& mgr = good_.manager();
   PropagationStats st;
 
+  // A pinned net's difference is its seed whatever its fanins carry, and
+  // no gate upstream of it reads it, so it can be set before the sweep. A
+  // zero-valued seed is no difference at all: an unexcitable fault must
+  // not defeat selective trace and drag the whole downstream cone through
+  // gate_difference.
+  for (const NetSeed& seed : seeds.nets) {
+    if (!seed.diff.is_zero()) diff[seed.net] = seed.diff;
+  }
+
+  std::vector<bdd::Bdd> goods, diffs;
   for (NetId id : c.topo_order()) {
     const GateType t = c.type(id);
     if (t == GateType::Input || netlist::is_constant(t)) continue;
-    const auto& fi = c.fanins(id);
 
-    const bool seeded_here = pin_seed && pin_seed->gate == id;
-    // A zero-valued seed is no difference at all: an unexcitable fault must
-    // not defeat selective trace and drag the whole downstream cone through
-    // gate_difference.
-    bool has_diff = seeded_here && !pin_seed->diff.is_zero();
-    if (!has_diff) {
-      for (NetId f : fi) {
-        if (diff[f].valid()) {
-          has_diff = true;
-          break;
+    const bool pinned =
+        std::any_of(seeds.nets.begin(), seeds.nets.end(),
+                    [id](const NetSeed& s) { return s.net == id; });
+    if (pinned) {
+      // Never evaluated; counted as PropagationStats documents.
+      ++(options_.selective_trace ? st.gates_skipped : st.gates_evaluated);
+      continue;
+    }
+
+    const auto& fi = c.fanins(id);
+    const bool pin_seeded =
+        std::any_of(seeds.pins.begin(), seeds.pins.end(),
+                    [id](const PinSeed& s) { return s.gate == id; });
+    // The difference on input `pin`: its override when seeded, else the
+    // fanin net's; nullptr when zero.
+    auto input_diff = [&](std::uint32_t pin) -> const bdd::Bdd* {
+      if (pin_seeded) {
+        for (const PinSeed& s : seeds.pins) {
+          if (s.gate == id && s.pin == pin) {
+            return s.diff.is_zero() ? nullptr : &s.diff;
+          }
         }
       }
-    }
-    if (!has_diff && options_.selective_trace) {
-      ++st.gates_skipped;
-      continue;
-    }
-
-    std::vector<bdd::Bdd> goods, diffs;
-    goods.reserve(fi.size());
-    diffs.reserve(fi.size());
-    for (std::uint32_t i = 0; i < fi.size(); ++i) {
-      goods.push_back(good_.at(fi[i]));
-      if (seeded_here && pin_seed->pin == i) {
-        diffs.push_back(pin_seed->diff);
-      } else {
-        diffs.push_back(diff[fi[i]].valid() ? diff[fi[i]] : mgr.zero());
-      }
-    }
-    bdd::Bdd result = gate_difference(mgr, t, goods, diffs);
-    ++st.gates_evaluated;
-    if (!result.is_zero()) diff[id] = std::move(result);
-  }
-  return st;
-}
-
-PropagationStats DifferencePropagator::propagate_multi(
-    std::vector<bdd::Bdd>& diff, const std::vector<PinSeed>& pins,
-    const std::vector<NetSeed>& nets) const {
-  const Circuit& c = good_.circuit();
-  bdd::Manager& mgr = good_.manager();
-  PropagationStats st;
-
-  // Index the overrides for O(1) lookup during the sweep.
-  std::vector<const bdd::Bdd*> net_override(c.num_nets(), nullptr);
-  for (const NetSeed& seed : nets) net_override[seed.net] = &seed.diff;
-  std::vector<std::vector<const PinSeed*>> pin_override(c.num_nets());
-  for (const PinSeed& seed : pins) pin_override[seed.gate].push_back(&seed);
-
-  // Forced PI stems take effect before the sweep.
-  for (const NetSeed& seed : nets) {
-    if (c.type(seed.net) == GateType::Input && !seed.diff.is_zero()) {
-      diff[seed.net] = seed.diff;
-    }
-  }
-
-  for (NetId id : c.topo_order()) {
-    const GateType t = c.type(id);
-    if (t == GateType::Input || netlist::is_constant(t)) continue;
-
-    // A forced stem never needs its gate evaluated: its difference is
-    // pinned regardless of what the gate would produce.
-    if (net_override[id]) {
-      if (!net_override[id]->is_zero()) diff[id] = *net_override[id];
-      ++st.gates_skipped;
-      continue;
-    }
-
-    const auto& fi = c.fanins(id);
-    const auto& pin_seeds = pin_override[id];
-    auto pin_seed_at = [&](std::uint32_t pin) -> const PinSeed* {
-      for (const PinSeed* p : pin_seeds) {
-        if (p->pin == pin) return p;
-      }
-      return nullptr;
+      return diff[fi[pin]].valid() ? &diff[fi[pin]] : nullptr;
     };
 
     bool has_diff = false;
     for (std::uint32_t pin = 0; pin < fi.size() && !has_diff; ++pin) {
-      const PinSeed* p = pin_seed_at(pin);
-      has_diff = p ? !p->diff.is_zero() : diff[fi[pin]].valid();
+      has_diff = input_diff(pin) != nullptr;
     }
     if (!has_diff && options_.selective_trace) {
       ++st.gates_skipped;
       continue;
     }
 
-    std::vector<bdd::Bdd> goods, diffs;
-    goods.reserve(fi.size());
-    diffs.reserve(fi.size());
+    goods.clear();
+    diffs.clear();
     for (std::uint32_t pin = 0; pin < fi.size(); ++pin) {
       goods.push_back(good_.at(fi[pin]));
-      const PinSeed* p = pin_seed_at(pin);
-      if (p) {
-        diffs.push_back(p->diff);
-      } else {
-        diffs.push_back(diff[fi[pin]].valid() ? diff[fi[pin]] : mgr.zero());
-      }
+      const bdd::Bdd* d = input_diff(pin);
+      diffs.push_back(d ? *d : mgr.zero());
     }
     bdd::Bdd result = gate_difference(mgr, t, goods, diffs);
     ++st.gates_evaluated;
@@ -142,70 +83,14 @@ PropagationStats DifferencePropagator::propagate_multi(
   return st;
 }
 
-FaultAnalysis DifferencePropagator::analyze(
-    const fault::MultipleStuckAtFault& fault) const {
-  obs::ScopedSpan span(obs::SpanCollector::current(), "dp.fault");
-  if (fault.components.empty()) {
-    throw netlist::NetlistError("analyze: multiple fault with no components");
-  }
-  for (std::size_t i = 0; i < fault.components.size(); ++i) {
-    for (std::size_t j = i + 1; j < fault.components.size(); ++j) {
-      if (fault::same_line(fault.components[i], fault.components[j])) {
-        throw netlist::NetlistError(
-            "analyze: multiple fault components share a line");
-      }
-    }
-  }
-
+FaultAnalysis DifferencePropagator::finish(const Seeds& seeds,
+                                           double upper_bound,
+                                           obs::ScopedSpan& span) const {
   const Circuit& c = good_.circuit();
   bdd::Manager& mgr = good_.manager();
   std::vector<bdd::Bdd> diff(c.num_nets());
-
-  std::vector<PinSeed> pins;
-  std::vector<NetSeed> nets;
-  std::vector<NetId> site_nets;
-  bdd::Bdd excitation = mgr.zero();
-  for (const fault::StuckAtFault& f : fault.components) {
-    const bdd::Bdd& f_site = good_.at(f.net);
-    bdd::Bdd seed = f.stuck_value ? !f_site : f_site;
-    excitation = excitation | seed;
-    if (f.branch) {
-      pins.push_back(PinSeed{f.branch->gate, f.branch->pin, std::move(seed)});
-      site_nets.push_back(f.net);
-    } else {
-      nets.push_back(NetSeed{f.net, std::move(seed)});
-      site_nets.push_back(f.net);
-    }
-  }
-
-  // Excitation (some line differing) is necessary for detection, so its
-  // density upper-bounds the detectability exactly as for single faults.
-  const double upper = excitation.density(good_.num_vars());
-
-  PropagationStats st = propagate_multi(diff, pins, nets);
-  FaultAnalysis out = finish(diff, site_nets, upper, st);
-  trace_fault(fault::describe(fault, c), site_nets.size(), out);
-  if (span.enabled()) {
-    span.attr("site", fault::describe(fault, c));
-    int po_distance = 0;
-    for (const NetId net : site_nets) {
-      po_distance = std::max(po_distance, structure_.max_levels_to_po(net));
-    }
-    span.attr("po_distance", po_distance);
-    span.attr("gates_evaluated", out.stats.gates_evaluated);
-    span.attr("gates_skipped", out.stats.gates_skipped);
-    span.attr("detectable", out.detectable ? 1 : 0);
-  }
-  return out;
-}
-
-FaultAnalysis DifferencePropagator::finish(
-    std::vector<bdd::Bdd>& diff, const std::vector<NetId>& site_nets,
-    double upper_bound, PropagationStats stats) const {
-  const Circuit& c = good_.circuit();
-  bdd::Manager& mgr = good_.manager();
   FaultAnalysis out;
-  out.stats = stats;
+  out.stats = propagate(seeds, diff);
   out.upper_bound = upper_bound;
 
   out.test_set = mgr.zero();
@@ -228,12 +113,25 @@ FaultAnalysis DifferencePropagator::finish(
           : 0.0;
 
   for (std::size_t i = 0; i < c.num_outputs(); ++i) {
-    for (NetId site : site_nets) {
+    for (NetId site : seeds.sites) {
       if (structure_.po_reachable(site, i)) {
         ++out.pos_fed;
         break;
       }
     }
+  }
+
+  if (span.enabled()) {
+    int po_distance = 0;
+    for (NetId site : seeds.sites) {
+      po_distance = std::max(po_distance, structure_.max_levels_to_po(site));
+    }
+    span.attr("po_distance", po_distance);
+    span.attr("gates_evaluated", out.stats.gates_evaluated);
+    span.attr("gates_skipped", out.stats.gates_skipped);
+    span.attr("detectable", out.detectable ? 1 : 0);
+    span.attr("seed_sites", seeds.sites.size());
+    span.attr("pos_observable", out.pos_observable);
   }
   return out;
 }
@@ -241,75 +139,93 @@ FaultAnalysis DifferencePropagator::finish(
 FaultAnalysis DifferencePropagator::analyze(
     const fault::StuckAtFault& fault) const {
   obs::ScopedSpan span(obs::SpanCollector::current(), "dp.fault");
-  const Circuit& c = good_.circuit();
-  std::vector<bdd::Bdd> diff(c.num_nets());
-
   const bdd::Bdd& f_site = good_.at(fault.net);
   // Delta = f XOR v : the inputs on which the forced value differs.
   bdd::Bdd seed = fault.stuck_value ? !f_site : f_site;
 
-  const double syn = good_.syndrome(fault.net);
-  const double upper = fault.stuck_value ? 1.0 - syn : syn;
-
-  PropagationStats st;
-  if (fault.branch) {
-    PinSeed pin{fault.branch->gate, fault.branch->pin, seed};
-    st = propagate(diff, &pin);
-  } else {
-    if (!seed.is_zero()) diff[fault.net] = seed;
-    st = propagate(diff, nullptr);
-  }
   // PO reachability is measured from the checkpoint line's stem: a branch
   // fault lives on the fanout branch of `fault.net`, not on the fed gate's
   // output, so pos_fed counts the POs the stem feeds.
-  FaultAnalysis out = finish(diff, {fault.net}, upper, st);
-  trace_fault(fault::describe(fault, c), 1, out);
-  if (span.enabled()) {
-    span.attr("site", fault::describe(fault, c));
-    span.attr("branch", fault.branch ? 1 : 0);
-    span.attr("po_distance", structure_.max_levels_to_po(fault.net));
-    span.attr("gates_evaluated", out.stats.gates_evaluated);
-    span.attr("gates_skipped", out.stats.gates_skipped);
-    span.attr("detectable", out.detectable ? 1 : 0);
+  Seeds seeds;
+  seeds.sites = {fault.net};
+  if (fault.branch) {
+    seeds.pins.push_back(
+        PinSeed{fault.branch->gate, fault.branch->pin, std::move(seed)});
+  } else {
+    seeds.nets.push_back(NetSeed{fault.net, std::move(seed)});
   }
-  return out;
+
+  const double syn = good_.syndrome(fault.net);
+  if (span.enabled()) {
+    span.attr("site", fault::describe(fault, good_.circuit()));
+    span.attr("branch", fault.branch ? 1 : 0);
+  }
+  return finish(seeds, fault.stuck_value ? 1.0 - syn : syn, span);
 }
 
 FaultAnalysis DifferencePropagator::analyze(
     const fault::BridgingFault& fault) const {
   obs::ScopedSpan span(obs::SpanCollector::current(), "dp.fault");
-  const Circuit& c = good_.circuit();
-  bdd::Manager& mgr = good_.manager();
-  std::vector<bdd::Bdd> diff(c.num_nets());
-
   const bdd::Bdd& fa = good_.at(fault.a);
   const bdd::Bdd& fb = good_.at(fault.b);
   const bdd::Bdd wired =
       fault.type == fault::BridgeType::And ? (fa & fb) : (fa | fb);
 
   // Both wires take the wired value; their differences seed together.
-  bdd::Bdd da = fa ^ wired;
-  bdd::Bdd db = fb ^ wired;
-  if (!da.is_zero()) diff[fault.a] = da;
-  if (!db.is_zero()) diff[fault.b] = db;
+  Seeds seeds;
+  seeds.sites = {fault.a, fault.b};
+  seeds.nets.push_back(NetSeed{fault.a, fa ^ wired});
+  seeds.nets.push_back(NetSeed{fault.b, fb ^ wired});
 
   // Excitation bound: the bridge disturbs some wire iff the wires disagree.
   const double upper = (fa ^ fb).density(good_.num_vars());
 
-  PropagationStats st = propagate(diff, nullptr);
-  FaultAnalysis out = finish(diff, {fault.a, fault.b}, upper, st);
-  out.bridge_stuck_at = wired.is_constant();
-  trace_fault(fault::describe(fault, c), 2, out);
   if (span.enabled()) {
-    span.attr("site", fault::describe(fault, c));
-    span.attr("po_distance", std::max(structure_.max_levels_to_po(fault.a),
-                                      structure_.max_levels_to_po(fault.b)));
-    span.attr("gates_evaluated", out.stats.gates_evaluated);
-    span.attr("gates_skipped", out.stats.gates_skipped);
-    span.attr("detectable", out.detectable ? 1 : 0);
+    span.attr("site", fault::describe(fault, good_.circuit()));
   }
-  (void)mgr;
+  FaultAnalysis out = finish(seeds, upper, span);
+  out.bridge_stuck_at = wired.is_constant();
   return out;
+}
+
+FaultAnalysis DifferencePropagator::analyze(
+    const fault::MultipleStuckAtFault& fault) const {
+  obs::ScopedSpan span(obs::SpanCollector::current(), "dp.fault");
+  if (fault.components.empty()) {
+    throw netlist::NetlistError("analyze: multiple fault with no components");
+  }
+  for (std::size_t i = 0; i < fault.components.size(); ++i) {
+    for (std::size_t j = i + 1; j < fault.components.size(); ++j) {
+      if (fault::same_line(fault.components[i], fault.components[j])) {
+        throw netlist::NetlistError(
+            "analyze: multiple fault components share a line");
+      }
+    }
+  }
+
+  Seeds seeds;
+  bdd::Bdd excitation = good_.manager().zero();
+  for (const fault::StuckAtFault& f : fault.components) {
+    const bdd::Bdd& f_site = good_.at(f.net);
+    bdd::Bdd seed = f.stuck_value ? !f_site : f_site;
+    excitation = excitation | seed;
+    seeds.sites.push_back(f.net);
+    if (f.branch) {
+      seeds.pins.push_back(
+          PinSeed{f.branch->gate, f.branch->pin, std::move(seed)});
+    } else {
+      seeds.nets.push_back(NetSeed{f.net, std::move(seed)});
+    }
+  }
+
+  // Excitation (some line differing) is necessary for detection, so its
+  // density upper-bounds the detectability exactly as for single faults.
+  const double upper = excitation.density(good_.num_vars());
+
+  if (span.enabled()) {
+    span.attr("site", fault::describe(fault, good_.circuit()));
+  }
+  return finish(seeds, upper, span);
 }
 
 }  // namespace dp::core

@@ -18,10 +18,14 @@
 #include "fault/multiple.hpp"
 #include "fault/stuck_at.hpp"
 #include "netlist/structure.hpp"
-#include "obs/trace.hpp"
+#include "obs/span.hpp"
 
 namespace dp::core {
 
+/// Per-fault sweep work. A pinned net's gate (a stem or bridge wire under
+/// fault) never needs its difference computed; it counts as skipped with
+/// selective trace on and as evaluated with it off, so that without
+/// selective trace every non-PI, non-constant gate counts as evaluated.
 struct PropagationStats {
   std::uint64_t gates_evaluated = 0;  ///< gates whose difference was computed
   std::uint64_t gates_skipped = 0;    ///< gates skipped (no input difference)
@@ -57,11 +61,6 @@ class DifferencePropagator {
     /// When false, every gate in the circuit is evaluated for every fault
     /// (the ablation baseline for the selective-trace optimization).
     bool selective_trace = true;
-    /// When set, every analyze() call records one TraceKind::Fault event
-    /// (gates evaluated/skipped, seed sites, POs observable). The buffer
-    /// is thread-safe, so parallel workers may share one instance. Not
-    /// owned; must outlive the propagator.
-    obs::TraceBuffer* trace = nullptr;
   };
 
   DifferencePropagator(const GoodFunctions& good,
@@ -92,26 +91,25 @@ class DifferencePropagator {
     netlist::NetId net = netlist::kInvalidNet;
     bdd::Bdd diff;
   };
+  /// A fault as the sweep sees it: every fault type differs only here.
+  struct Seeds {
+    std::vector<NetSeed> nets;
+    std::vector<PinSeed> pins;
+    /// The faulted lines' stems (a branch fault's is its fanout stem):
+    /// they set pos_fed, po_distance and seed_sites.
+    std::vector<netlist::NetId> sites;
+  };
 
-  /// Core sweep: seeds are net-level differences (`diff` indexed by net,
-  /// invalid == zero) plus an optional pin override; returns stats.
-  PropagationStats propagate(std::vector<bdd::Bdd>& diff,
-                             const PinSeed* pin_seed) const;
+  /// The one selective-trace sweep: pins the seeded nets, overrides the
+  /// seeded pins, and pushes Table-1 differences to the POs. `diff` is
+  /// indexed by net (invalid == zero).
+  PropagationStats propagate(const Seeds& seeds,
+                             std::vector<bdd::Bdd>& diff) const;
 
-  /// Generalized sweep for multiple faults: any number of pin and stem
-  /// overrides applied simultaneously.
-  PropagationStats propagate_multi(std::vector<bdd::Bdd>& diff,
-                                   const std::vector<PinSeed>& pins,
-                                   const std::vector<NetSeed>& nets) const;
-
-  FaultAnalysis finish(std::vector<bdd::Bdd>& diff,
-                       const std::vector<netlist::NetId>& site_nets,
-                       double upper_bound, PropagationStats stats) const;
-
-  /// Records one TraceKind::Fault event when options_.trace is set
-  /// (no-op otherwise). `seed_sites` = number of Δ-seed injection sites.
-  void trace_fault(std::string label, std::size_t seed_sites,
-                   const FaultAnalysis& out) const;
+  /// Shared tail of every analyze(): propagates `seeds`, derives the
+  /// test set and measures, and annotates the fault's dp.fault span.
+  FaultAnalysis finish(const Seeds& seeds, double upper_bound,
+                       obs::ScopedSpan& span) const;
 
   const GoodFunctions& good_;
   const netlist::Structure& structure_;

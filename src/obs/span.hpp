@@ -12,8 +12,7 @@
 //      the exporter at snapshot time, so workers never serialize on each
 //      other (lock-free in effect on the hot path).
 //   3. Bounded memory. Rings are fixed-capacity; when one wraps, the
-//      oldest spans on that thread are dropped and counted, mirroring
-//      TraceBuffer's drop accounting.
+//      oldest spans on that thread are dropped and counted.
 //
 // Parenting: each thread keeps a stack of open span ids, so nested
 // ScopedSpans parent automatically. A span that logically belongs under

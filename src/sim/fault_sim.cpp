@@ -4,8 +4,6 @@
 #include <bit>
 #include <stdexcept>
 
-#include "sim/wide_sim.hpp"
-
 namespace dp::sim {
 
 using netlist::GateType;
@@ -262,28 +260,9 @@ std::vector<bool> FaultSimulator::exhaustive_test_set(
     const BridgingFault& f) const {
   return exhaustive_test_set_impl(f);
 }
-
-FaultSimulator::Coverage FaultSimulator::grade_random(
-    const std::vector<StuckAtFault>& faults, std::size_t num_patterns,
-    std::uint64_t seed) const {
-  const WideFaultSimulator wide(circuit());
-  const WideFaultSimulator::Grade g =
-      wide.grade_random(faults, num_patterns, seed);
-  Coverage cov;
-  cov.total = g.total;
-  cov.detected = g.detected();
-  return cov;
-}
-
-FaultSimulator::Coverage FaultSimulator::grade_vectors(
-    const std::vector<StuckAtFault>& faults,
-    const std::vector<std::vector<bool>>& vectors) const {
-  const WideFaultSimulator wide(circuit());
-  const WideFaultSimulator::Grade g = wide.grade_vectors(faults, vectors);
-  Coverage cov;
-  cov.total = g.total;
-  cov.detected = g.detected();
-  return cov;
+std::vector<bool> FaultSimulator::exhaustive_test_set(
+    const fault::MultipleStuckAtFault& f) const {
+  return exhaustive_test_set_impl(f);
 }
 
 }  // namespace dp::sim

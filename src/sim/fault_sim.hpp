@@ -1,7 +1,8 @@
 // Fault simulation: stuck-at and bridging injection on top of the
-// parallel-pattern simulator, exhaustive exact analysis (ground truth for
-// Difference Propagation in the tests and the paper's "exhaustive
-// simulation" baseline in the benchmarks), and random-pattern grading.
+// parallel-pattern simulator, and exhaustive exact analysis (ground truth
+// for Difference Propagation in the tests and the paper's "exhaustive
+// simulation" baseline in the benchmarks). Test-set grading lives in
+// sim/wide_sim.hpp.
 #pragma once
 
 #include <cstdint>
@@ -76,26 +77,8 @@ class FaultSimulator {
   /// assignment, PI 0 = LSB). Requires <= 24 inputs.
   std::vector<bool> exhaustive_test_set(const StuckAtFault& f) const;
   std::vector<bool> exhaustive_test_set(const BridgingFault& f) const;
-
-  // ---- test-set grading ------------------------------------------------
-
-  struct Coverage {
-    std::size_t detected = 0;
-    std::size_t total = 0;
-    double fraction() const {
-      return total ? static_cast<double>(detected) / total : 0.0;
-    }
-  };
-
-  /// Random-pattern grading with fault dropping. Delegates to the
-  /// levelized wide engine (sim/wide_sim.hpp); the detected set is
-  /// bit-identical to the historical 64-wide per-fault resimulation.
-  Coverage grade_random(const std::vector<StuckAtFault>& faults,
-                        std::size_t num_patterns, std::uint64_t seed) const;
-
-  /// Grades an explicit vector set (vectors indexed by PI position).
-  Coverage grade_vectors(const std::vector<StuckAtFault>& faults,
-                         const std::vector<std::vector<bool>>& vectors) const;
+  std::vector<bool> exhaustive_test_set(
+      const fault::MultipleStuckAtFault& f) const;
 
  private:
   // Per-fault prepared injection state: anything derivable from the fault

@@ -13,6 +13,7 @@
 #include "analysis/profiles.hpp"
 #include "dp/engine.hpp"
 #include "dp/parallel_engine.hpp"
+#include "fault/multiple.hpp"
 #include "netlist/structure.hpp"
 #include "sim/fault_sim.hpp"
 #include "sim/wide_sim.hpp"
@@ -100,7 +101,7 @@ DpView make_view(const core::FaultAnalysis& a, bool* mutate_pending,
   return view;
 }
 
-/// dp_vs_sim arm for one fault (stuck-at or bridging).
+/// dp_vs_sim arm for one fault (stuck-at, bridging or multiple stuck-at).
 template <typename Fault>
 void check_fault(const Fault& f, bool* mutate_pending, const FuzzCase& fc,
                  const core::DifferencePropagator& dp,
@@ -272,6 +273,20 @@ OracleResult run_oracles(const FuzzCase& fc, const OracleConfig& config) {
     for (std::size_t i = 0; i < fc.bridges.size(); ++i) {
       check_fault(fc.bridges[i], &mutate_pending, fc, dp, fs, config.mutate,
                   rec, result, serial_br[i]);
+    }
+    // A few 2- and 3-line multiple faults, sampled with a seed derived
+    // from the case seed so the case's own fault lists stay as they were.
+    const std::size_t universe = fault::checkpoint_faults(fc.circuit).size();
+    for (std::size_t multiplicity : {2u, 3u}) {
+      if (universe < multiplicity) continue;
+      const std::uint64_t seed =
+          fc.case_seed ^ (0x6d756c7469706c65ull + multiplicity);
+      core::FaultAnalysis analysis;
+      for (const fault::MultipleStuckAtFault& mf :
+           fault::sample_multiple_faults(fc.circuit, multiplicity, 2, seed)) {
+        check_fault(mf, &mutate_pending, fc, dp, fs, config.mutate, rec,
+                    result, analysis);
+      }
     }
 
     // ---- parallel engine vs serial -------------------------------------

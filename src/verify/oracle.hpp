@@ -6,7 +6,9 @@
 //   dp_vs_sim    serial DifferencePropagator vs the exhaustive 64-way
 //                fault simulator: syndromes per net, detectability /
 //                detectable flag per fault, and full complete-test-set
-//                membership over all 2^n input vectors.
+//                membership over all 2^n input vectors -- for the case's
+//                stuck-at and bridging faults plus two 2-line and two
+//                3-line multiple stuck-at faults sampled from the case seed.
 //   parallel     ParallelEngine at jobs N vs the serial engine: every
 //                scalar FaultAnalysis field plus the test-set sat count.
 //                Runs in both sharing modes (shared frozen forest and

@@ -97,6 +97,7 @@ TEST_F(BddTest, SatCountRejectsTooFewVars) {
 TEST_F(BddTest, DensityIsNormalizedSatCount) {
   EXPECT_DOUBLE_EQ((x0 & x1).density(8), 0.25);
   EXPECT_DOUBLE_EQ(mgr.one().density(8), 1.0);
+  EXPECT_THROW(x2.density(1), BddError);
 }
 
 TEST_F(BddTest, SupportListsDependentVariablesOnly) {

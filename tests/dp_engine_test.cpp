@@ -294,6 +294,22 @@ TEST(DpEngineTest, SelectiveTraceSkipsCleanGates) {
   EXPECT_EQ(b.test_set, a.test_set);  // identical result either way
 }
 
+TEST(DpEngineTest, WideXorChainMeasuresAreExact) {
+  // 2^1100 overflows a double, so a density taken as sat_count / 2^n
+  // reads inf/inf. On a parity chain a stuck-at fault is excited on
+  // exactly half the inputs and always reaches the PO.
+  const Circuit c = netlist::make_parity_tree(1100, /*balanced=*/false);
+  const Structure structure(c);
+  bdd::Manager manager(0);
+  GoodFunctions good(manager, c);
+  DifferencePropagator dp(good, structure);
+  const FaultAnalysis a =
+      dp.analyze(StuckAtFault{c.inputs()[0], std::nullopt, true});
+  EXPECT_EQ(a.detectability, 0.5);
+  EXPECT_EQ(a.upper_bound, 0.5);
+  EXPECT_EQ(a.adherence, 1.0);
+}
+
 TEST(DpEngineTest, PoObservabilityMatchesDiffSupport) {
   Rig rig(netlist::make_c17());
   const NetId n10 = *rig.circuit.find_net("10");

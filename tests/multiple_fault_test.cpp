@@ -135,15 +135,38 @@ TEST(MultipleFaultDpTest, SingletonMultipleEqualsSingleAnalysis) {
   netlist::Structure st(c);
   bdd::Manager mgr(0);
   core::GoodFunctions good(mgr, c);
-  core::DifferencePropagator dp(good, st);
 
-  for (const StuckAtFault& f : fault::collapse_checkpoint_faults(c)) {
-    MultipleStuckAtFault mf;
-    mf.components.push_back(f);
-    const core::FaultAnalysis single = dp.analyze(f);
-    const core::FaultAnalysis multi = dp.analyze(mf);
-    ASSERT_EQ(single.test_set, multi.test_set) << describe(f, c);
-    ASSERT_DOUBLE_EQ(single.upper_bound, multi.upper_bound);
+  // The checkpoint faults plus a stem fault on every gate output, whose
+  // pinned gate exercises the counting rule.
+  std::vector<StuckAtFault> faults = fault::collapse_checkpoint_faults(c);
+  for (netlist::NetId id = 0; id < c.num_nets(); ++id) {
+    if (c.type(id) == netlist::GateType::Input) continue;
+    for (bool v : {false, true}) faults.push_back({id, std::nullopt, v});
+  }
+
+  // Every field, work counters included, in both sweep modes: a one-line
+  // multiple fault is the same seed as the single fault.
+  for (bool selective_trace : {true, false}) {
+    core::DifferencePropagator dp(good, st, {selective_trace});
+    for (const StuckAtFault& f : faults) {
+      SCOPED_TRACE(describe(f, c) + (selective_trace ? "" : " (full sweep)"));
+      MultipleStuckAtFault mf;
+      mf.components.push_back(f);
+      const core::FaultAnalysis single = dp.analyze(f);
+      const core::FaultAnalysis multi = dp.analyze(mf);
+      ASSERT_EQ(single.test_set, multi.test_set);
+      EXPECT_EQ(single.detectable, multi.detectable);
+      EXPECT_EQ(single.detectability, multi.detectability);
+      EXPECT_EQ(single.upper_bound, multi.upper_bound);
+      EXPECT_EQ(single.adherence, multi.adherence);
+      EXPECT_EQ(single.po_observable, multi.po_observable);
+      EXPECT_EQ(single.po_differences, multi.po_differences);
+      EXPECT_EQ(single.pos_observable, multi.pos_observable);
+      EXPECT_EQ(single.pos_fed, multi.pos_fed);
+      EXPECT_EQ(single.bridge_stuck_at, multi.bridge_stuck_at);
+      EXPECT_EQ(single.stats.gates_evaluated, multi.stats.gates_evaluated);
+      EXPECT_EQ(single.stats.gates_skipped, multi.stats.gates_skipped);
+    }
   }
 }
 

@@ -1,8 +1,8 @@
 // The observability layer's contract: instrument semantics (counters,
 // gauges, timers, histograms), exact sums under concurrent mutation,
-// deterministic registry merges, trace-ring wrap accounting, span
-// hierarchy/export semantics, the sampling profiler's source registry,
-// and a JSON model whose writer and parser round-trip each other.
+// deterministic registry merges, span hierarchy/export semantics, the
+// sampling profiler's source registry, and a JSON model whose writer and
+// parser round-trip each other.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -16,7 +16,6 @@
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/span.hpp"
-#include "obs/trace.hpp"
 
 namespace dp::obs {
 namespace {
@@ -367,96 +366,6 @@ TEST(Metrics, HistogramMergeConcatenatesSamplesSoQuantilesStayExact) {
   // with one coarse bound at 10.
   EXPECT_DOUBLE_EQ(s.quantile(0.50), 3.0);
   EXPECT_DOUBLE_EQ(s.quantile(0.99), 300.0);
-}
-
-// ---------------------------------------------------------------------------
-// Trace ring
-
-TEST(Trace, RecordsInOrderWithPayload) {
-  TraceBuffer buf(8);
-  buf.record(TraceKind::Phase, "build", 0);
-  buf.record(TraceKind::Fault, "n1 sa0", 4, 2, 1, 3);
-  const std::vector<TraceEvent> events = buf.snapshot();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].kind, TraceKind::Phase);
-  EXPECT_EQ(events[1].label, "n1 sa0");
-  EXPECT_EQ(events[1].a, 4);
-  EXPECT_EQ(events[1].b, 2);
-  EXPECT_EQ(events[1].c, 1);
-  EXPECT_EQ(events[1].d, 3);
-  EXPECT_GE(events[1].t, events[0].t);
-  EXPECT_EQ(buf.dropped(), 0u);
-}
-
-TEST(Trace, WrapKeepsTailAndCountsDrops) {
-  TraceBuffer buf(4);
-  for (int i = 0; i < 10; ++i) {
-    buf.record(TraceKind::Mark, "e" + std::to_string(i), i);
-  }
-  EXPECT_EQ(buf.total_recorded(), 10u);
-  EXPECT_EQ(buf.dropped(), 6u);
-  const std::vector<TraceEvent> events = buf.snapshot();
-  ASSERT_EQ(events.size(), 4u);
-  // Oldest-first tail: e6 e7 e8 e9.
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(events[static_cast<std::size_t>(i)].label,
-              "e" + std::to_string(6 + i));
-  }
-}
-
-TEST(Trace, ConcurrentRecordsLoseNothingButHistory) {
-  TraceBuffer buf(64);
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 1000;
-  std::vector<std::thread> threads;
-  for (int w = 0; w < kThreads; ++w) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < kPerThread; ++i) {
-        buf.record(TraceKind::Mark, "m", i);
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-  EXPECT_EQ(buf.total_recorded(),
-            static_cast<std::uint64_t>(kThreads) * kPerThread);
-  EXPECT_EQ(buf.dropped(), buf.total_recorded() - buf.capacity());
-  EXPECT_EQ(buf.snapshot().size(), buf.capacity());
-  // Dense thread ids: every event's id is < the number of writer threads.
-  for (const TraceEvent& e : buf.snapshot()) {
-    EXPECT_LT(e.thread, static_cast<std::uint32_t>(kThreads));
-  }
-}
-
-TEST(Trace, ToJsonShape) {
-  TraceBuffer buf(4);
-  buf.record(TraceKind::Fault, "f", 1, 2, 3, 4);
-  const JsonValue j = buf.to_json();
-  EXPECT_EQ(j.at("capacity").as_int(), 4);
-  EXPECT_EQ(j.at("recorded").as_int(), 1);
-  EXPECT_EQ(j.at("dropped").as_int(), 0);
-  ASSERT_EQ(j.at("events").size(), 1u);
-  const JsonValue& e = j.at("events").at(0);
-  EXPECT_EQ(e.at("kind").as_string(), "fault");
-  EXPECT_EQ(e.at("label").as_string(), "f");
-  EXPECT_EQ(e.at("a").as_int(), 1);
-  EXPECT_EQ(e.at("d").as_int(), 4);
-}
-
-TEST(Trace, SnapshotIsChronologicalEvenAfterWrap) {
-  TraceBuffer buf(4);
-  for (int i = 0; i < 11; ++i) {
-    buf.record(TraceKind::Mark, "e" + std::to_string(i), i);
-  }
-  // The ring's physical layout has wrapped twice; the logical snapshot
-  // must still come back oldest-first by timestamp.
-  const std::vector<TraceEvent> events = buf.snapshot();
-  ASSERT_EQ(events.size(), 4u);
-  for (std::size_t i = 1; i < events.size(); ++i) {
-    EXPECT_GE(events[i].t, events[i - 1].t);
-    EXPECT_GT(events[i].a, events[i - 1].a);
-  }
-  EXPECT_EQ(events.front().label, "e7");
-  EXPECT_EQ(events.back().label, "e10");
 }
 
 // ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@
 
 #include <array>
 #include <atomic>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -14,7 +15,7 @@
 #include "netlist/generators.hpp"
 #include "netlist/structure.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/span.hpp"
 
 namespace dp::core {
 namespace {
@@ -237,28 +238,48 @@ TEST(ParallelEngineTest, ExportedCountersMatchSerialExactly) {
   EXPECT_GT(serial[2], 0u);  // selective trace must be skipping gates
 }
 
-TEST(ParallelEngineTest, SharedTraceBufferRecordsEveryFault) {
+TEST(ParallelEngineTest, FaultSpansRecordEveryFault) {
   const Circuit circuit = netlist::make_alu181();
   const Structure structure(circuit);
   const std::vector<StuckAtFault> faults =
       fault::collapse_checkpoint_faults(circuit);
-  obs::TraceBuffer trace(1u << 12);
+  obs::SpanCollector spans;
+  obs::SpanCollector::install(&spans);
   ParallelEngine::Options opt;
   opt.jobs = 3;
-  opt.dp.trace = &trace;
   ParallelEngine engine(circuit, structure, opt);
-  (void)engine.analyze_all(faults);
+  const std::vector<FaultAnalysis> results = engine.analyze_all(faults);
+  obs::SpanCollector::install(nullptr);
 
-  EXPECT_EQ(trace.total_recorded(), faults.size());
-  EXPECT_EQ(trace.dropped(), 0u);
-  // The per-event payloads must reconcile with the engine's own totals.
-  std::int64_t evaluated = 0;
-  for (const obs::TraceEvent& e : trace.snapshot()) {
-    EXPECT_EQ(e.kind, obs::TraceKind::Fault);
-    evaluated += e.a;
+  const obs::SpanCollector::Snapshot snap = spans.snapshot();
+  EXPECT_EQ(snap.dropped, 0u);
+  std::map<std::string, int> spans_per_site;
+  std::int64_t evaluated = 0, observable = 0;
+  for (const obs::SpanRecord& span : snap.spans) {
+    if (span.name != "dp.fault") continue;
+    for (const obs::SpanAttr& a : span.attrs) {
+      if (a.key == "site") ++spans_per_site[a.text];
+      if (a.key == "gates_evaluated") evaluated += a.i;
+      if (a.key == "pos_observable") observable += a.i;
+      if (a.key == "seed_sites") {
+        EXPECT_EQ(a.i, 1);
+      }
+    }
+  }
+  // Exactly one span per fault, and the span payloads reconcile with the
+  // engine's totals and the returned analyses.
+  ASSERT_EQ(spans_per_site.size(), faults.size());
+  for (const StuckAtFault& f : faults) {
+    EXPECT_EQ(spans_per_site[fault::describe(f, circuit)], 1)
+        << fault::describe(f, circuit);
   }
   EXPECT_EQ(static_cast<std::uint64_t>(evaluated),
             engine.stats().total_gates_evaluated());
+  std::int64_t expected_observable = 0;
+  for (const FaultAnalysis& a : results) {
+    expected_observable += static_cast<std::int64_t>(a.pos_observable);
+  }
+  EXPECT_EQ(observable, expected_observable);
 }
 
 TEST(ParallelEngineTest, JobsZeroMeansHardwareConcurrency) {

@@ -9,7 +9,7 @@
 #include "dp/engine.hpp"
 #include "netlist/generators.hpp"
 #include "netlist/structure.hpp"
-#include "sim/fault_sim.hpp"
+#include "sim/wide_sim.hpp"
 
 namespace dp {
 namespace {
@@ -133,13 +133,14 @@ TEST(RandomPatternTest, CoverageCurveIsMonotoneAndCalibrated) {
 TEST(RandomPatternTest, PredictionMatchesSimulatedGrading) {
   const netlist::Circuit c = netlist::make_c95_analog();
   const analysis::CircuitProfile p = analysis::analyze_stuck_at(c);
-  sim::FaultSimulator fs(c);
+  const sim::WideFaultSimulator wide(c);
   const auto faults = fault::collapse_checkpoint_faults(c);
 
   const double predicted = analysis::expected_random_coverage(p, 128);
   double simulated = 0.0;
   for (int seed = 0; seed < 8; ++seed) {
-    simulated += fs.grade_random(faults, 128, 31 + seed).fraction();
+    const auto grade = wide.grade_random(faults, 128, 31 + seed);
+    simulated += static_cast<double>(grade.detected()) / grade.total;
   }
   simulated /= 8.0;
   EXPECT_NEAR(predicted, simulated, 0.03);
