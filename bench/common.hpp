@@ -334,6 +334,7 @@ class Session {
     e["wall_seconds"] = es.wall_seconds;
     e["gates_evaluated"] = es.total_gates_evaluated();
     e["gates_skipped"] = es.total_gates_skipped();
+    e["roots_observed"] = es.total_roots_observed();
     e["apply_calls"] = es.total_apply_calls();
     e["cache_hits"] = es.total_cache_hits();
     e["cache_hit_rate"] = es.cache_hit_rate();

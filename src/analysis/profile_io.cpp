@@ -13,6 +13,10 @@ std::string profile_cache_key(const netlist::Circuit& circuit,
   k.str(kProfileSchema);  // format-version salt
   k.str(store::circuit_content_hash(circuit));
   k.str(kind);
+  // Bridge records count per-bridge region steps in gates_evaluated and
+  // gates_skipped, not whole-circuit sweeps; the salt keeps bridge
+  // profiles stored with the old counters from being served.
+  if (kind.starts_with("bf.")) k.str("bf.stem-observability");
   k.flag(options.collapse);
   k.flag(options.dp.selective_trace);
   // Sampling shapes the bridging fault set; harmless extra entropy for

@@ -13,7 +13,8 @@
 // are proven value-neutral: the worker count (sweeps are bit-identical
 // for any --jobs) and the BDD node budget (exceeding it throws instead
 // of changing results). A format-version salt makes every key change
-// when the schema does.
+// when the schema does; bridge kinds carry one more salt for the meaning
+// of their work counters (per-bridge region steps).
 //
 // Determinism contract: profile -> JSON -> profile is exact, doubles
 // included (the writer emits shortest-round-trip forms), so a profile

@@ -138,6 +138,10 @@ class Manager : public obs::ProfileSource {
   /// (any nvars); equal to sat_count / 2^nvars bit for bit while
   /// nvars <= 53.
   double density(NodeIndex f, std::size_t nvars) const;
+  /// density() of every root in `fs`, in order, in one pass over a dense
+  /// memo of every slot (the cheap way to take many densities at once).
+  std::vector<double> densities(const std::vector<NodeIndex>& fs,
+                                std::size_t nvars) const;
 
   /// Variables the function actually depends on, ascending.
   std::vector<Var> support(NodeIndex f) const;

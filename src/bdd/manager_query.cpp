@@ -78,47 +78,131 @@ double Manager::sat_count(NodeIndex f, std::size_t nvars) const {
   return memo[f] * pow2(level_of(f));
 }
 
-double Manager::density(NodeIndex f, std::size_t nvars) const {
-  // The probability recursion p = (p_lo + p_hi) / 2 over a uniform input,
-  // with p(true) = 1 and a complement edge giving 1 - p. Every value stays
-  // in [0, 1], so unlike sat_count / 2^nvars it cannot overflow, and a
-  // variable the BDD skips leaves p unchanged, so it needs no levels.
-  // While nvars <= 53 every intermediate is a dyadic rational the double
-  // holds exactly, matching the count-based quotient bit for bit. The memo
-  // is keyed on slots (regular edges).
+namespace {
+
+/// density()'s memo: slot -> probability, open addressing with linear
+/// probing over a power-of-two table that doubles at half load. A slot is
+/// at most 2^31 - 1, so kInvalidNode marks an empty entry.
+class DensityMemo {
+ public:
+  DensityMemo() : keys_(256, kInvalidNode), values_(256) {}
+
+  const double* find(NodeIndex slot) const {
+    for (std::size_t i = hash(slot);; i = (i + 1) & mask()) {
+      if (keys_[i] == slot) return &values_[i];
+      if (keys_[i] == kInvalidNode) return nullptr;
+    }
+  }
+
+  void insert(NodeIndex slot, double p) {
+    if (2 * (size_ + 1) > keys_.size()) grow();
+    place(slot, p);
+    ++size_;
+  }
+
+ private:
+  std::size_t mask() const { return keys_.size() - 1; }
+  std::size_t hash(NodeIndex slot) const {
+    return (static_cast<std::size_t>(slot) * 0x9e3779b97f4a7c15ull >> 17) &
+           mask();
+  }
+  void place(NodeIndex slot, double p) {
+    std::size_t i = hash(slot);
+    while (keys_[i] != kInvalidNode) i = (i + 1) & mask();
+    keys_[i] = slot;
+    values_[i] = p;
+  }
+  void grow() {
+    std::vector<NodeIndex> keys(2 * keys_.size(), kInvalidNode);
+    std::vector<double> values(keys.size());
+    keys.swap(keys_);
+    values.swap(values_);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      if (keys[i] != kInvalidNode) place(keys[i], values[i]);
+    }
+  }
+
+  std::vector<NodeIndex> keys_;
+  std::vector<double> values_;
+  std::size_t size_ = 0;
+};
+
+/// densities()'s memo: one entry per slot of the manager, -1 until known.
+class DenseMemo {
+ public:
+  explicit DenseMemo(std::size_t slots) : values_(slots, -1.0) {}
+
+  const double* find(NodeIndex slot) const {
+    return values_[slot] >= 0.0 ? &values_[slot] : nullptr;
+  }
+  void insert(NodeIndex slot, double p) { values_[slot] = p; }
+
+ private:
+  std::vector<double> values_;
+};
+
+/// The probability recursion p = (p_lo + p_hi) / 2 over a uniform input,
+/// with p(true) = 1 and a complement edge giving 1 - p. Every value stays
+/// in [0, 1], so unlike sat_count / 2^nvars it cannot overflow, and a
+/// variable the BDD skips leaves p unchanged, so it needs no levels.
+/// While nvars <= 53 every intermediate is a dyadic rational the double
+/// holds exactly, matching the count-based quotient bit for bit. `memo`
+/// is keyed on slots (regular edges) and must know the terminal.
+template <typename Memo>
+double density_of(const Manager& m, NodeIndex f, std::size_t nvars,
+                  Memo& memo, std::vector<NodeIndex>& stack) {
   auto polarity = [](NodeIndex e, double p) {
     return edge_complemented(e) ? 1.0 - p : p;
   };
-  std::unordered_map<NodeIndex, double> memo;
-  memo.reserve(256);
-  memo.emplace(edge_slot(kTrueNode), 1.0);
-
   // Iterative post-order to avoid deep recursion on path-shaped BDDs.
-  std::vector<NodeIndex> stack{edge_slot(f)};
+  stack.push_back(edge_slot(f));
   while (!stack.empty()) {
     const NodeIndex s = stack.back();
-    if (memo.count(s)) {
+    if (memo.find(s)) {
       stack.pop_back();
       continue;
     }
-    const Node& nd = node(s);
+    const Node& nd = m.node(s);
     if (nd.var >= nvars) {
       throw BddError("density(): function depends on a variable >= nvars");
     }
-    const auto it_lo = memo.find(edge_slot(nd.lo));
-    const auto it_hi = memo.find(edge_slot(nd.hi));
-    if (it_lo != memo.end() && it_hi != memo.end()) {
-      const double p = (polarity(nd.lo, it_lo->second) +
-                        polarity(nd.hi, it_hi->second)) /
-                       2.0;
-      memo.emplace(s, p);
+    const double* p_lo = memo.find(edge_slot(nd.lo));
+    const double* p_hi = memo.find(edge_slot(nd.hi));
+    if (p_lo && p_hi) {
+      const double p =
+          (polarity(nd.lo, *p_lo) + polarity(nd.hi, *p_hi)) / 2.0;
+      memo.insert(s, p);
       stack.pop_back();
     } else {
-      if (it_lo == memo.end()) stack.push_back(edge_slot(nd.lo));
-      if (it_hi == memo.end()) stack.push_back(edge_slot(nd.hi));
+      if (!p_lo) stack.push_back(edge_slot(nd.lo));
+      if (!p_hi) stack.push_back(edge_slot(nd.hi));
     }
   }
-  return polarity(f, memo.at(edge_slot(f)));
+  return polarity(f, *memo.find(edge_slot(f)));
+}
+
+}  // namespace
+
+double Manager::density(NodeIndex f, std::size_t nvars) const {
+  DensityMemo memo;
+  memo.insert(edge_slot(kTrueNode), 1.0);
+  std::vector<NodeIndex> stack;
+  return density_of(*this, f, nvars, memo, stack);
+}
+
+std::vector<double> Manager::densities(const std::vector<NodeIndex>& fs,
+                                       std::size_t nvars) const {
+  // One dense memo over every slot, shared by all roots, so shared
+  // subgraphs are walked once.
+  DenseMemo memo(pool_size());
+  memo.insert(edge_slot(kTrueNode), 1.0);
+  std::vector<NodeIndex> stack;
+  std::vector<double> out;
+  out.reserve(fs.size());
+  for (const NodeIndex f : fs) {
+    out.push_back(density_of(*this, f, nvars, memo, stack));
+  }
+  return out;
 }
 
 std::vector<Var> Manager::support(NodeIndex f) const {

@@ -6,10 +6,13 @@
 // while difference information exists ("selective trace"). The OR of the
 // PO differences IS the complete test set of the fault; from it and the
 // line syndromes come the exact detectability, the excitation upper bound,
-// and the adherence (paper §4.1, eq. 3).
+// and the adherence (paper §4.1, eq. 3). A non-feedback bridge needs no
+// sweep of its own: it is assembled from per-stem observabilities that
+// every bridge shares (DESIGN.md §18).
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "bdd/bdd.hpp"
@@ -22,10 +25,16 @@
 
 namespace dp::core {
 
-/// Per-fault sweep work. A pinned net's gate (a stem or bridge wire under
-/// fault) never needs its difference computed; it counts as skipped with
-/// selective trace on and as evaluated with it off, so that without
-/// selective trace every non-PI, non-constant gate counts as evaluated.
+/// Per-fault work. For stuck-at and multiple faults these count one
+/// selective-trace sweep: a pinned net's gate (a stem under fault) never
+/// needs its difference computed; it counts as skipped with selective
+/// trace on and as evaluated with it off, so that without selective trace
+/// every non-PI, non-constant gate counts as evaluated. For a bridge they
+/// count region steps: the gates on the two wires' region paths to their
+/// roots, evaluated while a difference remains and skipped after it dies
+/// (with selective trace off, every step is evaluated). The chases that
+/// build stem observabilities are shared by every bridge, so no fault
+/// counts them; each one is a dp.observe span and one roots_observed().
 struct PropagationStats {
   std::uint64_t gates_evaluated = 0;  ///< gates whose difference was computed
   std::uint64_t gates_skipped = 0;    ///< gates skipped (no input difference)
@@ -70,6 +79,9 @@ class DifferencePropagator {
                        const netlist::Structure& structure, Options options);
 
   FaultAnalysis analyze(const fault::StuckAtFault& fault) const;
+  /// A non-feedback bridge, as the OR of two one-wire flips observed
+  /// through the wires' region roots (see the comment in engine.cpp).
+  /// Throws NetlistError for a feedback bridge or a == b.
   FaultAnalysis analyze(const fault::BridgingFault& fault) const;
   /// Multiple stuck-at faults: every component forces its line at once.
   /// A forced line clips any difference arriving from upstream components
@@ -77,6 +89,9 @@ class DifferencePropagator {
   FaultAnalysis analyze(const fault::MultipleStuckAtFault& fault) const;
 
   const GoodFunctions& good() const { return good_; }
+
+  /// Region roots whose observability this propagator has chased so far.
+  std::uint64_t roots_observed() const { return roots_observed_; }
 
  private:
   /// One per-gate pin-difference override (branch-fault seeding).
@@ -98,22 +113,51 @@ class DifferencePropagator {
     /// The faulted lines' stems (a branch fault's is its fanout stem):
     /// they set pos_fed, po_distance and seed_sites.
     std::vector<netlist::NetId> sites;
+    /// When valid, the sweep ends once this net is evaluated.
+    netlist::NetId stop = netlist::kInvalidNet;
+  };
+
+  /// A region root r's observability: per PO p, O(r, p), the inputs on
+  /// which flipping r flips PO p (invalid == zero), and their OR.
+  struct Observability {
+    std::vector<bdd::Bdd> po;
+    bdd::Bdd any;
   };
 
   /// The one selective-trace sweep: pins the seeded nets, overrides the
-  /// seeded pins, and pushes Table-1 differences to the POs. `diff` is
-  /// indexed by net (invalid == zero).
+  /// seeded pins, and pushes Table-1 differences toward the POs (up to
+  /// seeds.stop). `diff` is indexed by net (invalid == zero).
   PropagationStats propagate(const Seeds& seeds,
                              std::vector<bdd::Bdd>& diff) const;
 
-  /// Shared tail of every analyze(): propagates `seeds`, derives the
-  /// test set and measures, and annotates the fault's dp.fault span.
+  /// Pushes the difference `delta` on `net` along its region path to the
+  /// region root and returns the root's difference.
+  bdd::Bdd to_root(netlist::NetId net, bdd::Bdd delta,
+                   PropagationStats& stats) const;
+
+  /// O(r, .) for region root `root`, chased on first use and kept.
+  const Observability& observe(netlist::NetId root) const;
+  /// Chases one root whose post-dominator's observability is known.
+  void chase(std::uint32_t region) const;
+
+  /// Shared tail of every analyze(): derives the measures from the
+  /// per-PO differences and the test set (their OR) and annotates the
+  /// fault's dp.fault span.
+  FaultAnalysis finish(std::vector<bdd::Bdd> po_diffs, bdd::Bdd test_set,
+                       const std::vector<netlist::NetId>& sites,
+                       PropagationStats stats, double upper_bound,
+                       obs::ScopedSpan& span) const;
+  /// finish() for a fault given as seeds: propagates them first.
   FaultAnalysis finish(const Seeds& seeds, double upper_bound,
                        obs::ScopedSpan& span) const;
 
   const GoodFunctions& good_;
   const netlist::Structure& structure_;
   Options options_;
+  /// Per region: its root's observability, once chased (the propagator
+  /// is single-threaded, like its manager).
+  mutable std::vector<std::optional<Observability>> observed_;
+  mutable std::uint64_t roots_observed_ = 0;
 };
 
 }  // namespace dp::core

@@ -87,6 +87,10 @@ GoodFunctions::GoodFunctions(bdd::Manager& manager, const Circuit& circuit,
     }
     functions_[id] = std::move(built);
   }
+  std::vector<bdd::NodeIndex> roots;
+  roots.reserve(functions_.size());
+  for (const bdd::Bdd& f : functions_) roots.push_back(f.index());
+  syndromes_ = manager.densities(roots, num_vars());
 }
 
 GoodFunctions::GoodFunctions(bdd::Manager& manager, const Circuit& circuit,
@@ -105,6 +109,7 @@ GoodFunctions::GoodFunctions(bdd::Manager& manager, const Circuit& circuit,
   }
   order_ = shared.order();
   cut_nets_ = shared.cut_nets();
+  syndromes_ = shared.syndromes();
   functions_.reserve(shared.roots().size());
   // Frozen handles are immortal, so make() costs nothing beyond the wrap.
   for (bdd::NodeIndex root : shared.roots()) {
@@ -137,6 +142,7 @@ SharedGoodFunctions::SharedGoodFunctions(const Circuit& circuit,
     order_[i] = good.var_of_input(i);
   }
   cut_nets_ = good.cut_nets();
+  syndromes_ = good.syndromes();
   num_vars_ = good.num_vars();
   build_seconds_ =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)

@@ -68,9 +68,10 @@ class GoodFunctions {
 
   /// Exact signal probability: the paper's "syndrome" of a line
   /// (Savir 1980) -- the proportion of ones in the function's K-map.
-  double syndrome(NetId id) const {
-    return functions_.at(id).density(num_vars());
-  }
+  /// Every net's is computed once, at construction.
+  double syndrome(NetId id) const { return syndromes_.at(id); }
+  /// syndrome() of every net, indexed by net.
+  const std::vector<double>& syndromes() const { return syndromes_; }
 
   /// Nets replaced by cut variables (empty when cut_threshold == 0).
   const std::vector<NetId>& cut_nets() const { return cut_nets_; }
@@ -83,6 +84,7 @@ class GoodFunctions {
   bdd::Manager& manager_;
   const Circuit& circuit_;
   std::vector<bdd::Bdd> functions_;
+  std::vector<double> syndromes_;
   std::vector<std::size_t> order_;
   std::vector<NetId> cut_nets_;
 };
@@ -114,6 +116,8 @@ class SharedGoodFunctions {
   std::size_t num_vars() const { return num_vars_; }
   const std::vector<std::size_t>& order() const { return order_; }
   const std::vector<NetId>& cut_nets() const { return cut_nets_; }
+  /// Per net: its syndrome (GoodFunctions::syndrome).
+  const std::vector<double>& syndromes() const { return syndromes_; }
   std::size_t frozen_nodes() const { return forest_->size(); }
   /// Wall-clock cost of the one-time build+freeze.
   double build_seconds() const { return build_seconds_; }
@@ -123,6 +127,7 @@ class SharedGoodFunctions {
   std::vector<bdd::NodeIndex> roots_;
   std::vector<std::size_t> order_;
   std::vector<NetId> cut_nets_;
+  std::vector<double> syndromes_;
   std::size_t num_vars_ = 0;
   double build_seconds_ = 0.0;
 };

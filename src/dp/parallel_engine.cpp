@@ -75,6 +75,12 @@ std::uint64_t ParallelStats::total_gates_skipped() const {
   return n;
 }
 
+std::uint64_t ParallelStats::total_roots_observed() const {
+  std::uint64_t n = 0;
+  for (const WorkerStats& w : workers) n += w.roots_observed;
+  return n;
+}
+
 std::uint64_t ParallelStats::total_gc_runs() const {
   std::uint64_t n = 0;
   for (const WorkerStats& w : workers) n += w.gc_runs;
@@ -145,6 +151,7 @@ void ParallelStats::merge(const ParallelStats& other) {
     w.faults_analyzed += o.faults_analyzed;
     w.gates_evaluated += o.gates_evaluated;
     w.gates_skipped += o.gates_skipped;
+    w.roots_observed += o.roots_observed;
     w.analyze_seconds += o.analyze_seconds;
     w.max_fault_seconds = std::max(w.max_fault_seconds, o.max_fault_seconds);
     w.build_seconds = std::max(w.build_seconds, o.build_seconds);
@@ -235,6 +242,8 @@ void ParallelStats::export_metrics(obs::MetricsRegistry& registry,
       .add(static_cast<double>(total_cache_canonical_swaps()));
   registry.gauge(prefix + ".gc_runs")
       .add(static_cast<double>(total_gc_runs()));
+  registry.gauge(prefix + ".roots_observed")
+      .add(static_cast<double>(total_roots_observed()));
   registry.gauge(prefix + ".ref_underflows")
       .add(static_cast<double>(total_ref_underflows()));
 
@@ -418,6 +427,7 @@ void ParallelEngine::run(const std::vector<Fault>& faults,
     ws.max_fault_seconds = 0.0;
     ws.fault_seconds.clear();
     const bdd::ManagerStats before = w.manager->stats();
+    const std::uint64_t roots_before = w.propagator->roots_observed();
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= faults.size()) break;
@@ -444,6 +454,7 @@ void ParallelEngine::run(const std::vector<Fault>& faults,
       ws.fault_seconds.push_back(dt);
     }
     const bdd::ManagerStats after = w.manager->stats();
+    ws.roots_observed = w.propagator->roots_observed() - roots_before;
     ws.gc_runs = after.gc_runs - before.gc_runs;
     ws.apply_calls = after.apply_calls - before.apply_calls;
     ws.cache_hits = after.cache_hits - before.cache_hits;

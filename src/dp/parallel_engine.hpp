@@ -43,6 +43,9 @@ struct WorkerStats {
   std::size_t faults_analyzed = 0;
   std::uint64_t gates_evaluated = 0;  ///< summed PropagationStats
   std::uint64_t gates_skipped = 0;    ///< summed PropagationStats
+  /// Region roots whose observability this worker chased for bridges
+  /// (each once per worker, so the total depends on the schedule).
+  std::uint64_t roots_observed = 0;
   double analyze_seconds = 0.0;     ///< summed per-fault wall clock
   double max_fault_seconds = 0.0;   ///< slowest single fault
   /// Wall clock of every fault this worker analyzed, in claim order --
@@ -81,6 +84,7 @@ struct ParallelStats {
   double faults_per_second() const;
   std::uint64_t total_gates_evaluated() const;
   std::uint64_t total_gates_skipped() const;
+  std::uint64_t total_roots_observed() const;
   std::uint64_t total_gc_runs() const;
   std::uint64_t total_apply_calls() const;
   std::uint64_t total_cache_hits() const;

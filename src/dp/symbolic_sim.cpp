@@ -63,14 +63,16 @@ FaultAnalysis SymbolicFaultSimulator::finish(
   out.upper_bound = upper_bound;
   out.test_set = mgr.zero();
   out.po_observable.assign(c.num_outputs(), false);
+  out.po_differences.resize(c.num_outputs());
   for (std::size_t i = 0; i < c.num_outputs(); ++i) {
     const NetId po = c.outputs()[i];
     if (!faulty[po].valid()) continue;
-    const bdd::Bdd diff = good_.at(po) ^ faulty[po];
+    bdd::Bdd diff = good_.at(po) ^ faulty[po];
     if (diff.is_zero()) continue;
     out.po_observable[i] = true;
     ++out.pos_observable;
     out.test_set = out.test_set | diff;
+    out.po_differences[i] = std::move(diff);
   }
   out.detectable = !out.test_set.is_zero();
   out.detectability = out.test_set.density(good_.num_vars());

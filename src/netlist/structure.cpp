@@ -5,10 +5,8 @@
 
 namespace dp::netlist {
 
-Structure::Structure(const Circuit& circuit) : circuit_(circuit) {
-  if (!circuit.finalized()) {
-    throw NetlistError("Structure: circuit must be finalized");
-  }
+Structure::Structure(const Circuit& circuit)
+    : circuit_(circuit), regions_(circuit) {
   const std::size_t n = circuit.num_nets();
   const auto& topo = circuit.topo_order();
 

@@ -1,5 +1,5 @@
 // Structural (purely topological) circuit analysis: levelization,
-// PO reachability, and net-to-net reachability.
+// PO reachability, net-to-net reachability, and fanout-free regions.
 //
 // The paper uses these quantities directly:
 //   * level from PIs            -> X layout coordinate (section 2.2)
@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "netlist/circuit.hpp"
+#include "netlist/regions.hpp"
 
 namespace dp::netlist {
 
@@ -41,6 +42,9 @@ class Structure {
   /// counts as reachable). Used to classify feedback bridging faults.
   bool reaches(NetId src, NetId dst) const;
 
+  /// Fanout-free regions and immediate post-dominators.
+  const Regions& regions() const { return regions_; }
+
  private:
   const Circuit& circuit_;
   std::vector<int> level_from_pi_;
@@ -52,6 +56,8 @@ class Structure {
 
   std::size_t net_words_ = 0;
   std::vector<std::uint64_t> desc_mask_;  ///< num_nets x net_words bitsets
+
+  Regions regions_;
 };
 
 }  // namespace dp::netlist

@@ -37,11 +37,7 @@ inline void wide_apply(GateType base, WideWord& acc, const WideWord& b) {
 }  // namespace
 
 WideFaultSimulator::WideFaultSimulator(const Circuit& circuit)
-    : circuit_(&circuit) {
-  if (!circuit.finalized()) {
-    throw netlist::NetlistError(
-        "WideFaultSimulator: circuit must be finalized");
-  }
+    : circuit_(&circuit), regions_(circuit) {
   // Flatten the levelized order once: the topological order lists every
   // gate after its fanins, so a linear walk over `schedule_` is a full
   // good-circuit sweep with no per-gate indirection through the netlist.
@@ -76,69 +72,6 @@ WideFaultSimulator::WideFaultSimulator(const Circuit& circuit)
   }
   fanout_begin_.push_back(static_cast<std::uint32_t>(fanout_flat_.size()));
   for (const NetId po : circuit.outputs()) is_output_[po] = 1;
-
-  // Fanout-free regions and post-dominators. Walking the topological
-  // order backwards reaches every gate before its fanins, so a
-  // single-fanout net can take the region of the gate it feeds; any other
-  // net, and every PO, is a root and opens a region of its own. The same
-  // walk lists each region's members root first, every net after its fed
-  // gate. A net's immediate post-dominator is the meeting point of its
-  // observable fanout gates' post-dominator chains (the two-finger
-  // intersect: the finger earlier in topological order steps up its
-  // chain, since a post-dominator always comes later).
-  const std::size_t num_nets = circuit.num_nets();
-  const auto& topo = circuit.topo_order();
-  std::vector<std::uint32_t> topo_pos(num_nets);
-  for (std::size_t k = 0; k < topo.size(); ++k) {
-    topo_pos[topo[k]] = static_cast<std::uint32_t>(k);
-  }
-  auto rank = [&](NetId n) {
-    return n == kSink ? 0xffffffffu : topo_pos[n];
-  };
-  ipdom_.assign(num_nets, kUnobservable);
-  region_of_.assign(num_nets, 0);
-  member_pos_.assign(num_nets, 0);
-  sink_pin_.assign(num_nets, 0);
-  std::vector<std::uint32_t> region_size;
-  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-    const NetId id = *it;
-    const auto& fo = circuit.fanouts(id);
-    if (is_output_[id]) {
-      ipdom_[id] = kSink;
-    } else {
-      for (const netlist::PinRef& pin : fo) {
-        NetId finger = pin.gate;
-        if (ipdom_[finger] == kUnobservable) continue;
-        NetId& dom = ipdom_[id];
-        if (dom == kUnobservable) dom = finger;
-        while (dom != finger) {
-          if (rank(dom) < rank(finger)) {
-            dom = ipdom_[dom];
-          } else {
-            finger = ipdom_[finger];
-          }
-        }
-      }
-    }
-    std::uint32_t r;
-    if (fo.size() != 1 || is_output_[id]) {
-      r = static_cast<std::uint32_t>(region_size.size());
-      region_size.push_back(0);
-    } else {
-      r = region_of_[fo[0].gate];
-      sink_pin_[id] = fo[0].pin;
-    }
-    region_of_[id] = r;
-    member_pos_[id] = region_size[r]++;
-  }
-  region_begin_.assign(region_size.size() + 1, 0);
-  for (std::size_t r = 0; r < region_size.size(); ++r) {
-    region_begin_[r + 1] = region_begin_[r] + region_size[r];
-  }
-  members_.resize(num_nets);
-  for (NetId id = 0; id < num_nets; ++id) {
-    members_[region_begin_[region_of_[id]] + member_pos_[id]] = id;
-  }
 }
 
 template <typename FaninValue>
@@ -216,12 +149,12 @@ void WideFaultSimulator::trace_region(std::uint32_t region,
                                       Worker& w) const {
   // Members are listed after the gate they feed, so each one's sink is
   // traced before it; an FFR has one path from a member to its root.
-  const NetId* member = &members_[region_begin_[region]];
+  const NetId* member = regions_.members(region);
   w.crit[member[0]] = root_obs;
   for (std::uint32_t k = 1; k < trace_len; ++k) {
     const NetId net = member[k];
     const GateRef& sink = schedule_[fanout_flat_[fanout_begin_[net]]];
-    const WideWord side = side_lanes(sink, sink_pin_[net], good);
+    const WideWord side = side_lanes(sink, regions_.sink_pin(net), good);
     const WideWord& down = w.crit[sink.net];
     for (std::size_t j = 0; j < kWideWords; ++j) {
       w.crit[net].w[j] = down.w[j] & side.w[j];
@@ -260,7 +193,7 @@ WideWord WideFaultSimulator::propagate(NetId root, const WideWord& flip,
       const std::uint32_t si = fanout_flat_[k];
       const NetId gate = schedule_[si].net;
       const std::uint32_t level = net_level_[gate];
-      if (w.queued[gate] == epoch || ipdom_[gate] == kUnobservable ||
+      if (w.queued[gate] == epoch || regions_.ipdom(gate) == kUnobservable ||
           level > last || (level == last && gate != stop)) {
         continue;
       }
@@ -318,8 +251,8 @@ void WideFaultSimulator::observe_block(
   // independent, so the arrival at d is the observability itself.
   std::copy(good, good + circuit_->num_nets(), w.faulty.begin());
   for (const std::uint32_t region : needed) {
-    const NetId root = members_[region_begin_[region]];
-    const NetId d = ipdom_[root];
+    const NetId root = regions_.root(region);
+    const NetId d = regions_.ipdom(root);
     WideWord& o = obs[region];
     if (is_output_[root]) {
       o = mask;
@@ -328,11 +261,11 @@ void WideFaultSimulator::observe_block(
     } else if (d == kSink) {
       o = propagate(root, mask, good, w);
     } else {
-      const NetId d_root = members_[region_begin_[region_of_[d]]];
-      WideWord through = obs[region_of_[d]];
+      const NetId d_root = regions_.root_of(d);
+      WideWord through = obs[regions_.region_of(d)];
       for (NetId n = d; n != d_root && !(through == WideWord{});) {
         const GateRef& sink = schedule_[fanout_flat_[fanout_begin_[n]]];
-        const WideWord side = side_lanes(sink, sink_pin_[n], good);
+        const WideWord side = side_lanes(sink, regions_.sink_pin(n), good);
         for (std::size_t j = 0; j < kWideWords; ++j) {
           through.w[j] &= side.w[j];
         }
@@ -366,7 +299,7 @@ WideFaultSimulator::Grade WideFaultSimulator::run(
   // Group the faults by the region of their site, regions in index order
   // and each region's faults in input order.
   auto region_of_fault = [&](std::uint32_t fi) {
-    return region_of_[site_of(faults[fi])];
+    return regions_.region_of(site_of(faults[fi]));
   };
   std::vector<std::uint32_t> order(faults.size());
   std::iota(order.begin(), order.end(), 0u);
@@ -383,7 +316,7 @@ WideFaultSimulator::Grade WideFaultSimulator::run(
     RegionRun& rr = regions.back();
     rr.fault_end = k + 1;
     rr.trace_len = std::max(rr.trace_len,
-                            member_pos_[site_of(faults[order[k]])] + 1);
+                            regions_.member_pos(site_of(faults[order[k]])) + 1);
   }
 
   std::size_t jobs = options.jobs;
@@ -401,7 +334,7 @@ WideFaultSimulator::Grade WideFaultSimulator::run(
   // double, so that phase A stops soon after the faults that need a root
   // are detected.
   constexpr std::size_t kGroupBytes = std::size_t{8} << 20;
-  const std::size_t num_regions = region_begin_.size() - 1;
+  const std::size_t num_regions = regions_.num_regions();
   const std::size_t num_blocks = (num_patterns + kWideLanes - 1) / kWideLanes;
   const std::size_t group_cap = std::clamp<std::size_t>(
       kGroupBytes / ((num_nets + num_regions) * sizeof(WideWord)), 1,
@@ -490,8 +423,8 @@ WideFaultSimulator::Grade WideFaultSimulator::run(
     std::fill(need.begin(), need.end(), 0);
     for (const std::uint32_t k : alive) need[regions[k].region] = 1;
     for (std::size_t r = num_regions; r-- > 0;) {
-      const NetId d = ipdom_[members_[region_begin_[r]]];
-      if (need[r] && d < num_nets) need[region_of_[d]] = 1;
+      const NetId d = regions_.ipdom(regions_.root(r));
+      if (need[r] && d < num_nets) need[regions_.region_of(d)] = 1;
     }
     needed.clear();
     for (std::uint32_t r = 0; r < num_regions; ++r) {

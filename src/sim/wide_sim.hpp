@@ -10,17 +10,18 @@
 //
 // Grading a block has two phases. Phase A gives every region root (stem)
 // an observability word: the lanes on which flipping the root flips some
-// PO. Every net's immediate post-dominator toward the POs is computed once
-// in the constructor, and a stem's flip is chased, level by level through
-// the gates it reaches, only up to its post-dominator d. Every path from
-// the stem to a PO crosses d, so the stem is observed exactly where its
-// flip arrives at d and d's own flip is observed: along d's critical path
-// to its region root, then through that root's observability, which
-// phase A computed first because it is deeper. Only stems post-dominated
-// by the PO sink alone are chased to the POs. Phase B grades each region:
-// critical-path tracing -- one backward pass from the root over the good
-// values, seeded with the root's observability -- gives the lanes on
-// which each fault's effect reaches a PO, with no further chase. Combined
+// PO. The regions and every net's immediate post-dominator toward the POs
+// come from netlist::Regions, and a stem's flip is chased, level by level
+// through the gates it reaches, only up to its post-dominator d. Every
+// path from the stem to a PO crosses d, so the stem is observed exactly
+// where its flip arrives at d and d's own flip is observed: along d's
+// critical path to its region root, then through that root's
+// observability, which phase A computed first because it is deeper. Only
+// stems post-dominated by the PO sink alone are chased to the POs. Phase
+// B grades each region: critical-path tracing -- one backward pass from
+// the root over the good values, seeded with the root's observability --
+// gives the lanes on which each fault's effect reaches a PO, with no
+// further chase. Combined
 // with fault dropping this is the classic parallel-pattern stem-region
 // design, and it is what makes random-pattern prefiltering cheap enough
 // to sit in front of exact DP (see analysis/hybrid.hpp). Blocks are
@@ -33,6 +34,7 @@
 #include <vector>
 
 #include "fault/stuck_at.hpp"
+#include "netlist/regions.hpp"
 #include "sim/pattern_sim.hpp"
 
 namespace dp::sim {
@@ -213,24 +215,12 @@ class WideFaultSimulator {
   /// Per net: longest path (in gate levels) from any PI; PIs are 0.
   std::vector<std::uint32_t> net_level_;
   std::size_t num_levels_ = 0;  ///< deepest level + 1
-  /// Fanout-free regions. Region r's members are the slice
-  /// [region_begin_[r], region_begin_[r + 1]) of members_: its root first,
-  /// then every net after the gate it feeds (reverse topological order).
-  std::vector<std::uint32_t> region_begin_;
-  std::vector<NetId> members_;
-  std::vector<std::uint32_t> region_of_;   ///< per net
-  std::vector<std::uint32_t> member_pos_;  ///< per net: index in its region
-  /// Per non-root net: the pin of the one gate it feeds.
-  std::vector<std::uint32_t> sink_pin_;
-  /// Per net: its immediate post-dominator toward the POs -- the first net
-  /// every path from it to a PO crosses -- or kSink when only the virtual
-  /// sink behind the POs does (every PO), or kUnobservable when no path
-  /// reaches a PO.
-  std::vector<NetId> ipdom_;
+  /// Fanout-free regions and post-dominators.
+  netlist::Regions regions_;
 
   static constexpr std::uint32_t kNotScheduled = 0xffffffffu;
-  static constexpr NetId kSink = netlist::kInvalidNet;
-  static constexpr NetId kUnobservable = netlist::kInvalidNet - 1;
+  static constexpr NetId kSink = netlist::Regions::kSink;
+  static constexpr NetId kUnobservable = netlist::Regions::kUnobservable;
 };
 
 }  // namespace dp::sim

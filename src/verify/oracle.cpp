@@ -13,6 +13,7 @@
 #include "analysis/profiles.hpp"
 #include "dp/engine.hpp"
 #include "dp/parallel_engine.hpp"
+#include "dp/symbolic_sim.hpp"
 #include "fault/multiple.hpp"
 #include "netlist/structure.hpp"
 #include "sim/fault_sim.hpp"
@@ -128,6 +129,46 @@ void check_fault(const Fault& f, bool* mutate_pending, const FuzzCase& fc,
   }
   result.vectors_checked += bitmap.size();
   ++result.faults_checked;
+}
+
+/// dp_vs_symbolic arm for one bridge: DP (per-wire products through the
+/// roots' observabilities) against symbolic fault simulation (faulty
+/// functions swept through the whole cone) in the same manager, so BDDs
+/// compare by handle and every FaultAnalysis field but the work counters
+/// must be equal.
+void check_symbolic_bridge(const std::string& what,
+                           const core::FaultAnalysis& dp,
+                           const core::FaultAnalysis& sym, Recorder& rec) {
+  auto same = [](const bdd::Bdd& a, const bdd::Bdd& b) {
+    return a.valid() == b.valid() && (!a.valid() || a == b);
+  };
+  const std::string arm = "dp_vs_symbolic";
+  if (!same(sym.test_set, dp.test_set)) {
+    rec.mismatch(arm + ".test_set", what, "test-set handles differ");
+  }
+  rec.expect_eq(arm + ".po_count", what, sym.po_differences.size(),
+                dp.po_differences.size());
+  for (std::size_t p = 0; p < std::min(sym.po_differences.size(),
+                                       dp.po_differences.size());
+       ++p) {
+    if (!same(sym.po_differences[p], dp.po_differences[p])) {
+      rec.mismatch(arm + ".po_differences", what,
+                   "PO " + std::to_string(p) + " difference handles differ");
+    }
+  }
+  if (sym.po_observable != dp.po_observable) {
+    rec.mismatch(arm + ".po_observable", what, "per-PO flags differ");
+  }
+  rec.expect_eq(arm + ".pos_observable", what, sym.pos_observable,
+                dp.pos_observable);
+  rec.expect_eq(arm + ".pos_fed", what, sym.pos_fed, dp.pos_fed);
+  rec.expect_eq(arm + ".detectable", what, sym.detectable, dp.detectable);
+  rec.expect_eq(arm + ".detectability", what, sym.detectability,
+                dp.detectability);
+  rec.expect_eq(arm + ".upper_bound", what, sym.upper_bound, dp.upper_bound);
+  rec.expect_eq(arm + ".adherence", what, sym.adherence, dp.adherence);
+  rec.expect_eq(arm + ".bridge_stuck_at", what, sym.bridge_stuck_at,
+                dp.bridge_stuck_at);
 }
 
 /// Parallel arm: one merged analysis against its serial counterpart.
@@ -273,6 +314,12 @@ OracleResult run_oracles(const FuzzCase& fc, const OracleConfig& config) {
     for (std::size_t i = 0; i < fc.bridges.size(); ++i) {
       check_fault(fc.bridges[i], &mutate_pending, fc, dp, fs, config.mutate,
                   rec, result, serial_br[i]);
+    }
+    const core::SymbolicFaultSimulator symbolic(good, structure);
+    for (std::size_t i = 0; i < fc.bridges.size(); ++i) {
+      check_symbolic_bridge(describe(fc.bridges[i], fc.circuit),
+                            serial_br[i], symbolic.analyze(fc.bridges[i]),
+                            rec);
     }
     // A few 2- and 3-line multiple faults, sampled with a seed derived
     // from the case seed so the case's own fault lists stay as they were.

@@ -9,6 +9,10 @@
 //                membership over all 2^n input vectors -- for the case's
 //                stuck-at and bridging faults plus two 2-line and two
 //                3-line multiple stuck-at faults sampled from the case seed.
+//   dp_vs_symbolic  serial DifferencePropagator vs SymbolicFaultSimulator
+//                for every bridge, in one manager: test set and every PO
+//                difference by handle, and every other FaultAnalysis field
+//                but the work counters exactly.
 //   parallel     ParallelEngine at jobs N vs the serial engine: every
 //                scalar FaultAnalysis field plus the test-set sat count.
 //                Runs in both sharing modes (shared frozen forest and

@@ -100,6 +100,33 @@ TEST_F(BddTest, DensityIsNormalizedSatCount) {
   EXPECT_THROW(x2.density(1), BddError);
 }
 
+TEST_F(BddTest, SharedDensityMemoMatchesOneRootAtATime) {
+  // Enough distinct nodes to grow the memo table past its first size, with
+  // shared subgraphs and both polarities of the same slots.
+  std::vector<Bdd> x;
+  for (Var v = 0; v < 8; ++v) x.push_back(mgr.var(v));
+  std::vector<Bdd> fs;
+  Bdd acc = x[0];
+  for (int round = 0; round < 40; ++round) {
+    acc = (acc ^ x[1]) | ((x[2] & !acc) ^ x[3]);
+    acc = round % 2 ? (acc & x[4]) | x[5] : acc ^ (x[6] & x[7]);
+    fs.push_back(acc);
+    fs.push_back(!acc);
+    fs.push_back(acc ^ x[0] ^ x[7]);
+  }
+  fs.push_back(mgr.zero());
+  fs.push_back(mgr.one());
+  std::vector<NodeIndex> roots;
+  for (const Bdd& f : fs) roots.push_back(f.index());
+  const std::vector<double> shared = mgr.densities(roots, 8);
+  ASSERT_EQ(shared.size(), fs.size());
+  for (std::size_t i = 0; i < fs.size(); ++i) {
+    EXPECT_EQ(shared[i], fs[i].density(8)) << i;
+    EXPECT_EQ(shared[i], fs[i].sat_count(8) / 256.0) << i;
+  }
+  EXPECT_THROW((void)mgr.densities({x0.index(), x2.index()}, 1), BddError);
+}
+
 TEST_F(BddTest, SupportListsDependentVariablesOnly) {
   Bdd f = (x0 & x2) | (!x0 & x2);  // == x2
   EXPECT_EQ(f, x2);

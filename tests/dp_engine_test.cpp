@@ -249,25 +249,28 @@ TEST(DpEngineTest, BridgeBetweenIdenticalFunctionsIsUndetectable) {
 }
 
 TEST(DpEngineTest, BridgeStuckAtClassification) {
-  // AND bridge between a and !a wires both to constant 0: a double
-  // stuck-at by the paper's "zero variables in the fault function" test.
+  // AND bridge between a copy of a and !a wires both to constant 0: a
+  // double stuck-at by the paper's "zero variables in the fault function"
+  // test. Neither wire feeds the other, so the bridge is non-feedback.
   Circuit c("bsa");
   NetId a = c.add_input("a");
   NetId b = c.add_input("b");
   NetId na = c.add_gate(netlist::GateType::Not, {a}, "na");
+  NetId ab = c.add_gate(netlist::GateType::Buf, {a}, "ab");
   NetId g = c.add_gate(netlist::GateType::And, {na, b}, "g");
-  NetId h = c.add_gate(netlist::GateType::Or, {a, b}, "h");
+  NetId h = c.add_gate(netlist::GateType::Or, {ab, b}, "h");
   c.mark_output(g);
   c.mark_output(h);
   c.finalize();
   Rig rig(std::move(c));
   const NetId aa = *rig.circuit.find_net("a");
+  const NetId abuf = *rig.circuit.find_net("ab");
   const NetId nna = *rig.circuit.find_net("na");
   const FaultAnalysis and_bridge =
-      rig.dp.analyze(BridgingFault{aa, nna, BridgeType::And});
+      rig.dp.analyze(BridgingFault{abuf, nna, BridgeType::And});
   EXPECT_TRUE(and_bridge.bridge_stuck_at);
   const FaultAnalysis or_bridge =
-      rig.dp.analyze(BridgingFault{aa, nna, BridgeType::Or});
+      rig.dp.analyze(BridgingFault{abuf, nna, BridgeType::Or});
   EXPECT_TRUE(or_bridge.bridge_stuck_at);  // wired-OR of a, !a is constant 1
   // A generic bridge is NOT stuck-at-like.
   const NetId bb = *rig.circuit.find_net("b");
