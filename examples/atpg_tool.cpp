@@ -36,8 +36,6 @@
 #include "analysis/ndetect.hpp"
 #include "cli_common.hpp"
 #include "dp/parallel_engine.hpp"
-#include "netlist/bench_io.hpp"
-#include "netlist/generators.hpp"
 #include "netlist/structure.hpp"
 #include "sim/wide_sim.hpp"
 #include "store/bdd_io.hpp"
@@ -92,11 +90,7 @@ int main(int argc, char** argv) {
       arg = args[i];
     }
   }
-  const auto& names = netlist::benchmark_names();
-  netlist::Circuit circuit =
-      std::find(names.begin(), names.end(), arg) != names.end()
-          ? netlist::make_benchmark(arg)
-          : netlist::read_bench_file(arg);
+  netlist::Circuit circuit = cli::load_circuit(arg);
   netlist::Structure structure(circuit);
 
   const auto faults = fault::collapse_checkpoint_faults(circuit);

@@ -5,32 +5,25 @@
 //
 //   $ ./bridging_analysis                 # defaults to c95
 //   $ ./bridging_analysis c432 500       # circuit, sample size
-#include <algorithm>
+//
+// The circuit is a built-in benchmark name or a .bench path.
+#include <exception>
 #include <iostream>
 #include <string>
+#include <utility>
 
 #include "analysis/profiles.hpp"
 #include "analysis/report.hpp"
 #include "cli_common.hpp"
 #include "fault/sampling.hpp"
-#include "netlist/bench_io.hpp"
-#include "netlist/generators.hpp"
 
 using namespace dp;
 
-int main(int argc, char** argv) {
-  cli::handle_version_flag(std::vector<std::string>(argv + 1, argv + argc),
-                           "bridging_analysis");
-  const std::string arg = argc > 1 ? argv[1] : "c95";
-  const std::size_t count = argc > 2 ? std::stoul(argv[2]) : 1000;
+namespace {
 
-  const auto& names = netlist::benchmark_names();
-  netlist::Circuit circuit =
-      std::find(names.begin(), names.end(), arg) != names.end()
-          ? netlist::make_benchmark(arg)
-          : netlist::read_bench_file(arg);
+int run(const std::string& arg, std::size_t count) {
+  const netlist::Circuit circuit = cli::load_circuit(arg);
   netlist::Structure structure(circuit);
-  netlist::LayoutEstimate layout(circuit, structure);
 
   std::cout << "Bridging-fault analysis: " << circuit.name() << "\n\n";
 
@@ -39,10 +32,11 @@ int main(int argc, char** argv) {
 
   analysis::TextTable table({"type", "enumerated NFBFs", "analyzed",
                              "detectable", "mean det", "stuck-at-like"});
+  analysis::CircuitProfile and_profile;
   for (fault::BridgeType type :
        {fault::BridgeType::And, fault::BridgeType::Or}) {
     const auto all = fault::enumerate_nfbfs(circuit, structure, type);
-    const analysis::CircuitProfile p =
+    analysis::CircuitProfile p =
         analysis::analyze_bridging(circuit, type, opt);
     table.add_row(
         {fault::to_string(type), std::to_string(all.size()),
@@ -54,14 +48,13 @@ int main(int argc, char** argv) {
       std::cout << "Sampling policy: normalized layout distance z, weight "
                    "exp(-z/theta), theta = "
                 << opt.sampling.theta << " (paper section 2.2)\n\n";
+      and_profile = std::move(p);
     }
   }
   table.print(std::cout);
 
   // Detail: the individual bridges with the highest detection probability.
-  const analysis::CircuitProfile pa =
-      analysis::analyze_bridging(circuit, fault::BridgeType::And, opt);
-  analysis::print_histogram(std::cout, pa.detectability_histogram(20),
+  analysis::print_histogram(std::cout, and_profile.detectability_histogram(20),
                             "\nAND NFBF detectability profile",
                             "detection probability");
 
@@ -70,4 +63,20 @@ int main(int argc, char** argv) {
                "bridges; mean bridge detectability slightly exceeds the "
                "stuck-at mean.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  cli::handle_version_flag(std::vector<std::string>(argv + 1, argv + argc),
+                           "bridging_analysis");
+  const std::string arg = argc > 1 ? argv[1] : "c95";
+  const std::size_t count =
+      argc > 2 ? cli::parse_count("sample size", argv[2]) : 1000;
+  try {
+    return run(arg, count);
+  } catch (const std::exception& e) {
+    std::cerr << "bridging_analysis: " << e.what() << "\n";
+    return 1;
+  }
 }

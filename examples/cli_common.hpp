@@ -12,6 +12,9 @@
 // analyzed fault) plus sampling-profiler gauge series and writes a
 // separate dp.trace.v1 document (Perfetto / chrome://tracing loadable)
 // beside the run.
+//
+// load_circuit() is the one circuit-argument rule of every CLI: a
+// built-in benchmark name, else a .bench file path.
 #pragma once
 
 #include <cstdlib>
@@ -20,6 +23,8 @@
 #include <string>
 #include <vector>
 
+#include "netlist/bench_io.hpp"
+#include "netlist/generators.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
@@ -64,6 +69,15 @@ inline std::size_t parse_count(const std::string& flag,
     std::exit(2);
   }
   return static_cast<std::size_t>(v);
+}
+
+/// A built-in benchmark name (netlist::benchmark_names()), else a .bench
+/// file path; throws what read_bench_file throws when it is neither.
+inline netlist::Circuit load_circuit(const std::string& arg) {
+  for (const std::string& name : netlist::benchmark_names()) {
+    if (name == arg) return netlist::make_benchmark(arg);
+  }
+  return netlist::read_bench_file(arg);
 }
 
 /// Owns the metrics registry and the optional span collector for one CLI

@@ -8,14 +8,16 @@
 //
 //   $ ./dft_advisor            # defaults to c1355, 4 test points
 //   $ ./dft_advisor c432 6
+//
+// The circuit is a built-in benchmark name or a .bench path.
 #include <algorithm>
+#include <exception>
 #include <iostream>
 #include <string>
 
 #include "analysis/profiles.hpp"
 #include "analysis/report.hpp"
 #include "cli_common.hpp"
-#include "netlist/generators.hpp"
 #include "netlist/structure.hpp"
 #include "netlist/testpoints.hpp"
 
@@ -53,15 +55,8 @@ void report_row(analysis::TextTable& t, const std::string& label,
              analysis::TextTable::num(p.mean_detectability_per_po(), 5)});
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  cli::handle_version_flag(std::vector<std::string>(argv + 1, argv + argc),
-                           "dft_advisor");
-  const std::string arg = argc > 1 ? argv[1] : "c1355";
-  const std::size_t k = argc > 2 ? std::stoul(argv[2]) : 4;
-
-  netlist::Circuit base = netlist::make_benchmark(arg);
+int run(const std::string& arg, std::size_t k) {
+  const netlist::Circuit base = cli::load_circuit(arg);
   netlist::Structure structure(base);
   const auto taps = pick_center_nets(base, structure, k);
 
@@ -101,4 +96,20 @@ int main(int argc, char** argv) {
                       "observability to dominate on average.")
             << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  cli::handle_version_flag(std::vector<std::string>(argv + 1, argv + argc),
+                           "dft_advisor");
+  const std::string arg = argc > 1 ? argv[1] : "c1355";
+  const std::size_t k =
+      argc > 2 ? cli::parse_count("test point count", argv[2]) : 4;
+  try {
+    return run(arg, k);
+  } catch (const std::exception& e) {
+    std::cerr << "dft_advisor: " << e.what() << "\n";
+    return 1;
+  }
 }

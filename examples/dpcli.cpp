@@ -60,13 +60,6 @@ int usage() {
   return 2;
 }
 
-netlist::Circuit load(const std::string& arg) {
-  for (const std::string& name : netlist::benchmark_names()) {
-    if (name == arg) return netlist::make_benchmark(arg);
-  }
-  return netlist::read_bench_file(arg);
-}
-
 int cmd_list() {
   for (const std::string& name : netlist::benchmark_names()) {
     const netlist::Circuit c = netlist::make_benchmark(name);
@@ -380,10 +373,10 @@ int dispatch(const std::vector<std::string>& args, std::size_t jobs,
   if (cmd == "list") return cmd_list();
   // `dpcli <circuit> --hash`: flag form of the hash command.
   if (args.size() == 2 && args[1] == "--hash") {
-    return cmd_hash(load(args[0]));
+    return cmd_hash(cli::load_circuit(args[0]));
   }
   if (args.size() < 2) return usage();
-  const netlist::Circuit circuit = load(args[1]);
+  const netlist::Circuit circuit = cli::load_circuit(args[1]);
 
   if (cmd == "hash") return cmd_hash(circuit);
 

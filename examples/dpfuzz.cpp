@@ -5,13 +5,9 @@
 //
 //   dpfuzz [--seed N] [--cases N] [--max-gates N] [--max-inputs N]
 //          [--jobs N] [--shapes a,b,...] [--no-bridging] [--no-parallel]
-//          [--no-shared-forest] [--no-store] [--no-hybrid] [--no-ndetect]
-//          [--no-shrink] [--scratch-dir PATH] [--repro-dir PATH]
-//          [--metrics-json PATH] [--max-failures N] [--self-test] [--quiet]
-//
-// --no-shared-forest is the escape hatch for the parallel arm: the
-// engine falls back to per-worker good-function builds and the
-// sharing-mode A/B comparison is skipped.
+//          [--no-store] [--no-hybrid] [--no-ndetect] [--no-shrink]
+//          [--scratch-dir PATH] [--repro-dir PATH] [--metrics-json PATH]
+//          [--max-failures N] [--self-test] [--quiet]
 //
 // --metrics-json writes the dp.fuzzreport.v1 document (validated by
 // bench/validate_metrics alongside the dp.metrics.v1 bench documents).
@@ -33,8 +29,7 @@ int usage() {
   std::cerr
       << "usage: dpfuzz [--seed N] [--cases N] [--max-gates N]\n"
          "              [--max-inputs N] [--jobs N] [--shapes a,b,...]\n"
-         "              [--no-bridging] [--no-parallel]\n"
-         "              [--no-shared-forest] [--no-store]\n"
+         "              [--no-bridging] [--no-parallel] [--no-store]\n"
          "              [--no-hybrid] [--no-ndetect] [--no-shrink]\n"
          "              [--scratch-dir PATH]\n"
          "              [--repro-dir PATH] [--metrics-json PATH]\n"
@@ -95,9 +90,6 @@ int main(int argc, char** argv) {
       config.cases.include_bridging = false;
     } else if (a == "--no-parallel") {
       config.oracle.check_parallel = false;
-    } else if (a == "--no-shared-forest") {
-      config.oracle.shared_forest = false;
-      config.oracle.check_shared_forest = false;
     } else if (a == "--no-store") {
       config.oracle.check_store = false;
     } else if (a == "--no-hybrid") {

@@ -33,21 +33,11 @@
 #include "analysis/profiles.hpp"
 #include "analysis/report.hpp"
 #include "cli_common.hpp"
-#include "netlist/bench_io.hpp"
-#include "netlist/generators.hpp"
 #include "sim/wide_sim.hpp"
 
 using namespace dp;
 
 namespace {
-
-netlist::Circuit load(const std::string& arg) {
-  const auto& names = netlist::benchmark_names();
-  if (std::find(names.begin(), names.end(), arg) != names.end()) {
-    return netlist::make_benchmark(arg);
-  }
-  return netlist::read_bench_file(arg);
-}
 
 /// Fixed stream seed so resistance tables are reproducible run to run.
 constexpr std::uint64_t kNDetectSeed = 0xd37ec7ull;
@@ -177,7 +167,7 @@ int main(int argc, char** argv) {
   }
   opt.persistence.store = tel.store();
   opt.persistence.resume = tel.resume();
-  netlist::Circuit circuit = load(arg);
+  netlist::Circuit circuit = cli::load_circuit(arg);
 
   std::cout << "Stuck-at testability report: " << circuit.name() << "\n";
   std::cout << "  " << circuit.num_gates() << " gates, "

@@ -124,9 +124,6 @@ HybridProfile analyze_hybrid(const Circuit& circuit,
     // workers, not the whole pool and its per-worker managers.
     core::ParallelEngine::Options popt;
     popt.jobs = std::min(jobs, remainder_faults.size());
-    popt.bdd_node_limit = options.bdd_node_limit;
-    popt.dp = options.dp;
-    popt.shared_forest = options.shared_forest;
     popt.shared_good = options.shared_good;
     core::ParallelEngine engine(circuit, structure, popt);
     core::ParallelStats totals = engine.stats();

@@ -93,8 +93,6 @@ NDetectAnalyzer::NDetectAnalyzer(const netlist::Circuit& circuit,
       engine_(circuit, structure_, [&] {
         core::ParallelEngine::Options popt;
         popt.jobs = options.jobs;
-        popt.bdd_node_limit = options.bdd_node_limit;
-        popt.shared_forest = options.shared_forest;
         popt.shared_good = options.shared_good;
         return popt;
       }()) {

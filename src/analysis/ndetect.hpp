@@ -46,12 +46,8 @@ inline constexpr const char* kNDetectSchema = "dp.ndetect.v1";
 struct NDetectOptions {
   /// Fault-parallel workers for the DP sweep; 0 = all hardware threads.
   std::size_t jobs = 1;
-  std::size_t bdd_node_limit = 32u * 1024 * 1024;
-  /// Share one frozen good-function forest across workers (the production
-  /// default; off = per-worker rebuilds, the oracle's foil).
-  bool shared_forest = true;
   /// Pre-built universe to adopt (serve's resident forest); must match
-  /// the circuit. Ignored when shared_forest is false.
+  /// the circuit. nullptr = the engine builds it.
   std::shared_ptr<const core::SharedGoodFunctions> shared_good;
 };
 

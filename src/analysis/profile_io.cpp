@@ -18,7 +18,6 @@ std::string profile_cache_key(const netlist::Circuit& circuit,
   // profiles stored with the old counters from being served.
   if (kind.starts_with("bf.")) k.str("bf.stem-observability");
   k.flag(options.collapse);
-  k.flag(options.dp.selective_trace);
   // Sampling shapes the bridging fault set; harmless extra entropy for
   // stuck-at sweeps (constant given constant options).
   k.u64(options.sampling.target_count);

@@ -148,16 +148,6 @@ FaultRecord make_stuck_at_record(const Structure& structure,
 
 namespace {
 
-core::ParallelEngine::Options engine_options(const AnalysisOptions& options) {
-  core::ParallelEngine::Options popt;
-  popt.jobs = options.jobs;
-  popt.bdd_node_limit = options.bdd_node_limit;
-  popt.dp = options.dp;
-  popt.shared_forest = options.shared_forest;
-  popt.shared_good = options.shared_good;
-  return popt;
-}
-
 /// Runs the fault sweep for `profile`, honoring options.persistence:
 /// serve a cached dp.profile.v1 when one matches, otherwise sweep in
 /// checkpoint_interval batches, durably recording the completed prefix
@@ -199,7 +189,10 @@ void run_sweep(const Circuit& circuit, const Structure& structure,
     }
   }
 
-  core::ParallelEngine engine(circuit, structure, engine_options(options));
+  core::ParallelEngine::Options popt;
+  popt.jobs = options.jobs;
+  popt.shared_good = options.shared_good;
+  core::ParallelEngine engine(circuit, structure, popt);
   // Seed the totals with the freshly-built engine's stats so worker
   // build telemetry survives the per-batch merges.
   core::ParallelStats totals = engine.stats();

@@ -91,20 +91,15 @@ struct PersistenceOptions {
 
 struct AnalysisOptions {
   bool collapse = true;          ///< collapse the checkpoint set (paper §2.1)
-  std::size_t bdd_node_limit = 32u * 1024 * 1024;
   /// Fault-parallel worker count: 1 = serial (inline), 0 = all hardware
   /// threads, N = N workers, each with a private BDD manager. Results are
   /// bit-identical to the serial sweep for any value.
   std::size_t jobs = 1;
-  core::DifferencePropagator::Options dp;
   fault::SamplingOptions sampling;  ///< bridging-fault sampling policy
   PersistenceOptions persistence;   ///< artifact cache + checkpoint/resume
-  /// Build good functions once and share them frozen across workers (see
-  /// parallel_engine.hpp). Results are bit-identical either way, so this
-  /// does not enter the profile cache key.
-  bool shared_forest = true;
   /// Pre-built universe to adopt (serve::Service passes its resident
-  /// forest here); nullptr = build per sweep.
+  /// forest here); nullptr = build per sweep. Results are bit-identical
+  /// either way, so this does not enter the profile cache key.
   std::shared_ptr<const core::SharedGoodFunctions> shared_good;
 };
 

@@ -18,7 +18,7 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// GC trigger floor for sweep-worker managers (see build_one): small
+/// GC trigger floor for sweep-worker managers (see the constructor): small
 /// enough that per-fault churn is collected, large enough that the
 /// trigger's adaptive max(floor, 2x live) term governs real circuits.
 constexpr std::size_t kWorkerGcFloor = 1u << 16;
@@ -260,10 +260,9 @@ void ParallelStats::export_metrics(obs::MetricsRegistry& registry,
   }
   // Memory gauges of the sweep. peak_live_nodes is the engine's whole
   // footprint -- the shared frozen prefix (counted once) plus every
-  // worker's private high-water mark -- so a shared-vs-unshared A/B of
-  // the same workload compares like for like. The per-worker max and the
-  // frozen size are broken out so a regression in either side is
-  // attributable on its own.
+  // worker's private high-water mark. The per-worker max and the frozen
+  // size are broken out so a regression in either side is attributable
+  // on its own.
   registry.gauge(prefix + ".peak_live_nodes")
       .set_max(static_cast<double>(frozen_nodes) + peak_total);
   registry.gauge(prefix + ".frozen_nodes")
@@ -288,107 +287,66 @@ void ParallelStats::export_metrics(obs::MetricsRegistry& registry,
                         ->build_seconds);
 }
 
-/// A worker owns the full private analysis stack: no BDD state is shared
+/// A worker owns its private analysis stack over the shared frozen
+/// forest: the forest is immutable, and no other BDD state is shared
 /// between workers, so no locks are needed anywhere on the hot path.
 struct ParallelEngine::Worker {
   std::unique_ptr<bdd::Manager> manager;
   std::unique_ptr<GoodFunctions> good;
   std::unique_ptr<DifferencePropagator> propagator;
-  double build_seconds = 0.0;
 };
 
 ParallelEngine::ParallelEngine(const netlist::Circuit& circuit,
                                const netlist::Structure& structure,
-                               Options options)
-    : circuit_(circuit), structure_(structure), options_(options) {
-  std::size_t jobs = options_.jobs;
+                               Options options) {
+  std::size_t jobs = options.jobs;
   if (jobs == 0) {
     jobs = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
-  workers_.resize(jobs);
 
   obs::SpanCollector* const spans = obs::SpanCollector::current();
   obs::ScopedSpan build_span(spans, "dp.build");
   build_span.attr("jobs", jobs);
 
-  // Shared-forest path: build (or adopt) the good-function universe once
-  // on the calling thread, then every worker splices it in read-only and
-  // the per-worker "build" is just wrapping root handles. Exceptions from
-  // the one-time build (e.g. OutOfNodes) propagate directly -- same
-  // surface the per-worker build path has.
-  if (options_.shared_forest) {
+  // Build (or adopt) the good-function universe once; exceptions from the
+  // build (e.g. OutOfNodes) propagate directly.
+  std::shared_ptr<const SharedGoodFunctions> shared = options.shared_good;
+  {
     obs::ScopedSpan freeze_span(spans, "dp.shared_build", build_span.id());
-    shared_good_ = options_.shared_good;
-    if (!shared_good_) {
-      shared_good_ = std::make_shared<SharedGoodFunctions>(
-          circuit_, options_.good, options_.bdd_node_limit);
+    if (!shared) {
+      shared = std::make_shared<SharedGoodFunctions>(
+          circuit, options.good, options.bdd_node_limit);
     }
-    freeze_span.attr("frozen_nodes", shared_good_->frozen_nodes());
+    freeze_span.attr("frozen_nodes", shared->frozen_nodes());
   }
 
-  // Build the private managers concurrently; every build runs the same
-  // deterministic topological sweep (or the same adoption of the same
-  // forest), so all workers end up with structurally identical BDDs
-  // (same node budget, same variable order).
-  std::mutex error_mutex;
-  std::exception_ptr build_error;
-  auto build_one = [&](std::size_t slot) {
-    // Parent is passed explicitly: worker threads have no TLS span stack.
+  // Every worker splices the forest in read-only and wraps its root
+  // handles, so all workers see structurally identical BDDs (same node
+  // budget, same variable order).
+  stats_.jobs = jobs;
+  stats_.workers.resize(jobs);
+  stats_.shared_build_seconds = shared->build_seconds();
+  stats_.frozen_nodes = shared->frozen_nodes();
+  workers_.reserve(jobs);
+  for (std::size_t slot = 0; slot < jobs; ++slot) {
     obs::ScopedSpan span(spans, "dp.build_worker", build_span.id());
     span.attr("worker", slot);
     const auto start = Clock::now();
-    try {
-      auto w = std::make_unique<Worker>();
-      if (shared_good_) {
-        w->manager = std::make_unique<bdd::Manager>(shared_good_->forest(),
-                                                    options_.bdd_node_limit);
-        w->good = std::make_unique<GoodFunctions>(*w->manager, circuit_,
-                                                  *shared_good_);
-      } else {
-        w->manager =
-            std::make_unique<bdd::Manager>(0, options_.bdd_node_limit);
-        w->good = std::make_unique<GoodFunctions>(*w->manager, circuit_,
-                                                  options_.good);
-      }
-      // Sweep workers build and drop one test-set BDD per fault; with the
-      // default (throughput-oriented) GC floor that churn is never
-      // collected, so a worker's memory footprint -- and its
-      // peak_live_nodes accounting -- would grow with the fault count
-      // instead of the working set. An aggressive floor keeps both
-      // tracking the live data. Results are unaffected (GC is invisible
-      // to canonical BDD semantics).
-      w->manager->set_gc_floor(kWorkerGcFloor);
-      w->propagator = std::make_unique<DifferencePropagator>(
-          *w->good, structure_, options_.dp);
-      w->build_seconds = seconds_since(start);
-      workers_[slot] = std::move(w);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(error_mutex);
-      if (!build_error) build_error = std::current_exception();
-    }
-  };
-
-  if (jobs == 1) {
-    build_one(0);
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(jobs);
-    for (std::size_t i = 0; i < jobs; ++i) threads.emplace_back(build_one, i);
-    for (std::thread& t : threads) t.join();
-  }
-  if (build_error) {
-    workers_.clear();
-    std::rethrow_exception(build_error);
-  }
-
-  stats_.jobs = jobs;
-  stats_.workers.resize(jobs);
-  for (std::size_t i = 0; i < jobs; ++i) {
-    stats_.workers[i].build_seconds = workers_[i]->build_seconds;
-  }
-  if (shared_good_) {
-    stats_.shared_build_seconds = shared_good_->build_seconds();
-    stats_.frozen_nodes = shared_good_->frozen_nodes();
+    auto w = std::make_unique<Worker>();
+    w->manager = std::make_unique<bdd::Manager>(shared->forest(),
+                                                options.bdd_node_limit);
+    w->good = std::make_unique<GoodFunctions>(*w->manager, circuit, *shared);
+    // Sweep workers build and drop one test-set BDD per fault; with the
+    // default (throughput-oriented) GC floor that churn is never
+    // collected, so a worker's memory footprint -- and its
+    // peak_live_nodes accounting -- would grow with the fault count
+    // instead of the working set. An aggressive floor keeps both
+    // tracking the live data. Results are unaffected (GC is invisible
+    // to canonical BDD semantics).
+    w->manager->set_gc_floor(kWorkerGcFloor);
+    w->propagator = std::make_unique<DifferencePropagator>(*w->good, structure);
+    stats_.workers[slot].build_seconds = seconds_since(start);
+    workers_.push_back(std::move(w));
   }
 }
 

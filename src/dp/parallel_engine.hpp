@@ -8,16 +8,16 @@
 // adherence, and observability are bit-identical to the serial engine no
 // matter how faults are scheduled.
 //
-// By default (Options::shared_forest) the good-function universe is built
-// ONCE, frozen into an immutable bdd::FrozenForest, and adopted by every
-// worker's private manager as a read-only node prefix: workers host only
-// their Δ/fault-site functions privately, so sweep memory is
-// O(forest + jobs x Δ) instead of O(jobs x forest) and the per-worker
-// build cost collapses to a handle wrap. With sharing off each worker
-// builds its own full GoodFunctions copy (the pre-freeze behavior); both
-// paths produce bit-identical FaultAnalysis values because every field is
-// a value of a canonical Boolean function, invariant under the slot
-// renumbering freeze() applies.
+// The good-function universe is built ONCE (or taken pre-built from the
+// caller), frozen into an immutable bdd::FrozenForest, and adopted by
+// every worker's private manager as a read-only node prefix: workers host
+// only their Δ/fault-site functions privately, so sweep memory is
+// O(forest + jobs x Δ) instead of O(jobs x forest), and a worker's build
+// is just a Manager over the forest plus a handle wrap, done on the
+// calling thread. Every FaultAnalysis field is a value of a canonical
+// Boolean function, invariant under the slot renumbering freeze()
+// applies, so results are bit-identical to the serial engine over an
+// unfrozen GoodFunctions.
 //
 // The engine owns the workers: FaultAnalysis results hold Bdd handles into
 // the worker managers and stay valid for the engine's lifetime.
@@ -73,10 +73,10 @@ struct ParallelStats {
   std::size_t jobs = 0;
   std::size_t faults = 0;
   double wall_seconds = 0.0;  ///< end-to-end sweep time (fan-out to join)
-  /// One-time build+freeze cost of the shared forest (0 when sharing is
-  /// off). Merge takes the max: a batched sweep pays it once.
+  /// One-time build+freeze cost of the shared forest. Merge takes the
+  /// max: a batched sweep pays it once.
   double shared_build_seconds = 0.0;
-  /// Size of the shared frozen forest (0 when sharing is off).
+  /// Size of the shared frozen forest.
   std::size_t frozen_nodes = 0;
   std::vector<WorkerStats> workers;
 
@@ -129,22 +129,20 @@ class ParallelEngine {
     /// worker the sweep runs inline on the calling thread (no pool).
     std::size_t jobs = 0;
     std::size_t bdd_node_limit = 32u * 1024 * 1024;
-    DifferencePropagator::Options dp;
     /// Shared by every worker, so all managers agree on the variable
     /// order and detectabilities are bit-identical to the serial path.
     GoodFunctionOptions good;
-    /// Build the good functions once and share them frozen across all
-    /// workers (see the file comment). Off = the pre-freeze per-worker
-    /// rebuild path, kept as an escape hatch and as the oracle's foil.
-    bool shared_forest = true;
     /// Pre-built universe to adopt instead of building one (must match
     /// `circuit` and `good`); used by serve::Service to share one forest
-    /// across requests. Ignored when shared_forest is false.
+    /// across requests. nullptr = the engine builds it.
     std::shared_ptr<const SharedGoodFunctions> shared_good;
   };
 
-  /// Builds one Manager + GoodFunctions + DifferencePropagator per worker
-  /// (concurrently). `circuit` and `structure` must outlive the engine.
+  /// Builds (or takes) the shared forest, then one Manager + adopted
+  /// GoodFunctions + DifferencePropagator (default options, so selective
+  /// trace is on) per worker. Throws BddError when
+  /// options.shared_good does not match `circuit`. `circuit` and
+  /// `structure` must outlive the engine.
   ParallelEngine(const netlist::Circuit& circuit,
                  const netlist::Structure& structure)
       : ParallelEngine(circuit, structure, Options{}) {}
@@ -183,10 +181,6 @@ class ParallelEngine {
   std::size_t jobs() const { return workers_.size(); }
   /// Stats of the most recent analyze_all() sweep.
   const ParallelStats& stats() const { return stats_; }
-  /// The shared universe in use, or nullptr when sharing is off.
-  const std::shared_ptr<const SharedGoodFunctions>& shared_good() const {
-    return shared_good_;
-  }
 
  private:
   struct Worker;
@@ -197,10 +191,6 @@ class ParallelEngine {
   template <typename Fault>
   std::vector<FaultAnalysis> run_collect(const std::vector<Fault>& faults);
 
-  const netlist::Circuit& circuit_;
-  const netlist::Structure& structure_;
-  Options options_;
-  std::shared_ptr<const SharedGoodFunctions> shared_good_;
   std::vector<std::unique_ptr<Worker>> workers_;
   ParallelStats stats_;
 };

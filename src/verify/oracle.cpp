@@ -172,9 +172,7 @@ void check_symbolic_bridge(const std::string& what,
 }
 
 /// Parallel arm: one merged analysis against its serial counterpart.
-/// `oracle` names the engine variant ("parallel" or "parallel_unshared")
-/// so a sharing-mode-specific divergence is attributable from the report.
-void check_parallel_fault(const std::string& oracle, const std::string& what,
+void check_parallel_fault(const std::string& what,
                           const core::FaultAnalysis& serial,
                           const core::FaultAnalysis& par, bool first_fault,
                           Mutation mutate, std::size_t num_inputs,
@@ -183,19 +181,17 @@ void check_parallel_fault(const std::string& oracle, const std::string& what,
   if (first_fault && mutate == Mutation::PerturbParallelMerge) {
     par_det += std::ldexp(1.0, -static_cast<int>(num_inputs));
   }
-  rec.expect_eq(oracle + ".detectability", what, serial.detectability,
-                par_det);
-  rec.expect_eq(oracle + ".detectable", what, serial.detectable,
-                par.detectable);
-  rec.expect_eq(oracle + ".upper_bound", what, serial.upper_bound,
+  rec.expect_eq("parallel.detectability", what, serial.detectability, par_det);
+  rec.expect_eq("parallel.detectable", what, serial.detectable, par.detectable);
+  rec.expect_eq("parallel.upper_bound", what, serial.upper_bound,
                 par.upper_bound);
-  rec.expect_eq(oracle + ".adherence", what, serial.adherence, par.adherence);
-  rec.expect_eq(oracle + ".pos_observable", what, serial.pos_observable,
+  rec.expect_eq("parallel.adherence", what, serial.adherence, par.adherence);
+  rec.expect_eq("parallel.pos_observable", what, serial.pos_observable,
                 par.pos_observable);
-  rec.expect_eq(oracle + ".pos_fed", what, serial.pos_fed, par.pos_fed);
-  rec.expect_eq(oracle + ".bridge_stuck_at", what, serial.bridge_stuck_at,
+  rec.expect_eq("parallel.pos_fed", what, serial.pos_fed, par.pos_fed);
+  rec.expect_eq("parallel.bridge_stuck_at", what, serial.bridge_stuck_at,
                 par.bridge_stuck_at);
-  rec.expect_eq(oracle + ".test_set_size", what,
+  rec.expect_eq("parallel.test_set_size", what,
                 serial.test_set.sat_count(num_inputs),
                 par.test_set.sat_count(num_inputs));
 }
@@ -340,49 +336,18 @@ OracleResult run_oracles(const FuzzCase& fc, const OracleConfig& config) {
     if (config.check_parallel) {
       core::ParallelEngine::Options par_options;
       par_options.jobs = config.jobs;
-      par_options.shared_forest = config.shared_forest;
       core::ParallelEngine engine(fc.circuit, structure, par_options);
       const auto par_sa = engine.analyze_all(fc.sa_faults);
       for (std::size_t i = 0; i < fc.sa_faults.size(); ++i) {
-        check_parallel_fault("parallel",
-                             describe(fc.sa_faults[i], fc.circuit),
+        check_parallel_fault(describe(fc.sa_faults[i], fc.circuit),
                              serial_sa[i], par_sa[i], i == 0, config.mutate,
                              n, rec);
       }
       const auto par_br = engine.analyze_all(fc.bridges);
       for (std::size_t i = 0; i < fc.bridges.size(); ++i) {
-        check_parallel_fault("parallel",
-                             describe(fc.bridges[i], fc.circuit),
+        check_parallel_fault(describe(fc.bridges[i], fc.circuit),
                              serial_br[i], par_br[i], false, config.mutate,
                              n, rec);
-      }
-
-      // Sharing A/B: the opposite sharing mode must also match serial, so
-      // a divergence between frozen-adoption and per-worker builds cannot
-      // hide behind whichever mode the primary arm happened to use. The
-      // injected-mutation hook stays on the primary arm only: this arm is
-      // a pure engine-vs-engine check.
-      if (config.check_shared_forest) {
-        core::ParallelEngine::Options ab_options;
-        ab_options.jobs = config.jobs;
-        ab_options.shared_forest = !config.shared_forest;
-        core::ParallelEngine ab_engine(fc.circuit, structure, ab_options);
-        const std::string ab_oracle =
-            ab_options.shared_forest ? "parallel_shared" : "parallel_unshared";
-        const auto ab_sa = ab_engine.analyze_all(fc.sa_faults);
-        for (std::size_t i = 0; i < fc.sa_faults.size(); ++i) {
-          check_parallel_fault(ab_oracle,
-                               describe(fc.sa_faults[i], fc.circuit),
-                               serial_sa[i], ab_sa[i], false, Mutation::None,
-                               n, rec);
-        }
-        const auto ab_br = ab_engine.analyze_all(fc.bridges);
-        for (std::size_t i = 0; i < fc.bridges.size(); ++i) {
-          check_parallel_fault(ab_oracle,
-                               describe(fc.bridges[i], fc.circuit),
-                               serial_br[i], ab_br[i], false, Mutation::None,
-                               n, rec);
-        }
       }
     }
 

@@ -15,8 +15,6 @@
 //                but the work counters exactly.
 //   parallel     ParallelEngine at jobs N vs the serial engine: every
 //                scalar FaultAnalysis field plus the test-set sat count.
-//                Runs in both sharing modes (shared frozen forest and
-//                per-worker builds); each must match serial bit-for-bit.
 //   store        analyze_stuck_at cold (fresh sweep + artifacts written)
 //                vs warm (profile cache hit) vs resumed (profile dropped,
 //                truncated checkpoint installed): FaultRecord vectors
@@ -80,14 +78,6 @@ const char* to_string(Mutation m);
 struct OracleConfig {
   std::size_t jobs = 4;        ///< worker count of the parallel arm
   bool check_parallel = true;
-  /// The parallel arm's engine adopts the shared frozen good-function
-  /// forest (the production default). Off = per-worker builds only.
-  bool shared_forest = true;
-  /// A/B the sharing modes: run a second, unshared engine and require it
-  /// to match serial too, so a frozen-adoption bug cannot hide behind a
-  /// matching shared-only run (and vice versa). Ignored when
-  /// check_parallel is off.
-  bool check_shared_forest = true;
   bool check_store = true;
   bool check_hybrid = true;
   bool check_ndetect = true;

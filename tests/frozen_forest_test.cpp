@@ -218,5 +218,25 @@ TEST(FrozenForestTest, SharedGoodFunctionsMatchesPrivateBuildOnAlu) {
   }
 }
 
+TEST(FrozenForestTest, AdoptionRejectsForeignManagerAndCircuit) {
+  // Every parallel sweep adopts its good functions this way, so a
+  // mismatched manager or circuit must fail loudly, never wrap the wrong
+  // roots.
+  const netlist::Circuit c17 = netlist::make_c17();
+  const core::SharedGoodFunctions shared(c17);
+
+  Manager fresh(0);
+  EXPECT_THROW((core::GoodFunctions{fresh, c17, shared}), BddError);
+  const core::SharedGoodFunctions other(c17);
+  Manager adopts_other(other.forest());
+  EXPECT_THROW((core::GoodFunctions{adopts_other, c17, shared}), BddError);
+
+  const netlist::Circuit alu = netlist::make_alu181();
+  ASSERT_NE(alu.num_nets(), c17.num_nets());
+  Manager adopts_shared(shared.forest());
+  EXPECT_THROW((core::GoodFunctions{adopts_shared, alu, shared}), BddError);
+  EXPECT_NO_THROW((core::GoodFunctions{adopts_shared, c17, shared}));
+}
+
 }  // namespace
 }  // namespace dp::bdd

@@ -7,6 +7,7 @@
 #include <array>
 #include <atomic>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -78,6 +79,7 @@ std::vector<Scalars> parallel_sweep(const Circuit& circuit,
   ParallelEngine::Options opt;
   opt.jobs = jobs;
   ParallelEngine engine(circuit, structure, opt);
+  EXPECT_GT(engine.stats().frozen_nodes, 0u);  // workers adopt one forest
   std::vector<Scalars> out(faults.size());
   engine.analyze_each(faults, [&](std::size_t i, FaultAnalysis&& a) {
     out[i] = scalars(a, circuit.num_inputs());
@@ -310,37 +312,6 @@ TEST(ParallelEngineTest, PerFaultFailureIsRethrownAfterTheSweep) {
   EXPECT_THROW((void)engine.analyze_all(faults), bdd::OutOfNodes);
 }
 
-TEST(ParallelEngineTest, SharedForestMatchesPerWorkerBuildsExactly) {
-  // The shared-frozen-forest engine (production default) and the
-  // per-worker-build engine must agree bit for bit on every scalar: the
-  // frozen adoption is a memory optimization, never a semantic one.
-  const Circuit circuit = netlist::make_alu181();
-  const Structure structure(circuit);
-  const std::vector<StuckAtFault> faults =
-      fault::collapse_checkpoint_faults(circuit);
-
-  ParallelEngine::Options shared_opt;
-  shared_opt.jobs = 3;
-  ASSERT_TRUE(shared_opt.shared_forest) << "sharing must be the default";
-  ParallelEngine shared(circuit, structure, shared_opt);
-
-  ParallelEngine::Options unshared_opt;
-  unshared_opt.jobs = 3;
-  unshared_opt.shared_forest = false;
-  ParallelEngine unshared(circuit, structure, unshared_opt);
-
-  const auto a = shared.analyze_all(faults);
-  const auto b = unshared.analyze_all(faults);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < faults.size(); ++i) {
-    EXPECT_EQ(scalars(a[i], circuit.num_inputs()),
-              scalars(b[i], circuit.num_inputs()))
-        << describe(faults[i], circuit);
-  }
-  EXPECT_GT(shared.stats().frozen_nodes, 0u);
-  EXPECT_EQ(unshared.stats().frozen_nodes, 0u);
-}
-
 TEST(ParallelEngineTest, MoreJobsThanFaultsIsExactAndCoherent) {
   // Edge case: a pool wider than the fault list. Idle workers must not
   // disturb the input-order merge, the results, or the stats.
@@ -376,14 +347,24 @@ TEST(ParallelEngineTest, MoreJobsThanFaultsIsExactAndCoherent) {
 }
 
 TEST(ParallelEngineTest, BuildFailureIsRethrownFromTheConstructor) {
-  // Without cut points the 16x16 multiplier build itself exhausts the
-  // budget inside the worker threads; the constructor must rethrow.
+  // Without cut points the 16x16 multiplier's one-time forest build
+  // exhausts the budget; the constructor must rethrow.
   const Circuit circuit = netlist::make_multiplier(16);
   const Structure structure(circuit);
   ParallelEngine::Options opt;
   opt.jobs = 2;
   opt.bdd_node_limit = 1000000;
   EXPECT_THROW((ParallelEngine{circuit, structure, opt}), bdd::OutOfNodes);
+}
+
+TEST(ParallelEngineTest, MismatchedSharedForestThrowsAtConstruction) {
+  const Circuit circuit = netlist::make_alu181();
+  const Structure structure(circuit);
+  ParallelEngine::Options opt;
+  opt.jobs = 2;
+  opt.shared_good =
+      std::make_shared<const SharedGoodFunctions>(netlist::make_c17());
+  EXPECT_THROW((ParallelEngine{circuit, structure, opt}), bdd::BddError);
 }
 
 }  // namespace
