@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <set>
-#include <unordered_map>
+
+#include "netlist/structure.hpp"
 
 namespace dp::analysis {
 
@@ -84,24 +85,29 @@ bool NDetectReport::complete() const {
   return faults_meeting_target() == faults.size();
 }
 
-NDetectAnalyzer::NDetectAnalyzer(const netlist::Circuit& circuit,
+NDetectTestSets::NDetectTestSets(const netlist::Circuit& circuit,
                                  std::vector<fault::StuckAtFault> faults,
                                  const NDetectOptions& options)
-    : circuit_(&circuit),
-      faults_(std::move(faults)),
-      structure_(circuit),
-      engine_(circuit, structure_, [&] {
-        core::ParallelEngine::Options popt;
-        popt.jobs = options.jobs;
-        popt.shared_good = options.shared_good;
-        return popt;
-      }()) {
-  analyses_ = engine_.analyze_all(faults_);
-  const std::size_t n = circuit_->num_inputs();
-  cts_sizes_.reserve(analyses_.size());
-  for (const core::FaultAnalysis& a : analyses_) {
-    cts_sizes_.push_back(a.detectable ? a.test_set.sat_count(n) : 0.0);
-  }
+    : faults_(std::move(faults)) {
+  const netlist::Structure structure(circuit);
+  core::ParallelEngine::Options popt;
+  popt.jobs = options.jobs;
+  popt.shared_good = options.shared_good;
+  core::ParallelEngine engine(circuit, structure, popt);
+  // Each worker sizes its faults' test sets in its own manager and hands
+  // over only the test-set handle (the per-PO differences die with the
+  // fault); then every test set moves into one forest, and the workers
+  // and their managers go with the engine.
+  const std::size_t n = circuit.num_inputs();
+  std::vector<bdd::Bdd> roots(faults_.size());
+  cts_sizes_.assign(faults_.size(), 0.0);
+  engine.analyze_each(faults_, [&](std::size_t i, core::FaultAnalysis&& a) {
+    if (a.detectable) cts_sizes_[i] = a.test_set.sat_count(n);
+    roots[i] = std::move(a.test_set);
+  });
+  stats_ = engine.stats();
+  forest_ = bdd::FrozenForest::pack(roots, &test_sets_);
+
   order_.resize(faults_.size());
   for (std::size_t i = 0; i < order_.size(); ++i) order_[i] = i;
   std::stable_sort(order_.begin(), order_.end(),
@@ -110,86 +116,69 @@ NDetectAnalyzer::NDetectAnalyzer(const netlist::Circuit& circuit,
                    });
 }
 
-bool NDetectAnalyzer::detectable(std::size_t i) const {
-  return analyses_.at(i).detectable;
-}
+NDetectAnalyzer::NDetectAnalyzer(const netlist::Circuit& circuit,
+                                 std::vector<fault::StuckAtFault> faults,
+                                 const NDetectOptions& options)
+    : NDetectAnalyzer(circuit, std::make_shared<const NDetectTestSets>(
+                                   circuit, std::move(faults), options)) {}
 
-double NDetectAnalyzer::cts_size(std::size_t i) const {
-  return cts_sizes_.at(i);
-}
+NDetectAnalyzer::NDetectAnalyzer(
+    const netlist::Circuit& circuit,
+    std::shared_ptr<const NDetectTestSets> test_sets)
+    : circuit_(&circuit),
+      sets_(std::move(test_sets)),
+      manager_(sets_->forest()) {}
 
 std::uint64_t NDetectAnalyzer::quota(std::size_t i, std::size_t n) const {
-  const double cts = cts_sizes_.at(i);
-  if (!analyses_.at(i).detectable || cts <= 0.0) return 0;
+  const double cts = sets_->cts_size(i);
+  if (!sets_->detectable(i) || cts <= 0.0) return 0;
   return static_cast<double>(n) <= cts ? static_cast<std::uint64_t>(n)
                                        : static_cast<std::uint64_t>(cts);
 }
 
 std::vector<std::uint64_t> NDetectAnalyzer::detection_counts(
     const std::vector<std::vector<bool>>& vectors) {
-  std::vector<std::uint64_t> counts(faults_.size(), 0);
+  std::vector<std::uint64_t> counts(num_faults(), 0);
   const auto distinct = dedupe(vectors);
-  if (distinct.empty() || faults_.empty()) return counts;
+  if (distinct.empty() || counts.empty()) return counts;
 
   const std::size_t n = circuit_->num_inputs();
-  // One vector-set BDD per worker manager: the handful of managers the
-  // engine sharded the faults across each host B(V) once, and every
-  // resident fault intersects against its manager's copy.
-  std::unordered_map<bdd::Manager*, bdd::Bdd> sets;
-  for (std::size_t i = 0; i < faults_.size(); ++i) {
-    bdd::Manager* m = analyses_[i].test_set.manager();
-    auto it = sets.find(m);
-    if (it == sets.end()) {
-      it = sets.emplace(m, vector_set_bdd(*m, distinct)).first;
-    }
-    counts[i] = static_cast<std::uint64_t>(
-        (analyses_[i].test_set & it->second).sat_count(n));
+  const bdd::Bdd set = vector_set_bdd(manager_, distinct);
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    counts[i] = static_cast<std::uint64_t>((cts(i) & set).sat_count(n));
   }
   return counts;
 }
 
 std::size_t NDetectAnalyzer::top_up(std::vector<std::vector<bool>>& vectors,
                                     std::size_t n) {
-  if (n == 0 || faults_.empty()) return 0;
+  if (n == 0 || num_faults() == 0) return 0;
   const std::size_t num_inputs = circuit_->num_inputs();
-  auto distinct = dedupe(vectors);
 
-  // B(V) per worker manager, kept current as vectors are minted so every
-  // later fault's count and residual see the full working set.
-  std::unordered_map<bdd::Manager*, bdd::Bdd> sets;
-  auto set_for = [&](bdd::Manager* m) -> bdd::Bdd& {
-    auto it = sets.find(m);
-    if (it == sets.end()) {
-      it = sets.emplace(m, vector_set_bdd(*m, distinct)).first;
-    }
-    return it->second;
-  };
-
+  // B(V), kept current as vectors are minted so every later fault's count
+  // and residual see the full working set.
+  bdd::Bdd used = vector_set_bdd(manager_, dedupe(vectors));
   std::size_t minted = 0;
-  for (const std::size_t idx : order_) {
-    const core::FaultAnalysis& a = analyses_[idx];
+  for (const std::size_t idx : sets_->order()) {
     const std::uint64_t target = quota(idx, n);
     if (target == 0) continue;
-    bdd::Manager* m = a.test_set.manager();
-    bdd::Bdd& used = set_for(m);
-    std::uint64_t count = static_cast<std::uint64_t>(
-        (a.test_set & used).sat_count(num_inputs));
+    const bdd::Bdd test_set = cts(idx);
+    std::uint64_t count =
+        static_cast<std::uint64_t>((test_set & used).sat_count(num_inputs));
     if (count >= target) continue;
     // Residual: vectors the CTS accepts that the set does not yet
     // contain. Its satcount is |CTS| - count > 0 while count < target,
     // so sat_one always has a cube to mint.
-    bdd::Bdd residual = a.test_set & !used;
+    bdd::Bdd residual = test_set & !used;
     while (count < target) {
       const std::vector<bool> v =
           vector_of_cube(residual.sat_one(), num_inputs);
       vectors.push_back(v);
-      distinct.push_back(v);
       ++minted;
       ++count;
-      for (auto& [manager, set] : sets) {
-        set = set | minterm(*manager, v);
-      }
-      residual = residual & !minterm(*m, v);
+      const bdd::Bdd m = minterm(manager_, v);
+      used = used | m;
+      residual = residual & !m;
     }
   }
   return minted;
@@ -203,13 +192,13 @@ NDetectReport NDetectAnalyzer::report(
   r.num_inputs = circuit_->num_inputs();
   r.num_vectors = dedupe(vectors).size();
   const std::vector<std::uint64_t> counts = detection_counts(vectors);
-  r.faults.reserve(faults_.size());
-  for (std::size_t i = 0; i < faults_.size(); ++i) {
+  r.faults.reserve(num_faults());
+  for (std::size_t i = 0; i < num_faults(); ++i) {
     NDetectFaultRecord rec;
-    rec.fault = faults_[i];
-    rec.name = fault::describe(faults_[i], *circuit_);
-    rec.detectable = analyses_[i].detectable;
-    rec.cts_size = cts_sizes_[i];
+    rec.fault = faults()[i];
+    rec.name = fault::describe(rec.fault, *circuit_);
+    rec.detectable = detectable(i);
+    rec.cts_size = cts_size(i);
     rec.detections = counts[i];
     rec.target = quota(i, n);
     rec.cts_coverage = rec.detectable && rec.cts_size > 0.0

@@ -20,12 +20,19 @@
 // CTS_f ∧ ¬B(V) -- vectors the fault still accepts and the set does not
 // yet contain -- hardest (smallest CTS) fault first, so scarce vectors
 // are placed before flexible ones and every minted vector is live for all
-// later faults. The DP sweep itself runs once through the ParallelEngine
-// (frozen good-function forest shared across workers by default); the
-// analyzer keeps the engine alive so the test-set BDDs stay valid across
-// any number of counting and top-up passes. Results are bit-identical
-// for any worker count: the analyses are jobs-invariant and every count
-// is a sat count of a canonical function.
+// later faults.
+//
+// The test sets depend only on the circuit and the fault list, so they
+// are computed once into an NDetectTestSets: the DP sweep runs through
+// the ParallelEngine at any worker count, and the workers' test sets are
+// packed into one standalone bdd::FrozenForest beside their CTS sizes and
+// the hardest-first order. That object is immutable and holds no
+// reference to the circuit, so any number of analyzers -- concurrent
+// served requests included -- adopt one copy lock-free. Each analyzer
+// adopts it in one private Manager, where the vector-set BDDs of its
+// queries live. Results are bit-identical for any worker count: the
+// analyses are jobs-invariant and every count is a sat count of a
+// canonical function.
 #pragma once
 
 #include <cstdint>
@@ -33,10 +40,11 @@
 #include <string>
 #include <vector>
 
+#include "bdd/bdd.hpp"
+#include "bdd/frozen_forest.hpp"
 #include "dp/parallel_engine.hpp"
 #include "fault/stuck_at.hpp"
 #include "netlist/circuit.hpp"
-#include "netlist/structure.hpp"
 #include "obs/json.hpp"
 
 namespace dp::analysis {
@@ -92,22 +100,66 @@ struct NDetectReport {
   bool complete() const;
 };
 
-/// Runs the DP sweep once, then answers any number of counting / top-up
-/// queries against the resident test-set forest. Not thread-safe: the
-/// queries build vector-set BDDs inside the worker managers.
-class NDetectAnalyzer {
+/// Circuit-only n-detect state: every fault's complete test set, packed
+/// into one standalone frozen forest, with its exact size and the
+/// hardest-first order. Immutable after construction, so one copy can be
+/// shared by any number of analyzers on any threads.
+class NDetectTestSets {
  public:
-  /// `circuit` must outlive the analyzer (the engine and structure hold
-  /// references). The sweep runs in the constructor.
-  NDetectAnalyzer(const netlist::Circuit& circuit,
+  /// Runs the DP sweep over `faults` (options.jobs workers) and packs the
+  /// test sets. `circuit` is only read during construction.
+  NDetectTestSets(const netlist::Circuit& circuit,
                   std::vector<fault::StuckAtFault> faults,
                   const NDetectOptions& options = {});
 
-  const netlist::Circuit& circuit() const { return *circuit_; }
   const std::vector<fault::StuckAtFault>& faults() const { return faults_; }
-  std::size_t num_faults() const { return faults_.size(); }
-  bool detectable(std::size_t i) const;
-  double cts_size(std::size_t i) const;
+  /// The packed test sets; test_set(i) is fault i's CTS as an edge of it.
+  const std::shared_ptr<const bdd::FrozenForest>& forest() const {
+    return forest_;
+  }
+  bdd::NodeIndex test_set(std::size_t i) const { return test_sets_.at(i); }
+  bool detectable(std::size_t i) const {
+    return test_sets_.at(i) != bdd::kFalseNode;
+  }
+  /// |CTS_i|, exact (0 for undetectable faults).
+  double cts_size(std::size_t i) const { return cts_sizes_.at(i); }
+  /// Fault indices sorted hardest (smallest CTS) first; ties by index.
+  const std::vector<std::size_t>& order() const { return order_; }
+  /// Stats of the DP sweep that built the sets.
+  const core::ParallelStats& stats() const { return stats_; }
+
+ private:
+  std::vector<fault::StuckAtFault> faults_;
+  std::shared_ptr<const bdd::FrozenForest> forest_;
+  std::vector<bdd::NodeIndex> test_sets_;
+  std::vector<double> cts_sizes_;
+  std::vector<std::size_t> order_;
+  core::ParallelStats stats_;
+};
+
+/// Answers any number of counting / top-up queries against one fault
+/// list's test sets. Not thread-safe (the queries build vector-set BDDs
+/// in the analyzer's private manager); concurrent analyzers share one
+/// NDetectTestSets instead.
+class NDetectAnalyzer {
+ public:
+  /// Builds the test sets (the DP sweep runs here). `circuit` must
+  /// outlive the analyzer.
+  NDetectAnalyzer(const netlist::Circuit& circuit,
+                  std::vector<fault::StuckAtFault> faults,
+                  const NDetectOptions& options = {});
+  /// Adopts test sets built for `circuit` (no sweep). `circuit` must
+  /// outlive the analyzer.
+  NDetectAnalyzer(const netlist::Circuit& circuit,
+                  std::shared_ptr<const NDetectTestSets> test_sets);
+
+  const netlist::Circuit& circuit() const { return *circuit_; }
+  const std::vector<fault::StuckAtFault>& faults() const {
+    return sets_->faults();
+  }
+  std::size_t num_faults() const { return faults().size(); }
+  bool detectable(std::size_t i) const { return sets_->detectable(i); }
+  double cts_size(std::size_t i) const { return sets_->cts_size(i); }
   /// min(n, |CTS_i|); 0 for undetectable faults.
   std::uint64_t quota(std::size_t i, std::size_t n) const;
 
@@ -127,18 +179,20 @@ class NDetectAnalyzer {
   NDetectReport report(const std::vector<std::vector<bool>>& vectors,
                        std::size_t n);
 
-  /// Stats of the constructor's DP sweep.
-  const core::ParallelStats& stats() const { return engine_.stats(); }
+  /// The adopted test sets (share them with further analyzers).
+  const std::shared_ptr<const NDetectTestSets>& test_sets() const {
+    return sets_;
+  }
+  /// Stats of the DP sweep that built the test sets.
+  const core::ParallelStats& stats() const { return sets_->stats(); }
 
  private:
+  /// Fault i's test set as a handle of manager_.
+  bdd::Bdd cts(std::size_t i) { return manager_.make(sets_->test_set(i)); }
+
   const netlist::Circuit* circuit_;
-  std::vector<fault::StuckAtFault> faults_;
-  netlist::Structure structure_;
-  core::ParallelEngine engine_;
-  std::vector<core::FaultAnalysis> analyses_;
-  std::vector<double> cts_sizes_;
-  /// Fault indices sorted hardest (smallest CTS) first; ties by index.
-  std::vector<std::size_t> order_;
+  std::shared_ptr<const NDetectTestSets> sets_;
+  bdd::Manager manager_;
 };
 
 /// One-shot analysis (no top-up): sweep + report(vectors, n).

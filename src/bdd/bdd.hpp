@@ -107,8 +107,14 @@ class Bdd {
     return Bdd(*m, m->compose(idx_, v, g.idx_));
   }
 
+  /// *this & rhs != 0, decided without building the conjunction.
+  bool intersects(const Bdd& rhs) const {
+    Manager* m = same(rhs);
+    return m->intersects(idx_, rhs.idx_);
+  }
+
   /// Implication as a predicate: (*this -> rhs) is a tautology?
-  bool implies(const Bdd& rhs) const { return (*this & !rhs).is_zero(); }
+  bool implies(const Bdd& rhs) const { return !intersects(!rhs); }
 
   // ---- queries ------------------------------------------------------------
 

@@ -97,18 +97,22 @@ struct Node {
 
 /// Operation codes for the binary apply cache. With complement edges all
 /// OR traffic is folded into AND entries (De Morgan) and negation never
-/// touches the cache, so only And/Xor/Exists/Restrict key it.
+/// touches the cache, so only And/Xor/Exists/Restrict/Intersects key it.
 enum class Op : std::uint8_t {
   And = 0,
   Or = 1,   // public API only; rewritten to ¬(¬a & ¬b) before caching
   Xor = 2,
-  Exists = 3,   // f, var id
-  Restrict = 4  // f, packed (var, value)
+  Exists = 3,    // f, var id
+  Restrict = 4,  // f, packed (var, value)
+  Intersects = 5  // a, b -> kTrueNode iff a & b != 0 (no node is built)
 };
 
 /// Counters exposed for benchmarking and regression tests.
 struct ManagerStats {
   std::uint64_t apply_calls = 0;      ///< recursive apply invocations
+  /// Recursive intersects() invocations (emptiness tests build no nodes
+  /// and are not apply calls).
+  std::uint64_t intersect_calls = 0;
   std::uint64_t cache_hits = 0;       ///< computed-cache hits
   std::uint64_t unique_lookups = 0;   ///< unique-table probes
   std::uint64_t nodes_created = 0;    ///< total nodes ever allocated

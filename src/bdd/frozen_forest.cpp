@@ -1,8 +1,11 @@
-// FrozenForest queries and Manager::freeze(), the pack-and-publish step
-// of the shared-kernel split. freeze() renumbers reachable slots into a
-// dense ascending range (deterministic for a given pool state: the remap
-// preserves slot order, terminal -> 0) so the packed array is cache-dense
-// and the remapped roots are reproducible across runs.
+// FrozenForest queries, Manager::freeze() and FrozenForest::pack(), the
+// pack-and-publish steps of the shared-kernel split. freeze() renumbers
+// one standalone manager's reachable slots into a dense ascending range
+// (deterministic for a given pool state: the remap preserves slot order,
+// terminal -> 0) so the packed array is cache-dense and the remapped
+// roots are reproducible across runs. pack() gathers roots from several
+// managers (sweep workers over one adopted forest) and hash-conses them
+// into one forest as it goes.
 #include "bdd/frozen_forest.hpp"
 
 #include <algorithm>
@@ -10,6 +13,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "bdd/bdd.hpp"
 #include "bdd/manager.hpp"
 
 namespace dp::bdd {
@@ -48,6 +52,85 @@ NodeIndex FrozenForest::find(Var v, NodeIndex lo_child,
     if (n.var == v && n.lo == lo_child && n.hi == hi_child) return i;
   }
   return kInvalidNode;
+}
+
+NodeIndex FrozenForest::intern(Var v, NodeIndex lo_child,
+                               NodeIndex hi_child) {
+  const NodeIndex found = find(v, lo_child, hi_child);
+  if (found != kInvalidNode) return found;
+  const auto slot = static_cast<NodeIndex>(nodes_.size());
+  nodes_.push_back(Node{v, lo_child, hi_child, kInvalidNode});
+  const bool rehash = nodes_.size() > buckets_.size();
+  if (rehash) {
+    buckets_.assign(2 * buckets_.size(), kInvalidNode);
+    bucket_mask_ = buckets_.size() - 1;
+  }
+  for (NodeIndex i = rehash ? 1 : slot; i <= slot; ++i) {
+    Node& n = nodes_[i];
+    const std::size_t b = bucket(n.var, n.lo, n.hi);
+    n.next = buckets_[b];
+    buckets_[b] = i;
+  }
+  return slot;
+}
+
+std::shared_ptr<const FrozenForest> FrozenForest::pack(
+    const std::vector<Bdd>& roots, std::vector<NodeIndex>* remapped_roots) {
+  auto forest = std::shared_ptr<FrozenForest>(new FrozenForest());
+  forest->nodes_.push_back(
+      Node{kTerminalVar, kTrueNode, kTrueNode, kInvalidNode});
+  forest->buckets_.assign(16, kInvalidNode);
+  forest->bucket_mask_ = 15;
+
+  // Per source manager: source slot -> packed slot. Both polarities of a
+  // slot pack to the same node, and a node is packed only after both of
+  // its children.
+  std::unordered_map<const Manager*, std::vector<NodeIndex>> remaps;
+  std::vector<NodeIndex> packed;
+  packed.reserve(roots.size());
+  std::vector<NodeIndex> stack;
+  for (const Bdd& root : roots) {
+    const Manager* m = root.manager();
+    if (m == nullptr) throw BddError("pack(): empty handle");
+    if (remaps.empty()) {
+      forest->num_vars_ = m->num_vars();
+      forest->var_at_level_ = m->variable_order();
+      forest->level_of_var_.resize(forest->num_vars_);
+      for (std::size_t level = 0; level < forest->num_vars_; ++level) {
+        forest->level_of_var_[forest->var_at_level_[level]] = level;
+      }
+    } else if (m->variable_order() != forest->var_at_level_) {
+      throw BddError("pack(): managers disagree on the variable order");
+    }
+    std::vector<NodeIndex>& remap = remaps[m];
+    if (remap.empty()) {
+      remap.assign(m->pool_size(), kInvalidNode);
+      remap[0] = 0;  // the terminal
+    }
+    stack.push_back(edge_slot(root.index()));
+    while (!stack.empty()) {
+      const NodeIndex s = stack.back();
+      if (remap[s] != kInvalidNode) {
+        stack.pop_back();
+        continue;
+      }
+      const Node& n = m->node(s);
+      const NodeIndex lo = remap[edge_slot(n.lo)];
+      const NodeIndex hi = remap[edge_slot(n.hi)];
+      if (lo == kInvalidNode || hi == kInvalidNode) {
+        if (hi == kInvalidNode) stack.push_back(edge_slot(n.hi));
+        if (lo == kInvalidNode) stack.push_back(edge_slot(n.lo));
+        continue;
+      }
+      stack.pop_back();
+      remap[s] = forest->intern(n.var, make_edge(lo, edge_complemented(n.lo)),
+                                make_edge(hi, edge_complemented(n.hi)));
+    }
+    packed.push_back(make_edge(remap[edge_slot(root.index())],
+                               edge_complemented(root.index())));
+  }
+  if (remapped_roots) *remapped_roots = std::move(packed);
+  return forest;
 }
 
 double FrozenForest::sat_count(NodeIndex f, std::size_t nvars) const {

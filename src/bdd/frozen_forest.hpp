@@ -30,12 +30,28 @@
 
 namespace dp::bdd {
 
+class Bdd;
 class Manager;
 
 class FrozenForest {
  public:
   FrozenForest(const FrozenForest&) = delete;
   FrozenForest& operator=(const FrozenForest&) = delete;
+
+  /// Packs every node reachable from `roots` -- handles of any managers
+  /// that share one variable order, adopting managers included -- into
+  /// one standalone forest (no frozen base of its own). Nodes are
+  /// deduplicated on the way in, so the packed space stays strongly
+  /// reduced and one function held by two managers packs to one edge.
+  /// `remapped_roots` (when non-null) receives roots[i] in forest
+  /// numbering. Slots are numbered by a post-order walk of the roots in
+  /// order, low child first, which depends only on the functions, not on
+  /// which manager held them. With no roots the forest holds the terminal
+  /// alone and no variables. Throws BddError on an empty handle or on
+  /// managers that disagree on the variable order.
+  static std::shared_ptr<const FrozenForest> pack(
+      const std::vector<Bdd>& roots,
+      std::vector<NodeIndex>* remapped_roots = nullptr);
 
   /// Packed node count (terminal included). Doubles as the adopting
   /// manager's frozen_base_: private slots start here.
@@ -80,6 +96,9 @@ class FrozenForest {
   FrozenForest() = default;
 
   std::size_t bucket(Var v, NodeIndex lo_child, NodeIndex hi_child) const;
+  /// pack()'s find-or-append of a node whose children are already packed;
+  /// doubles the bucket array as the node count outgrows it.
+  NodeIndex intern(Var v, NodeIndex lo_child, NodeIndex hi_child);
 
   std::size_t num_vars_ = 0;
   std::vector<Var> var_at_level_;          ///< level -> variable id

@@ -143,6 +143,11 @@ class Manager : public obs::ProfileSource {
   std::vector<double> densities(const std::vector<NodeIndex>& fs,
                                 std::size_t nvars) const;
 
+  /// a & b != 0, decided without building a & b: the AND recursion cut
+  /// short at the first satisfiable pair of cofactors. Never allocates
+  /// and never collects; memoized under its own computed-table tag.
+  bool intersects(NodeIndex a, NodeIndex b);
+
   /// Variables the function actually depends on, ascending.
   std::vector<Var> support(NodeIndex f) const;
 

@@ -11,7 +11,10 @@
 //     result's polarity is recovered with one bit flip, collapsing the
 //     four polarity variants of every XOR pair into a single entry.
 //
-// Negation itself never recurses and never touches the cache.
+// Negation itself never recurses and never touches the cache. The
+// emptiness test `intersects` walks the AND recursion without building
+// its result, so a caller that only needs "is a & b zero?" never pays for
+// the nodes.
 #include <utility>
 
 #include "bdd/bdd.hpp"
@@ -78,6 +81,27 @@ NodeIndex Manager::and_rec(NodeIndex a, NodeIndex b) {
 
   cache_.insert(Op::And, a, b, result);
   return result;
+}
+
+bool Manager::intersects(NodeIndex a, NodeIndex b) {
+  ++stats_.intersect_calls;
+  // and_rec's terminal rules, read as "is the AND nonzero": only the
+  // constant FALSE and a complementary pair are empty. A nonzero operand
+  // against TRUE or against itself always meets it.
+  if (a == kFalseNode || b == kFalseNode || a == edge_negate(b)) return false;
+  if (a == kTrueNode || b == kTrueNode || a == b) return true;
+  if (a > b) std::swap(a, b);
+
+  const NodeIndex cached = cache_.lookup(Op::Intersects, a, b);
+  if (cached != kInvalidNode) return cached == kTrueNode;
+
+  const std::size_t la = level_of_node(a);
+  const std::size_t lb = level_of_node(b);
+  const bool meets =
+      intersects(la <= lb ? lo(a) : a, lb <= la ? lo(b) : b) ||
+      intersects(la <= lb ? hi(a) : a, lb <= la ? hi(b) : b);
+  cache_.insert(Op::Intersects, a, b, meets ? kTrueNode : kFalseNode);
+  return meets;
 }
 
 NodeIndex Manager::xor_rec(NodeIndex a, NodeIndex b) {

@@ -293,6 +293,7 @@ void Manager::export_metrics(obs::MetricsRegistry& registry,
   g("unique_lookups", static_cast<double>(stats_.unique_lookups));
   g("apply_calls", static_cast<double>(stats_.apply_calls));
   g("cache_hits", static_cast<double>(stats_.cache_hits));
+  g("intersect_calls", static_cast<double>(stats_.intersect_calls));
   g("cache_hit_rate", stats_.cache_hit_rate());
   g("cache_slots", static_cast<double>(cache_.size()));
   g("negations_constant_time",

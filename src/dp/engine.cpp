@@ -186,36 +186,28 @@ FaultAnalysis DifferencePropagator::finish(const Seeds& seeds,
                                            obs::ScopedSpan& span) const {
   const Circuit& c = good_.circuit();
   std::vector<bdd::Bdd> diff(c.num_nets());
-  const PropagationStats stats = propagate(seeds, diff);
-  std::vector<bdd::Bdd> po_diffs(c.num_outputs());
-  bdd::Bdd test_set = good_.manager().zero();
+  FaultAnalysis out;
+  out.stats = propagate(seeds, diff);
+  out.po_differences.resize(c.num_outputs());
+  out.po_observable.assign(c.num_outputs(), false);
+  out.test_set = good_.manager().zero();
   for (std::size_t i = 0; i < c.num_outputs(); ++i) {
-    po_diffs[i] = diff[c.outputs()[i]];
-    if (po_diffs[i].valid()) test_set = test_set | po_diffs[i];
+    out.po_differences[i] = diff[c.outputs()[i]];
+    if (!out.po_differences[i].valid()) continue;
+    out.po_observable[i] = true;
+    out.test_set = out.test_set | out.po_differences[i];
   }
-  return finish(std::move(po_diffs), std::move(test_set), seeds.sites, stats,
-                upper_bound, span);
+  return finish(std::move(out), seeds.sites, upper_bound, span);
 }
 
-FaultAnalysis DifferencePropagator::finish(std::vector<bdd::Bdd> po_diffs,
-                                           bdd::Bdd test_set,
+FaultAnalysis DifferencePropagator::finish(FaultAnalysis out,
                                            const std::vector<NetId>& sites,
-                                           PropagationStats stats,
                                            double upper_bound,
                                            obs::ScopedSpan& span) const {
   const Circuit& c = good_.circuit();
-  FaultAnalysis out;
-  out.stats = stats;
   out.upper_bound = upper_bound;
-  out.test_set = std::move(test_set);
-  out.po_observable.assign(c.num_outputs(), false);
-  out.po_differences = std::move(po_diffs);
-  for (std::size_t i = 0; i < c.num_outputs(); ++i) {
-    if (out.po_differences[i].valid()) {
-      out.po_observable[i] = true;
-      ++out.pos_observable;
-    }
-  }
+  out.pos_observable = static_cast<std::size_t>(
+      std::count(out.po_observable.begin(), out.po_observable.end(), true));
   out.detectable = !out.test_set.is_zero();
   out.detectability = out.test_set.density(good_.num_vars());
   out.adherence =
@@ -274,20 +266,33 @@ FaultAnalysis DifferencePropagator::analyze(
   return finish(seeds, fault.stuck_value ? 1.0 - syn : syn, span);
 }
 
-FaultAnalysis DifferencePropagator::analyze(
-    const fault::BridgingFault& fault) const {
-  obs::ScopedSpan span(obs::SpanCollector::current(), "dp.fault");
-  const Circuit& c = good_.circuit();
+DifferencePropagator::BridgeFlips DifferencePropagator::flip(
+    const fault::BridgingFault& fault, PropagationStats& stats) const {
   if (structure_.reaches(fault.a, fault.b) ||
       structure_.reaches(fault.b, fault.a)) {
     throw netlist::NetlistError(
         "analyze: bridge wires must be distinct and neither may reach the "
-        "other: " + fault::describe(fault, c));
+        "other: " + fault::describe(fault, good_.circuit()));
   }
   const bdd::Bdd& fa = good_.at(fault.a);
   const bdd::Bdd& fb = good_.at(fault.b);
-  const bdd::Bdd wired =
-      fault.type == fault::BridgeType::And ? (fa & fb) : (fa | fb);
+  BridgeFlips out;
+  out.wired = fault.type == fault::BridgeType::And ? (fa & fb) : (fa | fb);
+  for (std::size_t w = 0; w < 2; ++w) {
+    const NetId wire = w == 0 ? fault.a : fault.b;
+    RootFlip& f = out.roots[w];
+    f.delta = to_root(wire, good_.at(wire) ^ out.wired, stats);
+    if (!f.delta.is_zero()) {
+      f.observed = &observe(structure_.regions().root_of(wire));
+    }
+  }
+  return out;
+}
+
+FaultAnalysis DifferencePropagator::analyze(
+    const fault::BridgingFault& fault) const {
+  obs::ScopedSpan span(obs::SpanCollector::current(), "dp.fault");
+  const Circuit& c = good_.circuit();
   if (span.enabled()) span.attr("site", fault::describe(fault, c));
 
   // Each input flips at most one wire: a where fa differs from the wired
@@ -301,29 +306,44 @@ FaultAnalysis DifferencePropagator::analyze(
   // exactly what one sweep seeding both wires would give (cut variables
   // included). The test set, their OR over p, is D_Ra.O(Ra) OR D_Rb.O(Rb)
   // with O(R) the OR of O(R, p) over p, kept with the observabilities.
-  PropagationStats stats;
-  std::vector<bdd::Bdd> po_diffs(c.num_outputs());
-  bdd::Bdd test_set = good_.manager().zero();
-  for (const NetId wire : {fault.a, fault.b}) {
-    const bdd::Bdd at_root = to_root(wire, good_.at(wire) ^ wired, stats);
-    if (at_root.is_zero()) continue;
-    const Observability& o = observe(structure_.regions().root_of(wire));
-    test_set = test_set | (at_root & o.any);
+  // PO p observes the bridge iff either product is nonzero, which an
+  // emptiness test decides without building it (po_differences() does).
+  FaultAnalysis out;
+  out.test_set = good_.manager().zero();
+  out.po_observable.assign(c.num_outputs(), false);
+  const BridgeFlips flips = flip(fault, out.stats);
+  for (const RootFlip& f : flips.roots) {
+    if (!f.observed) continue;
+    out.test_set = out.test_set | (f.delta & f.observed->any);
     for (std::size_t i = 0; i < c.num_outputs(); ++i) {
-      if (!o.po[i].valid()) continue;
-      bdd::Bdd t = at_root & o.po[i];
-      if (t.is_zero()) continue;
-      po_diffs[i] = po_diffs[i].valid() ? po_diffs[i] | t : std::move(t);
+      if (out.po_observable[i] || !f.observed->po[i].valid()) continue;
+      out.po_observable[i] = f.delta.intersects(f.observed->po[i]);
     }
   }
 
   // Excitation bound: the bridge disturbs some wire iff the wires disagree.
-  const double upper = (fa ^ fb).density(good_.num_vars());
-  FaultAnalysis out =
-      finish(std::move(po_diffs), std::move(test_set), {fault.a, fault.b},
-             stats, upper, span);
-  out.bridge_stuck_at = wired.is_constant();
+  const double upper =
+      (good_.at(fault.a) ^ good_.at(fault.b)).density(good_.num_vars());
+  out = finish(std::move(out), {fault.a, fault.b}, upper, span);
+  out.bridge_stuck_at = flips.wired.is_constant();
   return out;
+}
+
+std::vector<bdd::Bdd> DifferencePropagator::po_differences(
+    const fault::BridgingFault& fault) const {
+  PropagationStats stats;
+  const BridgeFlips flips = flip(fault, stats);
+  std::vector<bdd::Bdd> po_diffs(good_.circuit().num_outputs());
+  for (const RootFlip& f : flips.roots) {
+    if (!f.observed) continue;
+    for (std::size_t i = 0; i < po_diffs.size(); ++i) {
+      if (!f.observed->po[i].valid()) continue;
+      bdd::Bdd t = f.delta & f.observed->po[i];
+      if (t.is_zero()) continue;
+      po_diffs[i] = po_diffs[i].valid() ? po_diffs[i] | t : std::move(t);
+    }
+  }
+  return po_diffs;
 }
 
 FaultAnalysis DifferencePropagator::analyze(

@@ -11,6 +11,7 @@
 // every bridge shares (DESIGN.md §18).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -51,6 +52,9 @@ struct FaultAnalysis {
   std::vector<bool> po_observable;  ///< per PO: difference not identically 0
   /// Per-PO difference functions (invalid handle == identically zero);
   /// the fault dictionary machinery evaluates these per test vector.
+  /// Empty for bridges: their flags come from an emptiness test, and
+  /// DifferencePropagator::po_differences(bridge) builds the functions on
+  /// demand.
   std::vector<bdd::Bdd> po_differences;
   std::size_t pos_observable = 0;
   /// POs structurally fed by the faulted line's stem (for a branch fault
@@ -81,8 +85,13 @@ class DifferencePropagator {
   FaultAnalysis analyze(const fault::StuckAtFault& fault) const;
   /// A non-feedback bridge, as the OR of two one-wire flips observed
   /// through the wires' region roots (see the comment in engine.cpp).
-  /// Throws NetlistError for a feedback bridge or a == b.
+  /// po_observable comes from emptiness tests, so po_differences stays
+  /// empty. Throws NetlistError for a feedback bridge or a == b.
   FaultAnalysis analyze(const fault::BridgingFault& fault) const;
+  /// The bridge's per-PO difference functions (invalid == identically
+  /// zero), built on demand from the same wire flips and observabilities
+  /// analyze() uses. Throws like analyze().
+  std::vector<bdd::Bdd> po_differences(const fault::BridgingFault& fault) const;
   /// Multiple stuck-at faults: every component forces its line at once.
   /// A forced line clips any difference arriving from upstream components
   /// (the line's value is pinned, so its difference is always f XOR v).
@@ -123,6 +132,17 @@ class DifferencePropagator {
     std::vector<bdd::Bdd> po;
     bdd::Bdd any;
   };
+  /// One bridge wire's flip pushed to its region root (zero when the
+  /// flip dies on the way), and the root's observability (null then).
+  struct RootFlip {
+    bdd::Bdd delta;
+    const Observability* observed = nullptr;
+  };
+  /// A bridge as the wired value and wire a's and wire b's root flips.
+  struct BridgeFlips {
+    bdd::Bdd wired;
+    std::array<RootFlip, 2> roots;
+  };
 
   /// The one selective-trace sweep: pins the seeded nets, overrides the
   /// seeded pins, and pushes Table-1 differences toward the POs (up to
@@ -137,16 +157,19 @@ class DifferencePropagator {
 
   /// O(r, .) for region root `root`, chased on first use and kept.
   const Observability& observe(netlist::NetId root) const;
+  /// The bridge's flips (an observability is chased only for a flip
+  /// that reaches its root). Throws NetlistError for a feedback bridge.
+  BridgeFlips flip(const fault::BridgingFault& fault,
+                   PropagationStats& stats) const;
   /// Chases one root whose post-dominator's observability is known.
   void chase(std::uint32_t region) const;
 
-  /// Shared tail of every analyze(): derives the measures from the
-  /// per-PO differences and the test set (their OR) and annotates the
-  /// fault's dp.fault span.
-  FaultAnalysis finish(std::vector<bdd::Bdd> po_diffs, bdd::Bdd test_set,
+  /// Shared tail of every analyze(): `out` carries the test set, the
+  /// per-PO flags (and differences, where built) and the work counters;
+  /// this derives the measures and annotates the fault's dp.fault span.
+  FaultAnalysis finish(FaultAnalysis out,
                        const std::vector<netlist::NetId>& sites,
-                       PropagationStats stats, double upper_bound,
-                       obs::ScopedSpan& span) const;
+                       double upper_bound, obs::ScopedSpan& span) const;
   /// finish() for a fault given as seeds: propagates them first.
   FaultAnalysis finish(const Seeds& seeds, double upper_bound,
                        obs::ScopedSpan& span) const;

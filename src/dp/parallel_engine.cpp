@@ -93,6 +93,12 @@ std::uint64_t ParallelStats::total_apply_calls() const {
   return n;
 }
 
+std::uint64_t ParallelStats::total_intersect_calls() const {
+  std::uint64_t n = 0;
+  for (const WorkerStats& w : workers) n += w.intersect_calls;
+  return n;
+}
+
 std::uint64_t ParallelStats::total_cache_hits() const {
   std::uint64_t n = 0;
   for (const WorkerStats& w : workers) n += w.cache_hits;
@@ -161,6 +167,7 @@ void ParallelStats::merge(const ParallelStats& other) {
     w.peak_live_nodes = std::max(w.peak_live_nodes, o.peak_live_nodes);
     w.gc_runs += o.gc_runs;
     w.apply_calls += o.apply_calls;
+    w.intersect_calls += o.intersect_calls;
     w.cache_hits += o.cache_hits;
     w.negations_constant_time += o.negations_constant_time;
     w.cache_canonical_swaps += o.cache_canonical_swaps;
@@ -236,6 +243,8 @@ void ParallelStats::export_metrics(obs::MetricsRegistry& registry,
   hits.add(static_cast<double>(total_cache_hits()));
   registry.gauge(prefix + ".cache_hit_rate")
       .set(apply.value() > 0.0 ? hits.value() / apply.value() : 0.0);
+  registry.gauge(prefix + ".intersect_calls")
+      .add(static_cast<double>(total_intersect_calls()));
   registry.gauge(prefix + ".negations_constant_time")
       .add(static_cast<double>(total_negations_constant_time()));
   registry.gauge(prefix + ".cache_canonical_swaps")
@@ -415,6 +424,7 @@ void ParallelEngine::run(const std::vector<Fault>& faults,
     ws.roots_observed = w.propagator->roots_observed() - roots_before;
     ws.gc_runs = after.gc_runs - before.gc_runs;
     ws.apply_calls = after.apply_calls - before.apply_calls;
+    ws.intersect_calls = after.intersect_calls - before.intersect_calls;
     ws.cache_hits = after.cache_hits - before.cache_hits;
     ws.negations_constant_time =
         after.negations_constant_time - before.negations_constant_time;

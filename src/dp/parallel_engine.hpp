@@ -56,6 +56,7 @@ struct WorkerStats {
   std::size_t peak_live_nodes = 0;  ///< manager high-water mark
   std::uint64_t gc_runs = 0;
   std::uint64_t apply_calls = 0;
+  std::uint64_t intersect_calls = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t negations_constant_time = 0;
   std::uint64_t cache_canonical_swaps = 0;
@@ -87,6 +88,7 @@ struct ParallelStats {
   std::uint64_t total_roots_observed() const;
   std::uint64_t total_gc_runs() const;
   std::uint64_t total_apply_calls() const;
+  std::uint64_t total_intersect_calls() const;
   std::uint64_t total_cache_hits() const;
   std::uint64_t total_negations_constant_time() const;
   std::uint64_t total_cache_canonical_swaps() const;

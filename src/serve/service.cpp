@@ -169,9 +169,19 @@ std::size_t Service::profile_cache_size() const {
   return cache_.size();
 }
 
-std::size_t Service::resident_forest_count() const {
-  std::lock_guard<std::mutex> lock(forests_mutex_);
-  return forests_.size();
+Service::ResidentCounts Service::resident_counts() const {
+  std::lock_guard<std::mutex> lock(residents_mutex_);
+  ResidentCounts counts;
+  for (const auto& [key, r] : residents_) {
+    ++counts.circuits;
+    {
+      std::lock_guard<std::mutex> forest_lock(r->forest_mutex);
+      counts.forests += r->forest ? 1 : 0;
+    }
+    std::lock_guard<std::mutex> sets_lock(r->test_sets_mutex);
+    for (const auto& sets : r->test_sets) counts.test_sets += sets ? 1 : 0;
+  }
+  return counts;
 }
 
 bool Service::cache_lookup(const std::string& key, JsonValue* out) {
@@ -206,8 +216,8 @@ void Service::cache_insert(const std::string& key, const std::string& circuit,
   }
 }
 
-std::shared_ptr<const netlist::Circuit> Service::circuit_for(
-    const JsonValue& request, std::string* key_out) {
+std::shared_ptr<Service::Resident> Service::resident_for(
+    const JsonValue& request) {
   const JsonValue* bench = request.find("bench");
   std::string key;
   if (bench) {
@@ -218,29 +228,28 @@ std::shared_ptr<const netlist::Circuit> Service::circuit_for(
   } else {
     key = "name:" + require_string(request, "circuit");
   }
-  if (key_out) *key_out = key;
   {
-    std::lock_guard<std::mutex> lock(circuits_mutex_);
-    auto it = circuits_.find(key);
-    if (it != circuits_.end()) return it->second;
+    std::lock_guard<std::mutex> lock(residents_mutex_);
+    auto it = residents_.find(key);
+    if (it != residents_.end()) return it->second;
   }
   // Parse outside the lock; a duplicate racing parse is wasted work but
-  // harmless (first insert wins below).
-  std::shared_ptr<const netlist::Circuit> circuit;
+  // harmless (first insert wins below, so both requests share one entry).
+  auto entry = std::make_shared<Resident>();
   try {
     if (bench) {
-      circuit = std::make_shared<netlist::Circuit>(
+      entry->circuit = std::make_shared<netlist::Circuit>(
           netlist::read_bench_string(bench->as_string(), "inline"));
     } else {
       const std::string name = require_string(request, "circuit");
       for (const std::string& known : netlist::benchmark_names()) {
         if (known == name) {
-          circuit = std::make_shared<netlist::Circuit>(
+          entry->circuit = std::make_shared<netlist::Circuit>(
               netlist::make_benchmark(name));
           break;
         }
       }
-      if (!circuit) {
+      if (!entry->circuit) {
         throw BadRequest("unknown circuit '" + name +
                          "' (send a built-in benchmark name, or the "
                          "netlist text in 'bench')");
@@ -249,30 +258,50 @@ std::shared_ptr<const netlist::Circuit> Service::circuit_for(
   } catch (const netlist::NetlistError& e) {
     throw BadRequest(std::string("netlist: ") + e.what());
   }
-  std::lock_guard<std::mutex> lock(circuits_mutex_);
-  auto [it, inserted] = circuits_.emplace(key, std::move(circuit));
-  return it->second;
+  std::lock_guard<std::mutex> lock(residents_mutex_);
+  return residents_.emplace(key, std::move(entry)).first->second;
 }
 
-std::shared_ptr<const core::SharedGoodFunctions> Service::forest_for(
-    const std::string& key, const netlist::Circuit& circuit) {
-  // The build runs under the map lock: the second of two racing requests
-  // for a cold circuit blocks until the first finishes freezing, then
-  // adopts that forest instead of building a duplicate universe. Requests
-  // for already-resident circuits only pay the lookup.
-  std::lock_guard<std::mutex> lock(forests_mutex_);
-  auto it = forests_.find(key);
-  if (it != forests_.end()) {
+std::shared_ptr<const core::SharedGoodFunctions> Service::forest_of(
+    Resident& r) {
+  // The second of two racing requests for a cold circuit blocks here
+  // until the first finishes freezing, then adopts that forest instead of
+  // building a duplicate universe.
+  std::lock_guard<std::mutex> lock(r.forest_mutex);
+  if (r.forest) {
     if (metrics_) metrics_->counter("serve.forest.reuses").add();
-    return it->second.forest;
+    return r.forest;
   }
   // Defaults mirror what handle_analyze's AnalysisOptions would make the
   // engine build itself: default GoodFunctionOptions and node budget
   // (neither is client-settable), so adoption preserves bit-identity.
-  auto forest = std::make_shared<const core::SharedGoodFunctions>(circuit);
-  forests_.emplace(key, ForestEntry{circuit.name(), forest});
+  r.forest = std::make_shared<const core::SharedGoodFunctions>(*r.circuit);
   if (metrics_) metrics_->counter("serve.forest.builds").add();
-  return forest;
+  return r.forest;
+}
+
+std::shared_ptr<const analysis::NDetectTestSets> Service::test_sets_of(
+    Resident& r, bool collapse, std::size_t jobs) {
+  // Lock order: test sets, then (inside forest_of) the forest.
+  std::lock_guard<std::mutex> lock(r.test_sets_mutex);
+  std::shared_ptr<const analysis::NDetectTestSets>& sets =
+      r.test_sets[collapse ? 1 : 0];
+  if (sets) {
+    if (metrics_) metrics_->counter("serve.ndetect.test_sets.reuses").add();
+    return sets;
+  }
+  analysis::NDetectOptions options;
+  options.jobs = jobs;
+  options.shared_good = forest_of(r);
+  obs::ScopedSpan span(obs::SpanCollector::current(), "serve.ndetect.build");
+  span.attr("circuit", r.circuit->name()).attr("jobs", jobs);
+  sets = std::make_shared<const analysis::NDetectTestSets>(
+      *r.circuit,
+      collapse ? fault::collapse_checkpoint_faults(*r.circuit)
+               : fault::checkpoint_faults(*r.circuit),
+      options);
+  if (metrics_) metrics_->counter("serve.ndetect.test_sets.builds").add();
+  return sets;
 }
 
 JsonValue Service::handle(const JsonValue& request) noexcept {
@@ -306,9 +335,8 @@ JsonValue Service::handle_analyze(long long id, const JsonValue& request) {
                              "bridge_theta", "bridge_seed",
                              "prefilter_patterns", "prefilter_seed",
                              "persist"});
-  std::string circuit_key;
-  const std::shared_ptr<const netlist::Circuit> circuit =
-      circuit_for(request, &circuit_key);
+  const std::shared_ptr<Resident> resident = resident_for(request);
+  const std::shared_ptr<const netlist::Circuit>& circuit = resident->circuit;
 
   std::string model = "sa";
   if (const JsonValue* m = opts.find("model")) {
@@ -366,7 +394,7 @@ JsonValue Service::handle_analyze(long long id, const JsonValue& request) {
   // Cache miss: the sweep will run, so pin (or build) the resident
   // frozen forest and hand it to the engine. Concurrent analyzes of the
   // same circuit adopt the same immutable node pool.
-  a.shared_good = forest_for(circuit_key, *circuit);
+  a.shared_good = forest_of(*resident);
 
   JsonValue profile;
   {
@@ -399,9 +427,8 @@ JsonValue Service::handle_analyze(long long id, const JsonValue& request) {
 JsonValue Service::handle_ndetect(long long id, const JsonValue& request) {
   const JsonValue& opts = options_of(request);
   reject_unknown_keys(opts, {"n", "jobs", "topup", "collapse"});
-  std::string circuit_key;
-  const std::shared_ptr<const netlist::Circuit> circuit =
-      circuit_for(request, &circuit_key);
+  const std::shared_ptr<Resident> resident = resident_for(request);
+  const std::shared_ptr<const netlist::Circuit>& circuit = resident->circuit;
 
   const std::size_t n = static_cast<std::size_t>(opt_u64(opts, "n", 1));
   const std::size_t jobs =
@@ -437,19 +464,14 @@ JsonValue Service::handle_ndetect(long long id, const JsonValue& request) {
     return resp;
   }
 
-  const std::vector<fault::StuckAtFault> faults =
-      collapse ? fault::collapse_checkpoint_faults(*circuit)
-               : fault::checkpoint_faults(*circuit);
-
-  analysis::NDetectOptions a;
-  a.jobs = jobs;
-  a.shared_good = forest_for(circuit_key, *circuit);
-
+  // Cache miss: count against the circuit's resident test sets (the DP
+  // sweep runs only for the first ndetect on a circuit and flag).
   JsonValue payload = JsonValue::object();
   {
     obs::ScopedSpan span(obs::SpanCollector::current(), "serve.ndetect");
     span.attr("circuit", circuit->name()).attr("jobs", jobs);
-    analysis::NDetectAnalyzer analyzer(*circuit, faults, a);
+    analysis::NDetectAnalyzer analyzer(
+        *circuit, test_sets_of(*resident, collapse, jobs));
     const std::size_t given = vectors.size();
     std::size_t minted = 0;
     if (topup) minted = analyzer.top_up(vectors, n);
@@ -477,8 +499,8 @@ JsonValue Service::handle_grade(long long id, const JsonValue& request) {
   const JsonValue& opts = options_of(request);
   reject_unknown_keys(opts,
                       {"patterns", "seed", "collapse", "drop_detected"});
-  const std::shared_ptr<const netlist::Circuit> circuit =
-      circuit_for(request);
+  const std::shared_ptr<Resident> resident = resident_for(request);
+  const netlist::Circuit& circuit = *resident->circuit;
   const std::size_t patterns =
       static_cast<std::size_t>(opt_u64(opts, "patterns", 1024));
   const std::uint64_t seed = opt_u64(opts, "seed", 0x5eedb10cull);
@@ -486,15 +508,15 @@ JsonValue Service::handle_grade(long long id, const JsonValue& request) {
 
   if (metrics_) metrics_->counter("serve.requests.grade").add();
   const std::vector<fault::StuckAtFault> faults =
-      collapse ? fault::collapse_checkpoint_faults(*circuit)
-               : fault::checkpoint_faults(*circuit);
-  sim::WideFaultSimulator sim(*circuit);
+      collapse ? fault::collapse_checkpoint_faults(circuit)
+               : fault::checkpoint_faults(circuit);
+  sim::WideFaultSimulator sim(circuit);
   sim::WideSimOptions wopts;
   wopts.drop_detected = opt_bool(opts, "drop_detected", true);
   const auto grade = sim.grade_random(faults, patterns, seed, wopts);
 
   JsonValue resp = make_ok_response(id, "grade");
-  resp["circuit"] = circuit->name();
+  resp["circuit"] = circuit.name();
   resp["total"] = grade.total;
   resp["detected"] = grade.detected();
   resp["num_patterns"] = grade.num_patterns;
@@ -507,17 +529,16 @@ JsonValue Service::handle_grade(long long id, const JsonValue& request) {
 }
 
 JsonValue Service::handle_hash(long long id, const JsonValue& request) {
-  const std::shared_ptr<const netlist::Circuit> circuit =
-      circuit_for(request);
+  const std::shared_ptr<Resident> resident = resident_for(request);
   JsonValue resp = make_ok_response(id, "hash");
-  resp["circuit"] = circuit->name();
-  resp["hash"] = store::circuit_content_hash(*circuit);
+  resp["circuit"] = resident->circuit->name();
+  resp["hash"] = store::circuit_content_hash(*resident->circuit);
   return resp;
 }
 
 JsonValue Service::handle_evict(long long id, const JsonValue& request) {
   // With "circuit": drop that circuit's cached profiles and its resident
-  // netlist. Without: drop everything (a full cache reset between load
+  // entry. Without: drop everything (a full cache reset between load
   // phases). The artifact store on disk is never touched.
   std::size_t evicted = 0;
   const JsonValue* which = request.find("circuit");
@@ -537,34 +558,12 @@ JsonValue Service::handle_evict(long long id, const JsonValue& request) {
     }
   }
   {
-    // Dropping the map entry only unpins the forest; any in-flight
-    // analyze keeps its shared_ptr until its sweep completes.
-    std::lock_guard<std::mutex> lock(forests_mutex_);
-    if (!which) {
-      forests_.clear();
-    } else {
-      for (auto it = forests_.begin(); it != forests_.end();) {
-        if (it->second.circuit_name == which->as_string()) {
-          it = forests_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(circuits_mutex_);
-    if (!which) {
-      circuits_.clear();
-    } else {
-      for (auto it = circuits_.begin(); it != circuits_.end();) {
-        if ((*it->second).name() == which->as_string()) {
-          it = circuits_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    }
+    // Dropping an entry only unpins its circuit, forest and test sets; an
+    // in-flight request keeps its references until it completes.
+    std::lock_guard<std::mutex> lock(residents_mutex_);
+    std::erase_if(residents_, [&](const auto& entry) {
+      return !which || entry.second->circuit->name() == which->as_string();
+    });
   }
   if (metrics_) metrics_->counter("serve.requests.evict").add();
   JsonValue resp = make_ok_response(id, "evict");

@@ -5,16 +5,21 @@
 // Resident state and what "warm" means
 // ------------------------------------
 // Four layers stay hot across requests, which is the entire point of a
-// daemon over a CLI-per-request workflow:
+// daemon over a CLI-per-request workflow. The first two are circuit-only
+// state and live in one resident entry per circuit:
 //   1. Circuits -- parsed netlists (built-in benchmarks or inline .bench
 //      text) are constructed once and shared by reference afterwards.
-//   2. Frozen forests -- one immutable good-function universe per
-//      resident circuit (core::SharedGoodFunctions), built on first
-//      analyze and adopted read-only by every subsequent request's
-//      engine workers, concurrent ones included: an analyze that misses
-//      the profile cache still skips the entire good-function build.
-//      Held by shared_ptr, so an evict during an in-flight request only
-//      unpins the forest; the request keeps its reference until done.
+//   2. Frozen state -- the circuit's immutable good-function universe
+//      (core::SharedGoodFunctions), built on first analyze or ndetect,
+//      and its n-detect test sets per collapse flag
+//      (analysis::NDetectTestSets), built on first ndetect. Later
+//      requests, concurrent ones included, adopt them read-only: an
+//      analyze that misses the profile cache still skips the entire
+//      good-function build, and an ndetect with a fresh vector set skips
+//      the DP sweep. Each part is built once, under its entry's own
+//      lock, so a build never stalls requests for other circuits. Held
+//      by shared_ptr, so an evict during an in-flight request only
+//      unpins the entry; the request keeps its references until done.
 //   3. Profile cache -- a bounded in-memory LRU of fully serialized
 //      analyze responses keyed exactly like the artifact store
 //      (profile_cache_key + model-specific extras). A hit skips BDD
@@ -51,6 +56,10 @@
 #include "obs/metrics.hpp"
 #include "store/artifact_store.hpp"
 
+namespace dp::analysis {
+class NDetectTestSets;
+}
+
 namespace dp::serve {
 
 struct ServiceOptions {
@@ -79,25 +88,41 @@ class Service {
   /// Current in-memory profile-cache entry count (tests).
   std::size_t profile_cache_size() const;
 
-  /// Current resident frozen-forest count (tests).
-  std::size_t resident_forest_count() const;
+  /// What the resident entries currently hold (tests).
+  struct ResidentCounts {
+    std::size_t circuits = 0;
+    std::size_t forests = 0;
+    std::size_t test_sets = 0;  ///< n-detect test sets, per collapse flag
+  };
+  ResidentCounts resident_counts() const;
 
  private:
   struct CacheEntry;
 
-  struct ForestEntry {
-    std::string circuit_name;  ///< for name-scoped evicts
+  /// One circuit's resident state. The circuit is fixed at creation; the
+  /// forest and the test sets are built on first use, each under its own
+  /// mutex, and never change afterwards.
+  struct Resident {
+    std::shared_ptr<const netlist::Circuit> circuit;
+    std::mutex forest_mutex;
     std::shared_ptr<const core::SharedGoodFunctions> forest;
+    std::mutex test_sets_mutex;
+    /// Indexed by the collapse flag.
+    std::shared_ptr<const analysis::NDetectTestSets> test_sets[2];
   };
 
-  std::shared_ptr<const netlist::Circuit> circuit_for(
-      const obs::JsonValue& request, std::string* key_out = nullptr);
+  /// The resident entry of the request's circuit ("circuit" name or
+  /// inline "bench" text), parsing the netlist on first use.
+  std::shared_ptr<Resident> resident_for(const obs::JsonValue& request);
 
-  /// Returns the resident frozen good-function forest for `key`, building
-  /// it on first use. Serialized per service (one build at a time); every
-  /// later request for the same circuit adopts the same immutable forest.
-  std::shared_ptr<const core::SharedGoodFunctions> forest_for(
-      const std::string& key, const netlist::Circuit& circuit);
+  /// The entry's good-function forest, built on first use; every later
+  /// request for the circuit adopts the same immutable forest.
+  std::shared_ptr<const core::SharedGoodFunctions> forest_of(Resident& r);
+
+  /// The entry's n-detect test sets for the collapse flag, built on first
+  /// use over its forest at `jobs` workers (the sets are jobs-invariant).
+  std::shared_ptr<const analysis::NDetectTestSets> test_sets_of(
+      Resident& r, bool collapse, std::size_t jobs);
 
   obs::JsonValue handle_analyze(long long id, const obs::JsonValue& request);
   obs::JsonValue handle_ndetect(long long id, const obs::JsonValue& request);
@@ -117,12 +142,9 @@ class Service {
   obs::MetricsRegistry* metrics_;
   std::unique_ptr<store::ArtifactStore> store_;
 
-  mutable std::mutex circuits_mutex_;
-  std::unordered_map<std::string, std::shared_ptr<const netlist::Circuit>>
-      circuits_;
-
-  mutable std::mutex forests_mutex_;
-  std::unordered_map<std::string, ForestEntry> forests_;
+  /// Keyed "name:<circuit>" or "bench:<text hash>".
+  mutable std::mutex residents_mutex_;
+  std::unordered_map<std::string, std::shared_ptr<Resident>> residents_;
 
   mutable std::mutex cache_mutex_;
   std::list<CacheEntry> lru_;  ///< front = most recently used

@@ -135,9 +135,11 @@ void check_fault(const Fault& f, bool* mutate_pending, const FuzzCase& fc,
 /// roots' observabilities) against symbolic fault simulation (faulty
 /// functions swept through the whole cone) in the same manager, so BDDs
 /// compare by handle and every FaultAnalysis field but the work counters
-/// must be equal.
+/// must be equal. DP's per-PO functions, which its analysis leaves
+/// unbuilt, come from the on-demand `dp_po` (po_differences(bridge)).
 void check_symbolic_bridge(const std::string& what,
                            const core::FaultAnalysis& dp,
+                           const std::vector<bdd::Bdd>& dp_po,
                            const core::FaultAnalysis& sym, Recorder& rec) {
   auto same = [](const bdd::Bdd& a, const bdd::Bdd& b) {
     return a.valid() == b.valid() && (!a.valid() || a == b);
@@ -147,11 +149,10 @@ void check_symbolic_bridge(const std::string& what,
     rec.mismatch(arm + ".test_set", what, "test-set handles differ");
   }
   rec.expect_eq(arm + ".po_count", what, sym.po_differences.size(),
-                dp.po_differences.size());
-  for (std::size_t p = 0; p < std::min(sym.po_differences.size(),
-                                       dp.po_differences.size());
-       ++p) {
-    if (!same(sym.po_differences[p], dp.po_differences[p])) {
+                dp_po.size());
+  for (std::size_t p = 0;
+       p < std::min(sym.po_differences.size(), dp_po.size()); ++p) {
+    if (!same(sym.po_differences[p], dp_po[p])) {
       rec.mismatch(arm + ".po_differences", what,
                    "PO " + std::to_string(p) + " difference handles differ");
     }
@@ -314,8 +315,8 @@ OracleResult run_oracles(const FuzzCase& fc, const OracleConfig& config) {
     const core::SymbolicFaultSimulator symbolic(good, structure);
     for (std::size_t i = 0; i < fc.bridges.size(); ++i) {
       check_symbolic_bridge(describe(fc.bridges[i], fc.circuit),
-                            serial_br[i], symbolic.analyze(fc.bridges[i]),
-                            rec);
+                            serial_br[i], dp.po_differences(fc.bridges[i]),
+                            symbolic.analyze(fc.bridges[i]), rec);
     }
     // A few 2- and 3-line multiple faults, sampled with a seed derived
     // from the case seed so the case's own fault lists stay as they were.
@@ -454,7 +455,23 @@ OracleResult run_oracles(const FuzzCase& fc, const OracleConfig& config) {
       analysis::NDetectOptions nopt;
       nopt.jobs = config.jobs == 0 ? 1 : config.jobs;
       analysis::NDetectAnalyzer analyzer(fc.circuit, fc.sa_faults, nopt);
+      const std::vector<std::vector<bool>> given = vectors;
       analyzer.top_up(vectors, ndetect_n);
+      // A second analyzer adopting the same packed test sets (as served
+      // requests do) must mint exactly the same vectors.
+      {
+        analysis::NDetectAnalyzer adopted(fc.circuit, analyzer.test_sets());
+        std::vector<std::vector<bool>> again = given;
+        adopted.top_up(again, ndetect_n);
+        if (again != vectors) {
+          rec.mismatch("ndetect.shared_top_up", "case",
+                       "an analyzer over the shared test sets minted " +
+                           std::to_string(again.size() - given.size()) +
+                           " vectors, the sweeping one " +
+                           std::to_string(vectors.size() - given.size()) +
+                           ", or different ones");
+        }
+      }
       std::vector<std::uint64_t> counts = analyzer.detection_counts(vectors);
       if (config.mutate == Mutation::PerturbNDetectCount && !counts.empty()) {
         counts[0] += 1;

@@ -11,8 +11,9 @@
 //                3-line multiple stuck-at faults sampled from the case seed.
 //   dp_vs_symbolic  serial DifferencePropagator vs SymbolicFaultSimulator
 //                for every bridge, in one manager: test set and every PO
-//                difference by handle, and every other FaultAnalysis field
-//                but the work counters exactly.
+//                difference (DP's built on demand by po_differences) by
+//                handle, and every other FaultAnalysis field but the work
+//                counters exactly.
 //   parallel     ParallelEngine at jobs N vs the serial engine: every
 //                scalar FaultAnalysis field plus the test-set sat count.
 //   store        analyze_stuck_at cold (fresh sweep + artifacts written)
@@ -32,7 +33,8 @@
 //                sample is topped up to n = 2, then every fault's exact
 //                satcount-based detection count must equal the simulator's
 //                per-pattern recount, and every detectable fault must have
-//                reached its min(n, |CTS|) quota.
+//                reached its min(n, |CTS|) quota. A second analyzer adopting
+//                the first one's packed test sets must mint the same vectors.
 //
 // All equality is exact (==, doubles included): every compared quantity
 // is an integer sat count <= 2^n divided by a power of two, so any

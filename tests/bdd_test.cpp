@@ -9,6 +9,7 @@
 
 #include "bdd/bdd.hpp"
 #include "bdd/dot_export.hpp"
+#include "bdd/frozen_forest.hpp"
 
 namespace dp::bdd {
 namespace {
@@ -497,6 +498,50 @@ TEST(ComputedCacheTest, GrowingCacheGivesTheSameFunctionsAsAFullSizeOne) {
     }
   }
   grown.check_canonical();
+}
+
+TEST_F(BddTest, IntersectsAgreesWithConjunctionOnFrozenAndPrivateOperands) {
+  // Half of the operands come from a frozen forest, half are built
+  // privately in the manager adopting it; every pair is tested in all
+  // four polarities, so complement edges meet both node spaces.
+  Manager source(24);
+  const std::vector<Bdd> built = build_random_functions(source, 11, 3000, false);
+  std::vector<NodeIndex> frozen_roots;
+  for (const Bdd& f : built) frozen_roots.push_back(f.index());
+  std::vector<NodeIndex> remapped;
+  const auto forest = source.freeze(frozen_roots, &remapped);
+
+  Manager adopter(forest);
+  std::vector<Bdd> operands;
+  for (const NodeIndex e : remapped) operands.push_back(adopter.make(e));
+  for (const Bdd& f : build_random_functions(adopter, 12, 3000, true)) {
+    operands.push_back(f);
+  }
+  operands.push_back(adopter.zero());
+  operands.push_back(adopter.one());
+  ASSERT_GT(operands.size(), 80u);
+
+  std::size_t meeting = 0, disjoint = 0;
+  for (std::size_t i = 0; i < operands.size(); ++i) {
+    for (std::size_t j = i; j < operands.size(); ++j) {
+      const Bdd& a = operands[i];
+      const Bdd& b = operands[j];
+      for (const Bdd& x : {a, !a}) {
+        for (const Bdd& y : {b, !b}) {
+          const bool expected = !(x & y).is_zero();
+          ASSERT_EQ(x.intersects(y), expected);
+          ASSERT_EQ(y.intersects(x), expected);
+          ++(expected ? meeting : disjoint);
+        }
+      }
+    }
+  }
+  EXPECT_GT(meeting, 0u);
+  EXPECT_GT(disjoint, 0u);
+  EXPECT_TRUE(x0.intersects(x1));
+  EXPECT_FALSE(x0.intersects(!x0));
+  EXPECT_FALSE((x0 & x1).intersects(!x1 | (x2 & !x2)));
+  EXPECT_FALSE(mgr.zero().intersects(mgr.one()));
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 // symbolic fault simulation in the same manager.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -53,13 +54,18 @@ struct Rig {
       const FaultAnalysis s = symbolic.analyze(f);
 
       EXPECT_EQ(d.test_set, s.test_set) << what;
-      EXPECT_EQ(d.po_differences.size(), s.po_differences.size()) << what;
-      for (std::size_t p = 0; p < d.po_differences.size(); ++p) {
-        EXPECT_EQ(d.po_differences[p].valid(), s.po_differences[p].valid())
+      EXPECT_TRUE(d.po_differences.empty()) << what;
+      const std::vector<bdd::Bdd> d_po = dp.po_differences(f);
+      EXPECT_EQ(d_po.size(), s.po_differences.size()) << what;
+      EXPECT_EQ(d_po.size(), d.po_observable.size()) << what;
+      for (std::size_t p = 0;
+           p < std::min(d_po.size(), s.po_differences.size()); ++p) {
+        EXPECT_EQ(d_po[p].valid(), s.po_differences[p].valid())
             << what << " PO " << p;
-        if (d.po_differences[p].valid() && s.po_differences[p].valid()) {
-          EXPECT_EQ(d.po_differences[p], s.po_differences[p])
-              << what << " PO " << p;
+        EXPECT_EQ(d_po[p].valid(), bool(d.po_observable[p]))
+            << what << " PO " << p;
+        if (d_po[p].valid() && s.po_differences[p].valid()) {
+          EXPECT_EQ(d_po[p], s.po_differences[p]) << what << " PO " << p;
         }
       }
       EXPECT_EQ(d.po_observable, s.po_observable) << what;
@@ -265,6 +271,9 @@ TEST(BridgeObservabilityTest, FeedbackBridgesAndSelfBridgesThrow) {
     EXPECT_THROW(
         (void)rig.dp.analyze(BridgingFault{rig.net("b"), rig.net("b"), type}),
         netlist::NetlistError);
+    EXPECT_THROW((void)rig.dp.po_differences(
+                     BridgingFault{rig.net("a"), rig.net("na"), type}),
+                 netlist::NetlistError);
   }
 }
 

@@ -148,6 +148,65 @@ TEST(FrozenForestTest, FreezingAnAdoptingManagerThrows) {
   EXPECT_THROW(adopter.freeze({f.index()}), BddError);
 }
 
+TEST(FrozenForestTest, PackMergesManagersIntoOneCanonicalForest) {
+  // Two managers adopt one forest and build the same private function
+  // (and one each of their own); a standalone manager with the same
+  // order adds a third copy. Packing dedupes them into one edge, keeps
+  // polarity and meaning, and numbers slots by the functions alone.
+  SampleUniverse u;
+  std::vector<NodeIndex> remapped;
+  const auto base = u.manager.freeze(u.roots(), &remapped);
+  Manager w1(base), w2(base);
+  auto shared_fn = [](Manager& m) {
+    return (m.var(0) ^ m.var(2)) & !(m.var(1) & m.var(3));
+  };
+  const std::vector<Bdd> roots = {
+      shared_fn(w1), !shared_fn(w2), shared_fn(u.manager),
+      w1.make(remapped[1]), w2.var(3) | (w2.var(0) & w2.var(1)),
+      w1.zero(), w2.one()};
+  std::vector<NodeIndex> packed;
+  const auto forest = FrozenForest::pack(roots, &packed);
+  ASSERT_EQ(packed.size(), roots.size());
+  EXPECT_NO_THROW(forest->check_canonical());
+  EXPECT_EQ(forest->num_vars(), 4u);
+  EXPECT_EQ(packed[1], edge_negate(packed[0]));
+  EXPECT_EQ(packed[2], packed[0]);
+  EXPECT_EQ(packed[5], kFalseNode);
+  EXPECT_EQ(packed[6], kTrueNode);
+  for (std::size_t i = 0; i < roots.size(); ++i) {
+    EXPECT_EQ(forest->dag_size(packed[i]), roots[i].dag_size()) << i;
+    for (unsigned v = 0; v < 16; ++v) {
+      const std::vector<bool> point{(v & 1) != 0, (v & 2) != 0, (v & 4) != 0,
+                                    (v & 8) != 0};
+      EXPECT_EQ(forest->eval(packed[i], point), roots[i].eval(point))
+          << "root " << i << " at vector " << v;
+    }
+  }
+
+  // The same functions held by other managers pack to the same forest.
+  std::vector<NodeIndex> again;
+  const auto forest2 = FrozenForest::pack(
+      {shared_fn(w2), !shared_fn(w1), shared_fn(w1), w2.make(remapped[1]),
+       u.manager.var(3) | (u.manager.var(0) & u.manager.var(1)),
+       u.manager.zero(), w1.one()},
+      &again);
+  EXPECT_EQ(again, packed);
+  EXPECT_EQ(forest2->size(), forest->size());
+
+  // An adopting manager reads packed handles like any frozen ones.
+  Manager adopter(forest);
+  EXPECT_EQ(adopter.make(packed[0]), shared_fn(adopter));
+
+  Manager other_order(4);
+  other_order.swap_adjacent_levels(0);
+  EXPECT_THROW(FrozenForest::pack({u.funcs[0], other_order.var(0)}),
+               BddError);
+  EXPECT_THROW(FrozenForest::pack({Bdd()}), BddError);
+  const auto empty = FrozenForest::pack({});
+  EXPECT_EQ(empty->size(), 1u);
+  EXPECT_EQ(empty->num_vars(), 0u);
+}
+
 TEST(FrozenForestTest, ConcurrentReadersSeeIdenticalFunctions) {
   const netlist::Circuit circuit = netlist::make_benchmark("c17");
   core::SharedGoodFunctions shared(circuit);

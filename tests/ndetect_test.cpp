@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "analysis/ndetect.hpp"
@@ -192,6 +194,54 @@ TEST(NDetectTest, DeterministicAcrossWorkerCounts) {
   // Serialized documents are byte-identical (the serving contract).
   EXPECT_EQ(analysis::ndetect_report_to_json(r1).dump(0),
             analysis::ndetect_report_to_json(r4).dump(0));
+}
+
+TEST(NDetectTest, AdoptedTestSetsMatchAFreshSerialAnalyzer) {
+  // Test sets swept at jobs 4 and packed into one forest, adopted by two
+  // analyzers in turn, answer exactly like an analyzer that swept its own
+  // at jobs 1: the same minted vectors in the same order, and the same
+  // report document. The empty fault list packs an empty forest.
+  for (const char* name : {"c17", "c95", "alu181", "c432"}) {
+    const netlist::Circuit c = netlist::make_benchmark(name);
+    for (const bool empty : {false, true}) {
+      const std::vector<fault::StuckAtFault> faults =
+          empty ? std::vector<fault::StuckAtFault>{}
+                : fault::collapse_checkpoint_faults(c);
+      const std::string what = std::string(name) + (empty ? " (no faults)" : "");
+      analysis::NDetectOptions wide;
+      wide.jobs = 4;
+      const auto sets =
+          std::make_shared<const analysis::NDetectTestSets>(c, faults, wide);
+      analysis::NDetectOptions serial;
+      serial.jobs = 1;
+      analysis::NDetectAnalyzer fresh(c, faults, serial);
+      EXPECT_EQ(fresh.stats().total_gates_evaluated(),
+                sets->stats().total_gates_evaluated())
+          << what;
+
+      const auto given = sample_vectors(c.num_inputs(), 8, 0x5e7);
+      std::vector<std::vector<bool>> expected = given;
+      const std::size_t minted = fresh.top_up(expected, 4);
+      const std::string report =
+          analysis::ndetect_report_to_json(fresh.report(expected, 4)).dump(0);
+      EXPECT_EQ(minted == 0, empty) << what;
+      for (int round = 0; round < 2; ++round) {
+        analysis::NDetectAnalyzer adopted(c, sets);
+        EXPECT_EQ(adopted.test_sets(), sets) << what;
+        ASSERT_EQ(adopted.num_faults(), faults.size()) << what;
+        std::vector<std::vector<bool>> got = given;
+        EXPECT_EQ(adopted.top_up(got, 4), minted) << what;
+        EXPECT_EQ(got, expected) << what;
+        EXPECT_EQ(adopted.detection_counts(got),
+                  fresh.detection_counts(expected))
+            << what;
+        EXPECT_EQ(
+            analysis::ndetect_report_to_json(adopted.report(got, 4)).dump(0),
+            report)
+            << what;
+      }
+    }
+  }
 }
 
 TEST(NDetectTest, ZeroVectorsCountNothing) {

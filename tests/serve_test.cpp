@@ -21,6 +21,7 @@
 #include "fault/stuck_at.hpp"
 #include "netlist/generators.hpp"
 #include "obs/metrics.hpp"
+#include "obs/span.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
@@ -232,7 +233,7 @@ TEST(ServiceTest, ConcurrentAnalyzesShareOneFrozenForest) {
   ASSERT_TRUE(resp_bf.at("ok").as_bool());
   EXPECT_EQ(metrics.counter("serve.forest.builds").value(), 1u);
   EXPECT_GE(metrics.counter("serve.forest.reuses").value(), 1u);
-  EXPECT_EQ(service.resident_forest_count(), 1u);
+  EXPECT_EQ(service.resident_counts().forests, 1u);
 
   // A third model on the same circuit reuses the resident forest again.
   JsonValue hy = req("analyze", "c17");
@@ -242,6 +243,105 @@ TEST(ServiceTest, ConcurrentAnalyzesShareOneFrozenForest) {
   ASSERT_TRUE(service.handle(hy).at("ok").as_bool());
   EXPECT_EQ(metrics.counter("serve.forest.builds").value(), 1u);
   EXPECT_GE(metrics.counter("serve.forest.reuses").value(), 2u);
+}
+
+/// An ndetect request for `circuit` with `bits` as its one client vector.
+JsonValue ndetect_req(const char* circuit, const std::string& bits) {
+  JsonValue r = req("ndetect", circuit);
+  JsonValue vecs = JsonValue::array();
+  vecs.push_back(bits);
+  r["vectors"] = std::move(vecs);
+  JsonValue opts = JsonValue::object();
+  opts["n"] = 2;
+  r["options"] = std::move(opts);
+  return r;
+}
+
+TEST(ServiceTest, EvictingOneCircuitDropsItsWholeResidentEntry) {
+  obs::MetricsRegistry metrics;
+  Service service(ServiceOptions{}, &metrics);
+  for (const char* c : {"c17", "alu181"}) {
+    ASSERT_TRUE(service.handle(req("analyze", c)).at("ok").as_bool());
+  }
+  ASSERT_TRUE(service.handle(ndetect_req("c17", "01010")).at("ok").as_bool());
+  ASSERT_TRUE(service.handle(ndetect_req("alu181", std::string(14, '1')))
+                  .at("ok")
+                  .as_bool());
+  ASSERT_TRUE(service.handle(req("hash", "c95")).at("ok").as_bool());
+  Service::ResidentCounts counts = service.resident_counts();
+  EXPECT_EQ(counts.circuits, 3u);
+  EXPECT_EQ(counts.forests, 2u);
+  EXPECT_EQ(counts.test_sets, 2u);
+
+  JsonValue ev = req("evict", "c17");
+  ASSERT_TRUE(service.handle(ev).at("ok").as_bool());
+  counts = service.resident_counts();
+  EXPECT_EQ(counts.circuits, 2u);
+  EXPECT_EQ(counts.forests, 1u);
+  EXPECT_EQ(counts.test_sets, 1u);
+
+  // c17 comes back cold: its forest and test sets are built again, and
+  // alu181's survive untouched.
+  ASSERT_TRUE(service.handle(ndetect_req("c17", "11111")).at("ok").as_bool());
+  EXPECT_EQ(metrics.counter("serve.forest.builds").value(), 3u);
+  EXPECT_EQ(metrics.counter("serve.ndetect.test_sets.builds").value(), 3u);
+  ASSERT_TRUE(service.handle(ndetect_req("alu181", std::string(14, '0')))
+                  .at("ok")
+                  .as_bool());
+  EXPECT_EQ(metrics.counter("serve.ndetect.test_sets.builds").value(), 3u);
+
+  ASSERT_TRUE(service.handle(req("evict")).at("ok").as_bool());
+  counts = service.resident_counts();
+  EXPECT_EQ(counts.circuits, 0u);
+  EXPECT_EQ(counts.forests, 0u);
+  EXPECT_EQ(counts.test_sets, 0u);
+}
+
+TEST(ServiceTest, ConcurrentColdNDetectsBuildOnce) {
+  // Two threads ask for the same cold circuit at once: one builds the
+  // forest and the test sets, the other waits on the entry and adopts
+  // them. Distinct vectors keep both out of the response cache.
+  obs::MetricsRegistry metrics;
+  Service service(ServiceOptions{}, &metrics);
+  const std::string ones(14, '1'), zeros(14, '0');
+  JsonValue r1, r2;
+  std::thread t1([&] { r1 = service.handle(ndetect_req("alu181", ones)); });
+  std::thread t2([&] { r2 = service.handle(ndetect_req("alu181", zeros)); });
+  t1.join();
+  t2.join();
+  ASSERT_TRUE(r1.at("ok").as_bool()) << r1.dump(0);
+  ASSERT_TRUE(r2.at("ok").as_bool()) << r2.dump(0);
+  EXPECT_EQ(metrics.counter("serve.forest.builds").value(), 1u);
+  EXPECT_EQ(metrics.counter("serve.ndetect.test_sets.builds").value(), 1u);
+  EXPECT_EQ(metrics.counter("serve.ndetect.test_sets.reuses").value(), 1u);
+  const Service::ResidentCounts counts = service.resident_counts();
+  EXPECT_EQ(counts.circuits, 1u);
+  EXPECT_EQ(counts.forests, 1u);
+  EXPECT_EQ(counts.test_sets, 1u);
+}
+
+TEST(ServiceTest, NDetectReusesResidentTestSets) {
+  // Two requests with different vectors miss the response cache, so both
+  // answer fresh (cached: false); only the first sweeps, under one
+  // serve.ndetect.build span, and the second adopts its test sets.
+  obs::MetricsRegistry metrics;
+  Service service(ServiceOptions{}, &metrics);
+  obs::SpanCollector spans;
+  obs::SpanCollector::install(&spans);
+  const JsonValue first = service.handle(ndetect_req("c95", "01100110"));
+  const JsonValue second = service.handle(ndetect_req("c95", "10011001"));
+  obs::SpanCollector::install(nullptr);
+  ASSERT_TRUE(first.at("ok").as_bool()) << first.dump(0);
+  ASSERT_TRUE(second.at("ok").as_bool()) << second.dump(0);
+  EXPECT_FALSE(first.at("cached").as_bool());
+  EXPECT_FALSE(second.at("cached").as_bool());
+  EXPECT_EQ(metrics.counter("serve.ndetect.test_sets.builds").value(), 1u);
+  EXPECT_GE(metrics.counter("serve.ndetect.test_sets.reuses").value(), 1u);
+  std::size_t builds = 0;
+  for (const obs::SpanRecord& s : spans.snapshot().spans) {
+    builds += s.name == "serve.ndetect.build" ? 1 : 0;
+  }
+  EXPECT_EQ(builds, 1u);
 }
 
 TEST(ServiceTest, EvictDuringInFlightAnalyzeIsSafe) {
@@ -256,7 +356,7 @@ TEST(ServiceTest, EvictDuringInFlightAnalyzeIsSafe) {
   JsonValue expected = service.handle(req("analyze", "alu181"));
   ASSERT_TRUE(expected.at("ok").as_bool());
   service.handle(req("evict"));
-  ASSERT_EQ(service.resident_forest_count(), 0u);
+  ASSERT_EQ(service.resident_counts().forests, 0u);
 
   std::atomic<bool> done{false};
   JsonValue got;
