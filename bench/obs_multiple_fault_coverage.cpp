@@ -11,7 +11,8 @@ using namespace dp;
 
 namespace {
 
-/// Greedy single-SA ATPG (same flow as examples/atpg_tool).
+/// Greedy single-SA ATPG in fault order (the compaction behind
+/// `dpcli diagnose`; `dpcli atpg` compacts hardest fault first).
 std::vector<std::vector<bool>> single_sa_test_set(
     const netlist::Circuit& c, core::DifferencePropagator& dp) {
   std::vector<std::vector<bool>> vectors;

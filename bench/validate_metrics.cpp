@@ -211,7 +211,7 @@ JsonValue validate_served(const std::string& file, const JsonValue& doc) {
   return rec;
 }
 
-/// dp.ndetect.v1: the exact n-detection report (atpg_tool --ndetect-json,
+/// dp.ndetect.v1: the exact n-detection report (dpcli atpg --ndetect-json,
 /// dpserved's ndetect handler). Beyond key shape, the per-fault detection
 /// counts are re-summed and must equal the summary total exactly -- every
 /// number in the document is an integer BDD satcount, so any drift is a

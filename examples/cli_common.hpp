@@ -1,8 +1,8 @@
 // Shared telemetry and persistence flags for the example CLIs:
 // `--metrics-json PATH`, `--trace-out PATH`, `--cache-dir PATH`, and
-// `--resume`/`--no-resume` behave identically across dpcli,
-// testability_report and atpg_tool. The written document mirrors the
-// bench schema (dp.metrics.v1) so one validator handles both:
+// `--resume`/`--no-resume` behave identically in dpcli and dpserved.
+// The written document mirrors the bench schema (dp.metrics.v1) so one
+// validator handles both:
 //
 //   { "tool": "<name>", "command": "<subcommand>",   // command optional
 //     "schema": "dp.metrics.v1",

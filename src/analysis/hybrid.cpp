@@ -126,7 +126,6 @@ HybridProfile analyze_hybrid(const Circuit& circuit,
     popt.jobs = std::min(jobs, remainder_faults.size());
     popt.shared_good = options.shared_good;
     core::ParallelEngine engine(circuit, structure, popt);
-    core::ParallelStats totals = engine.stats();
     // Distinct indices into the pre-sized vector, so the concurrent sink
     // writes are safe (same shape as run_sweep in profiles.cpp).
     engine.analyze_each(
@@ -135,8 +134,7 @@ HybridProfile analyze_hybrid(const Circuit& circuit,
           r.detectable = a.detectable;
           r.dp = make_stuck_at_record(structure, remainder_faults[k], a);
         });
-    totals.merge(engine.stats());
-    p.engine_stats = totals;
+    p.engine_stats = engine.stats();
   }
   p.dp_seconds = std::chrono::duration<double>(clock::now() - t1).count();
   return p;

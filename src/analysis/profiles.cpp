@@ -193,9 +193,7 @@ void run_sweep(const Circuit& circuit, const Structure& structure,
   popt.jobs = options.jobs;
   popt.shared_good = options.shared_good;
   core::ParallelEngine engine(circuit, structure, popt);
-  // Seed the totals with the freshly-built engine's stats so worker
-  // build telemetry survives the per-batch merges.
-  core::ParallelStats totals = engine.stats();
+  core::ParallelStats totals;
   const std::size_t interval =
       cache ? std::max<std::size_t>(1, options.persistence.checkpoint_interval)
             : faults.size();

@@ -24,6 +24,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace dp::bdd {
 
@@ -94,6 +95,19 @@ struct Node {
   NodeIndex hi = kInvalidNode;
   NodeIndex next = kInvalidNode;
 };
+
+/// A stored node's (var, lo, hi) triple and the slot that holds it.
+struct SlotTriple {
+  Var var;
+  NodeIndex lo;
+  NodeIndex hi;
+  NodeIndex slot;
+};
+
+/// Exact duplicate test behind both check_canonical() oracles: sorts
+/// `triples` and returns the later slot of the first equal-triple pair
+/// in sorted order, or kInvalidNode when every triple is distinct.
+NodeIndex find_duplicate_triple(std::vector<SlotTriple>& triples);
 
 /// Operation codes for the binary apply cache. With complement edges all
 /// OR traffic is folded into AND entries (De Morgan) and negation never

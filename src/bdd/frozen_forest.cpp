@@ -10,8 +10,8 @@
 
 #include <algorithm>
 #include <string>
+#include <tuple>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "bdd/bdd.hpp"
 #include "bdd/manager.hpp"
@@ -26,13 +26,23 @@ std::size_t next_pow2(std::size_t n) {
   return p;
 }
 
-double pow2(std::uint64_t e) {
-  double r = 1.0;
-  while (e--) r *= 2.0;
-  return r;
-}
-
 }  // namespace
+
+NodeIndex find_duplicate_triple(std::vector<SlotTriple>& triples) {
+  const auto key = [](const SlotTriple& t) {
+    return std::tie(t.var, t.lo, t.hi, t.slot);
+  };
+  std::sort(triples.begin(), triples.end(),
+            [&](const SlotTriple& a, const SlotTriple& b) {
+              return key(a) < key(b);
+            });
+  for (std::size_t i = 1; i < triples.size(); ++i) {
+    const SlotTriple& a = triples[i - 1];
+    const SlotTriple& b = triples[i];
+    if (a.var == b.var && a.lo == b.lo && a.hi == b.hi) return b.slot;
+  }
+  return kInvalidNode;
+}
 
 std::size_t FrozenForest::bucket(Var v, NodeIndex lo_child,
                                  NodeIndex hi_child) const {
@@ -133,110 +143,12 @@ std::shared_ptr<const FrozenForest> FrozenForest::pack(
   return forest;
 }
 
-double FrozenForest::sat_count(NodeIndex f, std::size_t nvars) const {
-  // Same algorithm as Manager::sat_count: iterative post-order with a
-  // full-edge memo (the two polarities of a slot count complementary
-  // solution sets), level gaps contribute powers of two.
-  std::unordered_map<NodeIndex, double> memo;
-  memo.reserve(256);
-
-  auto level_of = [&](NodeIndex e) -> std::uint64_t {
-    Var v = nodes_[edge_slot(e)].var;
-    return v == kTerminalVar ? nvars : level_of_var_[v];
-  };
-
-  std::vector<NodeIndex> stack{f};
-  while (!stack.empty()) {
-    NodeIndex n = stack.back();
-    if (memo.count(n)) {
-      stack.pop_back();
-      continue;
-    }
-    if (n == kFalseNode) {
-      memo[n] = 0.0;
-      stack.pop_back();
-      continue;
-    }
-    if (n == kTrueNode) {
-      memo[n] = 1.0;
-      stack.pop_back();
-      continue;
-    }
-    const Node& nd = nodes_[edge_slot(n)];
-    if (nd.var >= nvars) {
-      throw BddError("sat_count(): function depends on a variable >= nvars");
-    }
-    const NodeIndex lo_e = nd.lo ^ edge_complemented(n);
-    const NodeIndex hi_e = nd.hi ^ edge_complemented(n);
-    auto it_lo = memo.find(lo_e);
-    auto it_hi = memo.find(hi_e);
-    if (it_lo != memo.end() && it_hi != memo.end()) {
-      const std::uint64_t lvl = level_of(n);
-      double lo_c = it_lo->second * pow2(level_of(lo_e) - lvl - 1);
-      double hi_c = it_hi->second * pow2(level_of(hi_e) - lvl - 1);
-      memo[n] = lo_c + hi_c;
-      stack.pop_back();
-    } else {
-      if (it_lo == memo.end()) stack.push_back(lo_e);
-      if (it_hi == memo.end()) stack.push_back(hi_e);
-    }
-  }
-  return memo[f] * pow2(level_of(f));
-}
-
-bool FrozenForest::eval(NodeIndex f,
-                        const std::vector<bool>& assignment) const {
-  NodeIndex e = f;
-  while (!edge_is_terminal(e)) {
-    const Node& nd = nodes_[edge_slot(e)];
-    if (nd.var >= assignment.size()) {
-      throw BddError("eval(): assignment shorter than function support");
-    }
-    e = (assignment[nd.var] ? nd.hi : nd.lo) ^ edge_complemented(e);
-  }
-  return e == kTrueNode;
-}
-
-std::vector<Var> FrozenForest::support(NodeIndex f) const {
-  std::vector<bool> present(num_vars_, false);
-  std::unordered_set<NodeIndex> visited;
-  std::vector<NodeIndex> stack{edge_slot(f)};
-  while (!stack.empty()) {
-    NodeIndex s = stack.back();
-    stack.pop_back();
-    if (s == 0 || !visited.insert(s).second) continue;
-    const Node& nd = nodes_[s];
-    present[nd.var] = true;
-    stack.push_back(edge_slot(nd.lo));
-    stack.push_back(edge_slot(nd.hi));
-  }
-  std::vector<Var> result;
-  for (Var v = 0; v < num_vars_; ++v) {
-    if (present[v]) result.push_back(v);
-  }
-  return result;
-}
-
-std::size_t FrozenForest::dag_size(NodeIndex f) const {
-  std::unordered_set<NodeIndex> visited;
-  std::vector<NodeIndex> stack{edge_slot(f)};
-  while (!stack.empty()) {
-    NodeIndex s = stack.back();
-    stack.pop_back();
-    if (!visited.insert(s).second) continue;
-    if (s == 0) continue;
-    stack.push_back(edge_slot(nodes_[s].lo));
-    stack.push_back(edge_slot(nodes_[s].hi));
-  }
-  return visited.size();
-}
-
 void FrozenForest::check_canonical() const {
   if (nodes_.empty() || nodes_[0].var != kTerminalVar) {
     throw BddError("check_canonical(): frozen slot 0 is not the terminal");
   }
-  std::unordered_set<std::uint64_t> seen;
-  seen.reserve(nodes_.size() * 2);
+  std::vector<SlotTriple> triples;
+  triples.reserve(nodes_.size());
   for (NodeIndex i = 1; i < nodes_.size(); ++i) {
     const Node& n = nodes_[i];
     const std::string at = " (frozen slot " + std::to_string(i) + ")";
@@ -264,13 +176,12 @@ void FrozenForest::check_canonical() const {
             "check_canonical(): child level not below parent level" + at);
       }
     }
-    std::uint64_t key = static_cast<std::uint64_t>(n.var);
-    key = key * 0x100000001b3ull ^ n.lo;
-    key = key * 0x100000001b3ull ^ n.hi;
-    key *= 0x9e3779b97f4a7c15ull;
-    if (!seen.insert(key).second) {
-      throw BddError("check_canonical(): duplicate (var, lo, hi) triple" + at);
-    }
+    triples.push_back({n.var, n.lo, n.hi, i});
+  }
+  const NodeIndex dup = find_duplicate_triple(triples);
+  if (dup != kInvalidNode) {
+    throw BddError("check_canonical(): duplicate (var, lo, hi) triple"
+                   " (frozen slot " + std::to_string(dup) + ")");
   }
 }
 

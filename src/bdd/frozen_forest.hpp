@@ -72,20 +72,6 @@ class FrozenForest {
   /// duplicating it privately.
   NodeIndex find(Var v, NodeIndex lo_child, NodeIndex hi_child) const;
 
-  // ---- standalone read-only queries ------------------------------------
-  // Mirrors of the Manager queries, so frozen handles can be counted and
-  // evaluated without any manager at all (e.g. by concurrent served
-  // requests). Semantics are identical to Manager's.
-
-  /// Satisfying assignments over variables [0, nvars).
-  double sat_count(NodeIndex f, std::size_t nvars) const;
-  /// Evaluate under a complete assignment (indexed by Var).
-  bool eval(NodeIndex f, const std::vector<bool>& assignment) const;
-  /// Variables the function depends on, ascending.
-  std::vector<Var> support(NodeIndex f) const;
-  /// Distinct pool slots in the DAG rooted at f (terminal included).
-  std::size_t dag_size(NodeIndex f) const;
-
   /// Test/debug oracle: throws BddError on the first violation of the
   /// canonical invariants inside the packed array (complemented stored
   /// else, lo == hi, level order, dangling slot, duplicate triple).

@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <atomic>
 #include <string>
-#include <unordered_set>
 
 #include "bdd/bdd.hpp"
 #include "bdd/frozen_forest.hpp"
@@ -283,8 +282,8 @@ std::size_t Manager::count_live_from_roots() const {
 }
 
 void Manager::check_canonical() const {
-  std::unordered_set<std::uint64_t> seen;
-  seen.reserve(live_nodes_ * 2);
+  std::vector<SlotTriple> triples;
+  triples.reserve(live_nodes_);
   const std::size_t total = pool_size();
   for (NodeIndex i = first_private_index(); i < nodes_.size(); ++i) {
     const Node& n = nodes_[i];
@@ -323,16 +322,13 @@ void Manager::check_canonical() const {
       throw BddError(
           "check_canonical(): private node duplicates a frozen triple" + at);
     }
-    // Triple uniqueness: hash the (var, lo, hi) triple; a collision on the
-    // 64-bit digest across a pool this size is vanishingly unlikely and
-    // only yields a spurious test failure, never a missed corruption.
-    std::uint64_t key = static_cast<std::uint64_t>(n.var);
-    key = key * 0x100000001b3ull ^ n.lo;
-    key = key * 0x100000001b3ull ^ n.hi;
-    key *= 0x9e3779b97f4a7c15ull;
-    if (!seen.insert(key).second) {
-      throw BddError("check_canonical(): duplicate (var, lo, hi) triple" + at);
-    }
+    triples.push_back(
+        {n.var, n.lo, n.hi, static_cast<NodeIndex>(frozen_base_ + i)});
+  }
+  const NodeIndex dup = find_duplicate_triple(triples);
+  if (dup != kInvalidNode) {
+    throw BddError("check_canonical(): duplicate (var, lo, hi) triple"
+                   " (slot " + std::to_string(dup) + ")");
   }
 }
 

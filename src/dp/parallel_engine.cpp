@@ -160,7 +160,6 @@ void ParallelStats::merge(const ParallelStats& other) {
     w.roots_observed += o.roots_observed;
     w.analyze_seconds += o.analyze_seconds;
     w.max_fault_seconds = std::max(w.max_fault_seconds, o.max_fault_seconds);
-    w.build_seconds = std::max(w.build_seconds, o.build_seconds);
     w.fault_seconds.insert(w.fault_seconds.end(), o.fault_seconds.begin(),
                            o.fault_seconds.end());
     w.live_nodes = o.live_nodes;  // end-of-sweep gauge: latest wins
@@ -199,15 +198,14 @@ void ParallelStats::print(std::ostream& os) const {
        << 1e3 * quantile_of(lat, 0.99) << " ms over " << lat.size()
        << " faults\n";
   }
-  os << "  worker   faults   busy(s)   max(ms)   build(s)  peak nodes  "
+  os << "  worker   faults   busy(s)   max(ms)  peak nodes  "
         "gc   apply    cache-hit\n";
   for (std::size_t i = 0; i < workers.size(); ++i) {
     const WorkerStats& w = workers[i];
     os << "  " << std::left << std::setw(9) << i << std::setw(9)
        << w.faults_analyzed << std::right << std::setw(8)
        << std::setprecision(3) << w.analyze_seconds << std::setw(10)
-       << std::setprecision(2) << 1e3 * w.max_fault_seconds << std::setw(10)
-       << std::setprecision(3) << w.build_seconds << std::setw(11)
+       << std::setprecision(2) << 1e3 * w.max_fault_seconds << std::setw(11)
        << w.peak_live_nodes << std::setw(5) << w.gc_runs << std::setw(9)
        << human_count(w.apply_calls) << std::setw(10) << std::setprecision(1)
        << 100.0 * w.cache_hit_rate() << "%\n";
@@ -284,16 +282,6 @@ void ParallelStats::export_metrics(obs::MetricsRegistry& registry,
   if (shared_build_seconds > 0.0) {
     registry.timer(prefix + ".shared_build").record(shared_build_seconds);
   }
-  registry.timer(prefix + ".worker_build")
-      .record(workers.empty()
-                  ? 0.0
-                  : std::max_element(workers.begin(), workers.end(),
-                                     [](const WorkerStats& a,
-                                        const WorkerStats& b) {
-                                       return a.build_seconds <
-                                              b.build_seconds;
-                                     })
-                        ->build_seconds);
 }
 
 /// A worker owns its private analysis stack over the shared frozen
@@ -340,7 +328,6 @@ ParallelEngine::ParallelEngine(const netlist::Circuit& circuit,
   for (std::size_t slot = 0; slot < jobs; ++slot) {
     obs::ScopedSpan span(spans, "dp.build_worker", build_span.id());
     span.attr("worker", slot);
-    const auto start = Clock::now();
     auto w = std::make_unique<Worker>();
     w->manager = std::make_unique<bdd::Manager>(shared->forest(),
                                                 options.bdd_node_limit);
@@ -354,7 +341,6 @@ ParallelEngine::ParallelEngine(const netlist::Circuit& circuit,
     // to canonical BDD semantics).
     w->manager->set_gc_floor(kWorkerGcFloor);
     w->propagator = std::make_unique<DifferencePropagator>(*w->good, structure);
-    stats_.workers[slot].build_seconds = seconds_since(start);
     workers_.push_back(std::move(w));
   }
 }

@@ -51,7 +51,6 @@ struct WorkerStats {
   /// Wall clock of every fault this worker analyzed, in claim order --
   /// the raw material for the sweep's per-fault latency quantiles.
   std::vector<double> fault_seconds;
-  double build_seconds = 0.0;       ///< good-function construction
   std::size_t live_nodes = 0;       ///< manager gauge after the sweep
   std::size_t peak_live_nodes = 0;  ///< manager high-water mark
   std::uint64_t gc_runs = 0;

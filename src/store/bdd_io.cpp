@@ -7,7 +7,6 @@
 #include <sstream>
 #include <unordered_map>
 
-#include "bdd/frozen_forest.hpp"
 #include "obs/json.hpp"  // atomic_write_file
 
 namespace dp::store {
@@ -142,79 +141,6 @@ void save_forest(std::ostream& os, bdd::Manager& manager,
   if (!os) throw StoreError("save_forest: stream write failed");
 }
 
-void save_forest(std::ostream& os, const bdd::FrozenForest& forest,
-                 const std::vector<bdd::NodeIndex>& roots) {
-  for (const bdd::NodeIndex r : roots) {
-    if (r != bdd::kInvalidNode && bdd::edge_slot(r) >= forest.size()) {
-      throw StoreError("save_forest: root outside the frozen forest");
-    }
-  }
-
-  // Same child-before-parent emission as the live-manager overload, with
-  // reads going through the packed immutable node array (slot 0 is the
-  // single TRUE terminal, so terminal edges already ARE file refs).
-  std::unordered_map<bdd::NodeIndex, std::uint32_t> id;  // slot -> id
-  std::vector<bdd::NodeIndex> order;
-  std::vector<bdd::NodeIndex> stack;
-  for (const bdd::NodeIndex r : roots) {
-    if (r != bdd::kInvalidNode && bdd::edge_slot(r) != 0) {
-      stack.push_back(bdd::edge_slot(r));
-    }
-  }
-  while (!stack.empty()) {
-    const bdd::NodeIndex s = stack.back();
-    if (id.count(s)) {
-      stack.pop_back();
-      continue;
-    }
-    const bdd::Node& n = forest.node(s);
-    bool ready = true;
-    for (const bdd::NodeIndex c : {n.lo, n.hi}) {
-      const bdd::NodeIndex cs = bdd::edge_slot(c);
-      if (cs != 0 && !id.count(cs)) {
-        stack.push_back(cs);
-        ready = false;
-      }
-    }
-    if (ready) {
-      id.emplace(s, static_cast<std::uint32_t>(1 + order.size()));
-      order.push_back(s);
-      stack.pop_back();
-    }
-  }
-
-  auto ref_of = [&](bdd::NodeIndex e) -> std::uint32_t {
-    const bdd::NodeIndex s = bdd::edge_slot(e);
-    if (s == 0) return static_cast<std::uint32_t>(e);  // TRUE/FALSE edge
-    return (id.at(s) << 1) | bdd::edge_complemented(e);
-  };
-
-  const std::vector<bdd::Var>& var_order = forest.variable_order();
-  std::string buf;
-  buf.reserve(64 + 4 * var_order.size() + 12 * order.size() +
-              4 * roots.size());
-  put_u32(buf, kMagic);
-  put_u32(buf, kEndianTag);
-  put_u32(buf, kVersion);
-  put_u64(buf, forest.num_vars());
-  for (bdd::Var v : var_order) put_u32(buf, v);
-  put_u64(buf, order.size());
-  put_u64(buf, roots.size());
-  for (const bdd::NodeIndex s : order) {
-    const bdd::Node& n = forest.node(s);
-    put_u32(buf, n.var);
-    put_u32(buf, ref_of(n.lo));
-    put_u32(buf, ref_of(n.hi));
-  }
-  for (const bdd::NodeIndex r : roots) {
-    put_u32(buf, r == bdd::kInvalidNode ? kInvalidRoot : ref_of(r));
-  }
-  put_u64(buf, fnv1a(buf));
-
-  os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-  if (!os) throw StoreError("save_forest: stream write failed");
-}
-
 std::vector<bdd::Bdd> load_forest(std::istream& is, bdd::Manager& manager,
                                   const ForestLoadOptions& options) {
   std::ostringstream raw;
@@ -333,17 +259,6 @@ void save_forest_file(const std::string& path, bdd::Manager& manager,
                       const std::vector<bdd::Bdd>& roots) {
   std::ostringstream os;
   save_forest(os, manager, roots);
-  std::string error;
-  if (!obs::atomic_write_file(path, os.str(), &error)) {
-    throw StoreError("save_forest_file: " + error);
-  }
-}
-
-void save_forest_file(const std::string& path,
-                      const bdd::FrozenForest& forest,
-                      const std::vector<bdd::NodeIndex>& roots) {
-  std::ostringstream os;
-  save_forest(os, forest, roots);
   std::string error;
   if (!obs::atomic_write_file(path, os.str(), &error)) {
     throw StoreError("save_forest_file: " + error);

@@ -43,10 +43,6 @@
 
 #include "bdd/bdd.hpp"
 
-namespace dp::bdd {
-class FrozenForest;
-}
-
 namespace dp::store {
 
 /// Thrown on malformed/corrupt artifacts and on save-side I/O failures.
@@ -76,24 +72,10 @@ void save_forest(std::ostream& os, bdd::Manager& manager,
 std::vector<bdd::Bdd> load_forest(std::istream& is, bdd::Manager& manager,
                                   const ForestLoadOptions& options = {});
 
-/// Serializes a frozen forest (bdd::Manager::freeze) to the same v2
-/// format. `roots` are edges in FOREST numbering -- exactly what
-/// freeze() / SharedGoodFunctions::roots() hand out; kInvalidNode
-/// round-trips as an invalid handle. The file is indistinguishable from
-/// a save of the live manager the forest was frozen from, so load_forest
-/// reconstructs it into any manager.
-void save_forest(std::ostream& os, const bdd::FrozenForest& forest,
-                 const std::vector<bdd::NodeIndex>& roots);
-
 /// save_forest to `path` via the crash-safe temp-file + atomic-rename
 /// write, so a reader never observes a partially written forest.
 void save_forest_file(const std::string& path, bdd::Manager& manager,
                       const std::vector<bdd::Bdd>& roots);
-
-/// Frozen-forest counterpart of save_forest_file.
-void save_forest_file(const std::string& path,
-                      const bdd::FrozenForest& forest,
-                      const std::vector<bdd::NodeIndex>& roots);
 
 /// Throws StoreError when the file is absent, truncated, or corrupt.
 std::vector<bdd::Bdd> load_forest_file(const std::string& path,

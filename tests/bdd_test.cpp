@@ -500,6 +500,19 @@ TEST(ComputedCacheTest, GrowingCacheGivesTheSameFunctionsAsAFullSizeOne) {
   grown.check_canonical();
 }
 
+TEST(BddCanonicityTest, DuplicateTripleCheckIsExact) {
+  // Triples that differ in one field only are distinct however a digest
+  // of them might collide; an equal pair is reported by its later slot.
+  std::vector<SlotTriple> distinct = {
+      {0, 2, 4, 1}, {0, 2, 5, 2}, {0, 3, 4, 3}, {1, 2, 4, 4}};
+  EXPECT_EQ(find_duplicate_triple(distinct), kInvalidNode);
+  std::vector<SlotTriple> repeated = {
+      {3, 6, 9, 7}, {1, 2, 4, 8}, {3, 6, 9, 5}};
+  EXPECT_EQ(find_duplicate_triple(repeated), 7u);
+  std::vector<SlotTriple> empty;
+  EXPECT_EQ(find_duplicate_triple(empty), kInvalidNode);
+}
+
 TEST_F(BddTest, IntersectsAgreesWithConjunctionOnFrozenAndPrivateOperands) {
   // Half of the operands come from a frozen forest, half are built
   // privately in the manager adopting it; every pair is tested in all
@@ -542,6 +555,10 @@ TEST_F(BddTest, IntersectsAgreesWithConjunctionOnFrozenAndPrivateOperands) {
   EXPECT_FALSE(x0.intersects(!x0));
   EXPECT_FALSE((x0 & x1).intersects(!x1 | (x2 & !x2)));
   EXPECT_FALSE(mgr.zero().intersects(mgr.one()));
+  // The combined node space this test grows (over a million private
+  // nodes) is where a digest-based duplicate check reported a collision
+  // as corruption; the exact check must accept it.
+  EXPECT_NO_THROW(adopter.check_canonical());
 }
 
 }  // namespace

@@ -1,12 +1,9 @@
 // The frozen-forest contract: Manager::freeze() packs an immutable,
 // canonically reduced snapshot; adopting managers splice it in as a
-// read-only prefix without duplicating structure; any number of threads
-// read it lock-free; and the store layer serializes a frozen forest
-// byte-identically to a save of the live manager it came from.
+// read-only prefix without duplicating structure; and any number of
+// threads, each adopting it in a private manager, read it lock-free.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,7 +13,6 @@
 #include "bdd/manager.hpp"
 #include "dp/good_functions.hpp"
 #include "netlist/generators.hpp"
-#include "store/bdd_io.hpp"
 
 namespace dp::bdd {
 namespace {
@@ -51,17 +47,19 @@ TEST(FrozenForestTest, FreezePreservesSemanticsAndCanonicity) {
   EXPECT_EQ(forest->num_vars(), 4u);
   EXPECT_NO_THROW(forest->check_canonical());
 
+  // Frozen edges are read through a manager that adopts the forest.
+  Manager adopter(forest);
   for (std::size_t i = 0; i < u.funcs.size(); ++i) {
-    EXPECT_DOUBLE_EQ(forest->sat_count(remapped[i], 4),
-                     u.funcs[i].sat_count(4));
-    EXPECT_EQ(forest->support(remapped[i]), u.funcs[i].support());
-    EXPECT_EQ(forest->dag_size(remapped[i]), u.funcs[i].dag_size());
+    const Bdd frozen = adopter.make(remapped[i]);
+    EXPECT_DOUBLE_EQ(frozen.sat_count(4), u.funcs[i].sat_count(4));
+    EXPECT_EQ(frozen.support(), u.funcs[i].support());
+    EXPECT_EQ(frozen.dag_size(), u.funcs[i].dag_size());
     // Exhaustive evaluation: the frozen reading of every edge must match
     // the live manager on all 16 assignments.
     for (unsigned v = 0; v < 16; ++v) {
       std::vector<bool> point{(v & 1) != 0, (v & 2) != 0, (v & 4) != 0,
                               (v & 8) != 0};
-      EXPECT_EQ(forest->eval(remapped[i], point), u.funcs[i].eval(point))
+      EXPECT_EQ(frozen.eval(point), u.funcs[i].eval(point))
           << "function " << i << " at vector " << v;
     }
   }
@@ -124,8 +122,6 @@ TEST(FrozenForestTest, FrozenNodesSurvivePrivateGarbageCollection) {
   // The frozen prefix is immortal: its handles still denote the same
   // functions after a full private sweep.
   for (std::size_t i = 0; i < u.funcs.size(); ++i) {
-    EXPECT_DOUBLE_EQ(forest->sat_count(remapped[i], 4),
-                     u.funcs[i].sat_count(4));
     Bdd wrapped(adopter, remapped[i]);
     EXPECT_DOUBLE_EQ(wrapped.sat_count(4), u.funcs[i].sat_count(4));
   }
@@ -173,12 +169,15 @@ TEST(FrozenForestTest, PackMergesManagersIntoOneCanonicalForest) {
   EXPECT_EQ(packed[2], packed[0]);
   EXPECT_EQ(packed[5], kFalseNode);
   EXPECT_EQ(packed[6], kTrueNode);
+  // An adopting manager reads packed handles like any frozen ones.
+  Manager adopter(forest);
   for (std::size_t i = 0; i < roots.size(); ++i) {
-    EXPECT_EQ(forest->dag_size(packed[i]), roots[i].dag_size()) << i;
+    const Bdd frozen = adopter.make(packed[i]);
+    EXPECT_EQ(frozen.dag_size(), roots[i].dag_size()) << i;
     for (unsigned v = 0; v < 16; ++v) {
       const std::vector<bool> point{(v & 1) != 0, (v & 2) != 0, (v & 4) != 0,
                                     (v & 8) != 0};
-      EXPECT_EQ(forest->eval(packed[i], point), roots[i].eval(point))
+      EXPECT_EQ(frozen.eval(point), roots[i].eval(point))
           << "root " << i << " at vector " << v;
     }
   }
@@ -192,9 +191,6 @@ TEST(FrozenForestTest, PackMergesManagersIntoOneCanonicalForest) {
       &again);
   EXPECT_EQ(again, packed);
   EXPECT_EQ(forest2->size(), forest->size());
-
-  // An adopting manager reads packed handles like any frozen ones.
-  Manager adopter(forest);
   EXPECT_EQ(adopter.make(packed[0]), shared_fn(adopter));
 
   Manager other_order(4);
@@ -211,12 +207,14 @@ TEST(FrozenForestTest, ConcurrentReadersSeeIdenticalFunctions) {
   const netlist::Circuit circuit = netlist::make_benchmark("c17");
   core::SharedGoodFunctions shared(circuit);
 
-  // Reference syndromes from a private (unshared) build.
+  // Reference syndromes and satcounts from a private (unshared) build.
   Manager ref_manager(0);
   core::GoodFunctions ref(ref_manager, circuit);
+  const std::size_t nvars = ref.num_vars();
   std::vector<double> expected;
   for (netlist::NetId n = 0; n < circuit.num_nets(); ++n) {
     expected.push_back(ref.syndrome(n));
+    expected.push_back(ref.at(n).sat_count(nvars));
   }
 
   constexpr std::size_t kReaders = 4;
@@ -225,40 +223,19 @@ TEST(FrozenForestTest, ConcurrentReadersSeeIdenticalFunctions) {
   for (std::size_t t = 0; t < kReaders; ++t) {
     threads.emplace_back([&, t] {
       // Each reader adopts the one forest through its own manager -- the
-      // production sharing pattern -- and also queries the forest
-      // directly, manager-free.
+      // production sharing pattern -- and walks the frozen nodes through
+      // handles that are the frozen roots themselves, not private copies.
       Manager m(shared.forest());
       core::GoodFunctions good(m, circuit, shared);
       for (netlist::NetId n = 0; n < circuit.num_nets(); ++n) {
         got[t].push_back(good.syndrome(n));
-        EXPECT_DOUBLE_EQ(
-            shared.forest()->sat_count(shared.roots()[n], shared.num_vars()),
-            good.at(n).sat_count(shared.num_vars()));
+        got[t].push_back(good.at(n).sat_count(nvars));
+        EXPECT_EQ(good.at(n).index(), shared.roots()[n]);
       }
     });
   }
   for (std::thread& t : threads) t.join();
   for (std::size_t t = 0; t < kReaders; ++t) EXPECT_EQ(got[t], expected);
-}
-
-TEST(FrozenForestTest, FrozenSaveIsByteIdenticalToManagerSave) {
-  SampleUniverse u;
-  std::vector<NodeIndex> remapped;
-  const auto forest = u.manager.freeze(u.roots(), &remapped);
-
-  std::ostringstream from_manager, from_forest;
-  store::save_forest(from_manager, u.manager, u.funcs);
-  store::save_forest(from_forest, *forest, remapped);
-  EXPECT_EQ(from_manager.str(), from_forest.str());
-
-  // And the file round-trips into a fresh manager with semantics intact.
-  std::istringstream in(from_forest.str());
-  Manager fresh(0);
-  const std::vector<Bdd> loaded = store::load_forest(in, fresh);
-  ASSERT_EQ(loaded.size(), u.funcs.size());
-  for (std::size_t i = 0; i < loaded.size(); ++i) {
-    EXPECT_DOUBLE_EQ(loaded[i].sat_count(4), u.funcs[i].sat_count(4));
-  }
 }
 
 TEST(FrozenForestTest, SharedGoodFunctionsMatchesPrivateBuildOnAlu) {

@@ -101,9 +101,10 @@ TEST(PipelineTest, BenchRoundtripPreservesAnalysis) {
 }
 
 TEST(PipelineTest, AtpgStyleFlowReachesFullCoverage) {
-  // The atpg_tool example's core loop as a library-level property: DP test
-  // sets, greedily compacted, must grade to full coverage of detectable
-  // faults on the simulator.
+  // The core loop of `dpcli atpg` as a library-level property (here in
+  // fault order; the CLI compacts hardest fault first): DP test sets,
+  // greedily compacted, must grade to full coverage of detectable faults
+  // on the simulator.
   const netlist::Circuit c = netlist::make_alu181();
   netlist::Structure st(c);
   bdd::Manager mgr(0);
