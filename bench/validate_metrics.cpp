@@ -1,5 +1,6 @@
 // Validator/aggregator for dp.metrics.v1, dp.fuzzreport.v1, dp.trace.v1,
-// dp.served.v1, and dp.ndetect.v1 documents (the bench_smoke backstop):
+// dp.served.v1, dp.ndetect.v1 and dp.perf_trajectory.v1 documents (the
+// bench_smoke backstop):
 // every file must parse
 // with the obs JSON parser and carry the required keys, so a refactor
 // that silently breaks an exporter fails the smoke suite instead of
@@ -29,6 +30,7 @@
 // (default 1.5x) -- a shared-forest regression that doubles the node
 // footprint cannot hide inside the timing slack. Violations WARN by
 // default and only fail the run with --strict.
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <iostream>
@@ -211,6 +213,126 @@ JsonValue validate_served(const std::string& file, const JsonValue& doc) {
   return rec;
 }
 
+/// A finite, positive number at `v` (a timing or a size), else a failure
+/// naming `where`.
+bool positive_number(const std::string& file, const JsonValue* v,
+                     const std::string& where) {
+  if (!v || !v->is_number() || !std::isfinite(v->as_double()) ||
+      v->as_double() <= 0.0) {
+    fail(file, where + " missing or not a finite positive number");
+    return false;
+  }
+  return true;
+}
+
+/// The median of `values` (the mean of the middle two when even).
+double median_of(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const std::size_t n = values.size();
+  return n % 2 ? values[n / 2] : (values[n / 2 - 1] + values[n / 2]) / 2.0;
+}
+
+/// dp.perf_trajectory.v1: the repository's record of claimed performance
+/// changes, one entry per change: its title (the EXPERIMENTS.md section),
+/// the workload and metric it claims, the seeds of its interleaved runs,
+/// each pair's parent and change values (aligned with the seeds), and the
+/// medians of both sides, which must equal the medians of the pairs -- a
+/// hand-edited summary that drifts from its own data fails here.
+/// Optional "held_out" pairs (seed, parent, change) get the same value
+/// checks.
+JsonValue validate_perf_trajectory(const std::string& file,
+                                   const JsonValue& doc) {
+  const JsonValue* entries = doc.find("entries");
+  if (!entries || !entries->is_array() || entries->size() == 0) {
+    fail(file, "missing or empty 'entries' array");
+    return JsonValue();
+  }
+  for (std::size_t i = 0; i < entries->size(); ++i) {
+    const JsonValue& e = entries->at(i);
+    const std::string where = "entries[" + std::to_string(i) + "]";
+    if (!e.is_object()) {
+      fail(file, where + " is not an object");
+      continue;
+    }
+    for (const char* key : {"title", "workload", "metric", "better"}) {
+      const JsonValue* v = e.find(key);
+      if (!v || !v->is_string()) {
+        fail(file, where + " missing string key '" + key + "'");
+      }
+    }
+    if (const JsonValue* b = e.find("better");
+        b && b->is_string() && b->as_string() != "lower" &&
+        b->as_string() != "higher") {
+      fail(file, where + ".better must be \"lower\" or \"higher\"");
+    }
+    const JsonValue* seeds = e.find("seeds");
+    const JsonValue* pairs = e.find("pairs");
+    if (!seeds || !seeds->is_array() || !pairs || !pairs->is_array() ||
+        pairs->size() == 0 || seeds->size() != pairs->size()) {
+      fail(file, where + " needs non-empty 'seeds' and 'pairs' arrays of "
+                         "equal length");
+      continue;
+    }
+    std::vector<double> sides[2];
+    const char* const side_names[2] = {"parent", "change"};
+    bool complete = true;
+    for (std::size_t k = 0; k < pairs->size(); ++k) {
+      if (!seeds->at(k).is_number()) {
+        fail(file, where + ".seeds[" + std::to_string(k) +
+                       "] is not a number");
+      }
+      const JsonValue& pair = pairs->at(k);
+      for (int s = 0; s < 2; ++s) {
+        const std::string at =
+            where + ".pairs[" + std::to_string(k) + "]." + side_names[s];
+        const JsonValue* v = pair.is_object() ? pair.find(side_names[s])
+                                              : nullptr;
+        if (positive_number(file, v, at)) {
+          sides[s].push_back(v->as_double());
+        } else {
+          complete = false;
+        }
+      }
+    }
+    const JsonValue* median = e.find("median");
+    if (!median || !median->is_object()) {
+      fail(file, where + " missing 'median' object");
+    } else {
+      for (int s = 0; s < 2; ++s) {
+        const std::string at = where + ".median." + side_names[s];
+        const JsonValue* v = median->find(side_names[s]);
+        if (!positive_number(file, v, at) || !complete) continue;
+        const double want = median_of(sides[s]);
+        if (std::fabs(v->as_double() - want) > 1e-9 * std::fabs(want)) {
+          fail(file, at + " (" + v->dump(0) +
+                         ") != median of its pairs (" +
+                         JsonValue(want).dump(0) + ")");
+        }
+      }
+    }
+    if (const JsonValue* held = e.find("held_out")) {
+      if (!held->is_array()) {
+        fail(file, where + ".held_out is not an array");
+        continue;
+      }
+      for (std::size_t k = 0; k < held->size(); ++k) {
+        const JsonValue& pair = held->at(k);
+        const std::string at = where + ".held_out[" + std::to_string(k) + "]";
+        const JsonValue* seed = pair.is_object() ? pair.find("seed") : nullptr;
+        if (!seed || !seed->is_number()) fail(file, at + ".seed missing");
+        for (const char* side : side_names) {
+          positive_number(file, pair.is_object() ? pair.find(side) : nullptr,
+                          at + "." + side);
+        }
+      }
+    }
+  }
+  JsonValue rec = JsonValue::object();
+  rec["file"] = file;
+  rec["trajectory.entries"] = entries->size();
+  return rec;
+}
+
 /// dp.ndetect.v1: the exact n-detection report (dpcli atpg --ndetect-json,
 /// dpserved's ndetect handler). Beyond key shape, the per-fault detection
 /// counts are re-summed and must equal the summary total exactly -- every
@@ -339,11 +461,15 @@ JsonValue validate(const std::string& file) {
   if (schema->as_string() == "dp.ndetect.v1") {
     return validate_ndetect(file, doc);
   }
+  if (schema->as_string() == "dp.perf_trajectory.v1") {
+    return validate_perf_trajectory(file, doc);
+  }
   if (schema->as_string() != "dp.metrics.v1") {
     fail(file, "unsupported schema \"" + schema->as_string() +
                    "\" (this validator understands \"dp.metrics.v1\", "
                    "\"dp.fuzzreport.v1\", \"dp.trace.v1\", "
-                   "\"dp.served.v1\", and \"dp.ndetect.v1\")");
+                   "\"dp.served.v1\", \"dp.ndetect.v1\", and "
+                   "\"dp.perf_trajectory.v1\")");
     return JsonValue();
   }
 

@@ -103,11 +103,32 @@ struct Flags {
   std::string ndetect_json;
 };
 
+/// The options each analysis subcommand takes; every other command takes
+/// none.
+const std::map<std::string, std::set<std::string>> kAccepted = {
+    {"sa",
+     {"--jobs", "--full", "--hybrid", "--prefilter-patterns", "--ndetect",
+      "--ndetect-patterns"}},
+    {"bf", {"--jobs", "--count"}},
+    {"atpg",
+     {"--jobs", "--hybrid", "--prefilter-patterns", "--ndetect",
+      "--ndetect-json"}}};
+
 /// Strips the options from `args` (the command stays at args[0]). Returns
-/// nullopt after printing the error when a value is missing or the option
-/// is unknown; a malformed count exits 2 inside cli::parse_count.
+/// nullopt after printing the error when a value is missing, the option
+/// is unknown or the command does not take it; a malformed count exits 2
+/// inside cli::parse_count.
 std::optional<Flags> parse_flags(std::vector<std::string>& args) {
   Flags f;
+  const auto accepted = kAccepted.find(args[0]);
+  const auto takes = [&](const std::string& flag) {
+    if (accepted != kAccepted.end() && accepted->second.contains(flag)) {
+      return true;
+    }
+    std::cerr << "error: '" << args[0] << "' does not take " << flag << "\n";
+    usage();
+    return false;
+  };
   const std::map<std::string, std::size_t*> counts = {
       {"--jobs", &f.jobs},
       {"--count", &f.count},
@@ -120,12 +141,14 @@ std::optional<Flags> parse_flags(std::vector<std::string>& args) {
     const std::string flag = args[i];
     const auto at = args.begin() + static_cast<std::ptrdiff_t>(i);
     if (const auto s = switches.find(flag); s != switches.end()) {
+      if (!takes(flag)) return std::nullopt;
       *s->second = true;
       args.erase(at);
       continue;
     }
     const auto c = counts.find(flag);
     if (c != counts.end() || flag == "--ndetect-json") {
+      if (!takes(flag)) return std::nullopt;
       // A trailing flag with no value is a hard error, never a silent
       // default.
       if (i + 1 >= args.size()) {

@@ -2,25 +2,16 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <limits>
-#include <sstream>
 
 namespace dp::obs {
-
-JsonValue::JsonValue(unsigned long v) : kind_(Kind::Int) {
-  if (v > static_cast<unsigned long>(std::numeric_limits<long long>::max())) {
-    kind_ = Kind::Double;
-    double_ = static_cast<double>(v);
-  } else {
-    int_ = static_cast<long long>(v);
-  }
-}
 
 JsonValue::JsonValue(unsigned long long v) : kind_(Kind::Int) {
   if (v > static_cast<unsigned long long>(
@@ -105,112 +96,114 @@ const std::vector<std::pair<std::string, JsonValue>>& JsonValue::members()
   return object_;
 }
 
-void write_json_string(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char ch : s) {
-    const unsigned char c = static_cast<unsigned char>(ch);
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\b': os << "\\b"; break;
-      case '\f': os << "\\f"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
-        } else {
-          os << ch;
-        }
-    }
-  }
-  os << '"';
-}
-
 namespace {
 
-void write_double(std::ostream& os, double d) {
-  if (!std::isfinite(d)) {
-    // JSON has no inf/nan literals; null is the conventional stand-in.
-    os << "null";
-    return;
+/// Appends `s` quoted and escaped; each escape-free run goes in with one
+/// append.
+void append_quoted(std::string& out, std::string_view s) {
+  out += '"';
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default: {
+        static constexpr char kHex[] = "0123456789abcdef";
+        const char u[6] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 15]};
+        out.append(u, sizeof u);
+      }
+    }
   }
-  char buf[32];
-  const auto [end, ec] =
-      std::to_chars(buf, buf + sizeof buf, d);  // shortest round-trip form
-  os.write(buf, end - buf);
+  out.append(s.data() + run, s.size() - run);
+  out += '"';
 }
 
-void write_newline_indent(std::ostream& os, int indent, int depth) {
+/// Integers in decimal; doubles in their shortest round-trip form.
+template <typename Number>
+void append_number(std::string& out, Number v) {
+  char buf[32];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, end);
+}
+
+void append_newline_indent(std::string& out, int indent, int depth) {
   if (indent <= 0) return;
-  os << '\n';
-  for (int i = 0; i < indent * depth; ++i) os << ' ';
+  out += '\n';
+  out.append(static_cast<std::size_t>(indent * depth), ' ');
 }
 
 }  // namespace
 
-void JsonValue::write_rec(std::ostream& os, int indent, int depth) const {
+void JsonValue::write_rec(std::string& out, int indent, int depth) const {
   switch (kind_) {
-    case Kind::Null: os << "null"; break;
-    case Kind::Bool: os << (bool_ ? "true" : "false"); break;
-    case Kind::Int: os << int_; break;
-    case Kind::Double: write_double(os, double_); break;
-    case Kind::String: write_json_string(os, string_); break;
+    case Kind::Null: out += "null"; break;
+    case Kind::Bool: out += bool_ ? "true" : "false"; break;
+    case Kind::Int: append_number(out, int_); break;
+    case Kind::Double:
+      // JSON has no inf/nan literals; null is the conventional stand-in.
+      if (std::isfinite(double_)) {
+        append_number(out, double_);
+      } else {
+        out += "null";
+      }
+      break;
+    case Kind::String: append_quoted(out, string_); break;
     case Kind::Array: {
       if (array_.empty()) {
-        os << "[]";
+        out += "[]";
         break;
       }
-      os << '[';
+      out += '[';
       for (std::size_t i = 0; i < array_.size(); ++i) {
-        if (i) os << ',';
-        write_newline_indent(os, indent, depth + 1);
-        array_[i].write_rec(os, indent, depth + 1);
+        if (i) out += ',';
+        append_newline_indent(out, indent, depth + 1);
+        array_[i].write_rec(out, indent, depth + 1);
       }
-      write_newline_indent(os, indent, depth);
-      os << ']';
+      append_newline_indent(out, indent, depth);
+      out += ']';
       break;
     }
     case Kind::Object: {
       if (object_.empty()) {
-        os << "{}";
+        out += "{}";
         break;
       }
-      os << '{';
+      out += '{';
       for (std::size_t i = 0; i < object_.size(); ++i) {
-        if (i) os << ',';
-        write_newline_indent(os, indent, depth + 1);
-        write_json_string(os, object_[i].first);
-        os << (indent > 0 ? ": " : ":");
-        object_[i].second.write_rec(os, indent, depth + 1);
+        if (i) out += ',';
+        append_newline_indent(out, indent, depth + 1);
+        append_quoted(out, object_[i].first);
+        out += indent > 0 ? ": " : ":";
+        object_[i].second.write_rec(out, indent, depth + 1);
       }
-      write_newline_indent(os, indent, depth);
-      os << '}';
+      append_newline_indent(out, indent, depth);
+      out += '}';
       break;
     }
   }
 }
 
-void JsonValue::write(std::ostream& os, int indent) const {
-  write_rec(os, indent, 0);
-}
-
 std::string JsonValue::dump(int indent) const {
-  std::ostringstream os;
-  write(os, indent);
-  return os.str();
+  std::string out;
+  write_rec(out, indent, 0);
+  return out;
 }
 
 // ---- parser ------------------------------------------------------------
 
-namespace {
-
-class Parser {
+/// A friend of JsonValue: parsed containers are filled in place.
+class JsonParser {
  public:
-  explicit Parser(std::string_view text) : text_(text) {}
+  explicit JsonParser(std::string_view text) : text_(text) {}
 
   /// Containers may nest at most this deep. The parser recurses once per
   /// level, so without a bound a hostile document ("[[[[..." from a
@@ -232,14 +225,7 @@ class Parser {
   }
 
   void skip_ws() {
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == ' ' || c == '\t' || c == '\n' || c == '\r') {
-        ++pos_;
-      } else {
-        break;
-      }
-    }
+    pos_ = std::min(text_.find_first_not_of(" \t\n\r", pos_), text_.size());
   }
 
   char peek() {
@@ -292,13 +278,15 @@ class Parser {
 
   /// RAII depth tick for the two recursive productions.
   struct DepthGuard {
-    explicit DepthGuard(Parser& p) : p_(p) {
+    explicit DepthGuard(JsonParser& p) : p_(p) {
       if (++p_.depth_ > kMaxDepth) p_.fail("containers nested too deeply");
     }
     ~DepthGuard() { --p_.depth_; }
-    Parser& p_;
+    JsonParser& p_;
   };
 
+  // Members and elements gather on the parser's stacks, then move into
+  // their container once, at its final size.
   JsonValue parse_object() {
     const DepthGuard guard(*this);
     expect('{');
@@ -308,18 +296,28 @@ class Parser {
       ++pos_;
       return obj;
     }
-    for (;;) {
+    const std::size_t base = members_.size();
+    for (char c = ','; c != '}'; ++pos_) {
+      if (c != ',') fail("expected ',' or '}' in object");
       skip_ws();
       std::string key = parse_string();
       skip_ws();
       expect(':');
-      obj[key] = parse_value();
+      JsonValue value = parse_value();
+      // A repeated key keeps its first position and takes the last value.
+      const auto dup = std::find_if(
+          members_.begin() + static_cast<std::ptrdiff_t>(base), members_.end(),
+          [&](const auto& member) { return member.first == key; });
+      if (dup != members_.end()) {
+        dup->second = std::move(value);
+      } else {
+        members_.emplace_back(std::move(key), std::move(value));
+      }
       skip_ws();
-      const char c = peek();
-      ++pos_;
-      if (c == '}') return obj;
-      if (c != ',') fail("expected ',' or '}' in object");
+      c = peek();
     }
+    move_top(members_, base, obj.object_);
+    return obj;
   }
 
   JsonValue parse_array() {
@@ -331,27 +329,40 @@ class Parser {
       ++pos_;
       return arr;
     }
-    for (;;) {
-      arr.push_back(parse_value());
-      skip_ws();
-      const char c = peek();
-      ++pos_;
-      if (c == ']') return arr;
+    const std::size_t base = elements_.size();
+    for (char c = ','; c != ']'; ++pos_) {
       if (c != ',') fail("expected ',' or ']' in array");
+      elements_.push_back(parse_value());
+      skip_ws();
+      c = peek();
     }
+    move_top(elements_, base, arr.array_);
+    return arr;
+  }
+
+  /// Moves `stack`'s entries from `base` up into `out` and pops them.
+  template <typename T>
+  static void move_top(std::vector<T>& stack, std::size_t base,
+                       std::vector<T>& out) {
+    const auto first = stack.begin() + static_cast<std::ptrdiff_t>(base);
+    out.assign(std::make_move_iterator(first),
+               std::make_move_iterator(stack.end()));
+    stack.erase(first, stack.end());
   }
 
   std::string parse_string() {
     expect('"');
     std::string out;
     for (;;) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
+      // Everything up to the next quote or backslash in one append.
+      const std::size_t run = pos_;
+      while (pos_ < text_.size() && text_[pos_] != '"' &&
+             text_[pos_] != '\\') {
+        ++pos_;
       }
+      out.append(text_.data() + run, pos_ - run);
+      if (pos_ >= text_.size()) fail("unterminated string");
+      if (text_[pos_++] == '"') return out;
       if (pos_ >= text_.size()) fail("unterminated escape");
       const char e = text_[pos_++];
       switch (e) {
@@ -366,19 +377,11 @@ class Parser {
         case 'u': {
           if (pos_ + 4 > text_.size()) fail("short \\u escape");
           unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              fail("bad hex digit in \\u escape");
-            }
+          const char* hex = text_.data() + pos_;
+          if (std::from_chars(hex, hex + 4, code, 16).ptr != hex + 4) {
+            fail("bad hex digit in \\u escape");
           }
+          pos_ += 4;
           // UTF-8 encode the BMP code point (surrogate pairs are not
           // produced by our writer; decode them permissively as-is).
           if (code < 0x80) {
@@ -404,7 +407,7 @@ class Parser {
     bool integral = true;
     while (pos_ < text_.size()) {
       const char c = text_[pos_];
-      if (std::isdigit(static_cast<unsigned char>(c))) {
+      if (c >= '0' && c <= '9') {
         ++pos_;
       } else if (c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-') {
         integral = false;
@@ -432,12 +435,12 @@ class Parser {
   std::string_view text_;
   std::size_t pos_ = 0;
   int depth_ = 0;
+  std::vector<std::pair<std::string, JsonValue>> members_;
+  std::vector<JsonValue> elements_;
 };
 
-}  // namespace
-
 JsonValue JsonValue::parse(std::string_view text) {
-  return Parser(text).parse_document();
+  return JsonParser(text).parse_document();
 }
 
 bool write_json_file(const std::string& path, const JsonValue& value,
@@ -447,8 +450,7 @@ bool write_json_file(const std::string& path, const JsonValue& value,
     if (error) *error = "cannot open '" + path + "' for writing";
     return false;
   }
-  value.write(os, 2);
-  os << '\n';
+  os << value.dump(2) << '\n';
   os.flush();
   if (!os) {
     if (error) *error = "write to '" + path + "' failed";
@@ -491,18 +493,13 @@ bool atomic_write_file(const std::string& path, std::string_view bytes,
 
 bool write_json_file_atomic(const std::string& path, const JsonValue& value,
                             std::string* error) {
-  std::ostringstream os;
-  value.write(os, 2);
-  os << '\n';
-  return atomic_write_file(path, os.str(), error);
+  return atomic_write_file(path, value.dump(2) + '\n', error);
 }
 
 JsonValue read_json_file(const std::string& path) {
   std::ifstream is(path);
   if (!is) throw JsonError("cannot open '" + path + "' for reading");
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  return JsonValue::parse(buf.str());
+  return JsonValue::parse(std::string(std::istreambuf_iterator<char>(is), {}));
 }
 
 }  // namespace dp::obs

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -22,6 +21,8 @@ class JsonError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+class JsonParser;
+
 /// One JSON value. Objects preserve insertion order so exported metric
 /// documents are deterministic and diffable run to run.
 class JsonValue {
@@ -34,8 +35,8 @@ class JsonValue {
   JsonValue(long v) : kind_(Kind::Int), int_(v) {}
   JsonValue(long long v) : kind_(Kind::Int), int_(v) {}
   JsonValue(unsigned v) : kind_(Kind::Int), int_(static_cast<long long>(v)) {}
-  JsonValue(unsigned long v);
-  JsonValue(unsigned long long v);
+  JsonValue(unsigned long v) : JsonValue(static_cast<unsigned long long>(v)) {}
+  JsonValue(unsigned long long v);  ///< beyond long long: a Double
   JsonValue(double v) : kind_(Kind::Double), double_(v) {}
   JsonValue(const char* s) : kind_(Kind::String), string_(s) {}
   JsonValue(std::string s) : kind_(Kind::String), string_(std::move(s)) {}
@@ -75,7 +76,6 @@ class JsonValue {
 
   // ---- serialization ---------------------------------------------------
   /// Pretty-prints with `indent` spaces per level; indent 0 = compact.
-  void write(std::ostream& os, int indent = 2) const;
   std::string dump(int indent = 2) const;
 
   /// Strict parser: exactly one JSON value plus trailing whitespace.
@@ -86,8 +86,10 @@ class JsonValue {
   static JsonValue parse(std::string_view text);
 
  private:
+  friend class JsonParser;
+
   explicit JsonValue(Kind k) : kind_(k) {}
-  void write_rec(std::ostream& os, int indent, int depth) const;
+  void write_rec(std::string& out, int indent, int depth) const;
 
   Kind kind_ = Kind::Null;
   bool bool_ = false;
@@ -97,9 +99,6 @@ class JsonValue {
   std::vector<JsonValue> array_;
   std::vector<std::pair<std::string, JsonValue>> object_;
 };
-
-/// Writes `"..."` with JSON escaping to the stream.
-void write_json_string(std::ostream& os, std::string_view s);
 
 /// Serializes `value` to `path`; returns false (and fills `error`) on I/O
 /// failure instead of throwing, so CLI exit paths stay simple.

@@ -1,6 +1,7 @@
 #include "serve/protocol.hpp"
 
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -10,20 +11,31 @@ namespace dp::serve {
 
 namespace {
 
-/// send(2) the whole buffer, retrying short writes and EINTR.
+/// sendmsg(2) every byte of `iov`, retrying short writes and EINTR.
 /// MSG_NOSIGNAL turns a peer disappearing mid-write into EPIPE instead
 /// of a process-killing SIGPIPE -- every frame fd is a socket.
-bool write_all(int fd, const void* data, std::size_t n, std::string* error) {
-  const char* p = static_cast<const char*>(data);
-  while (n > 0) {
-    const ssize_t w = ::send(fd, p, n, MSG_NOSIGNAL);
+bool write_all(int fd, iovec* iov, std::size_t count, std::string* error) {
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = count;
+  while (msg.msg_iovlen > 0) {
+    const ssize_t w = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (w < 0) {
       if (errno == EINTR) continue;
       if (error) *error = std::string("write: ") + std::strerror(errno);
       return false;
     }
-    p += w;
-    n -= static_cast<std::size_t>(w);
+    // Skip what was sent: whole buffers first, then into the next one.
+    std::size_t sent = static_cast<std::size_t>(w);
+    while (msg.msg_iovlen > 0 && sent >= msg.msg_iov->iov_len) {
+      sent -= msg.msg_iov->iov_len;
+      ++msg.msg_iov;
+      --msg.msg_iovlen;
+    }
+    if (msg.msg_iovlen > 0) {
+      msg.msg_iov->iov_base = static_cast<char*>(msg.msg_iov->iov_base) + sent;
+      msg.msg_iov->iov_len -= sent;
+    }
   }
   return true;
 }
@@ -63,7 +75,7 @@ const char* to_string(ErrorCode code) {
   return "internal";
 }
 
-bool write_frame(int fd, const std::string& payload, std::string* error) {
+bool write_frame(int fd, std::string_view payload, std::string* error) {
   if (payload.size() > 0xffffffffu) {
     if (error) *error = "frame payload exceeds protocol limit";
     return false;
@@ -75,15 +87,13 @@ bool write_frame(int fd, const std::string& payload, std::string* error) {
   header[5] = static_cast<char>((len >> 8) & 0xff);
   header[6] = static_cast<char>((len >> 16) & 0xff);
   header[7] = static_cast<char>((len >> 24) & 0xff);
-  // One write for the common small frame keeps a pipelining client from
-  // interleaving header and payload of concurrent calls only when the
-  // caller serializes sends; the server's per-connection write mutex
-  // handles that -- here we just avoid a needless extra syscall.
-  std::string buf;
-  buf.reserve(kFrameHeaderBytes + payload.size());
-  buf.append(header, kFrameHeaderBytes);
-  buf.append(payload);
-  return write_all(fd, buf.data(), buf.size(), error);
+  // Header and payload leave in one gather write, so the payload is
+  // never copied behind the header. Concurrent writers of one fd still
+  // need the caller's lock (the server's per-connection write mutex):
+  // a short write resumes in a second call.
+  iovec iov[2] = {{header, kFrameHeaderBytes},
+                  {const_cast<char*>(payload.data()), payload.size()}};
+  return write_all(fd, iov, 2, error);
 }
 
 ReadStatus read_frame(int fd, std::string* payload,

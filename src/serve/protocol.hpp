@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "obs/json.hpp"
 
@@ -48,9 +49,10 @@ const char* to_string(ErrorCode code);
 /// the normal end of a connection, not an error.
 enum class ReadStatus { Ok, Eof, Error };
 
-/// Writes one frame (header + payload) to `fd`, looping over short
-/// writes and EINTR. Returns false on any I/O error (error filled).
-bool write_frame(int fd, const std::string& payload, std::string* error);
+/// Writes one frame (header + payload, one gather write) to `fd`,
+/// looping over short writes and EINTR. Returns false on any I/O error
+/// (error filled).
+bool write_frame(int fd, std::string_view payload, std::string* error);
 
 /// Reads one frame's payload from `fd`. Returns Error (error filled) on
 /// bad magic, a length above `max_payload`, or a stream truncated inside

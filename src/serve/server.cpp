@@ -281,11 +281,12 @@ void Server::worker_loop() {
       ++in_flight_;
     }
 
-    JsonValue response;
+    std::string response;
     if (job.has_deadline && Clock::now() > job.deadline) {
       if (metrics_) metrics_->counter("serve.rejected.deadline").add();
       response = make_error_response(job.id, ErrorCode::DeadlineExceeded,
-                                     "deadline expired while queued");
+                                     "deadline expired while queued")
+                     .dump(0);
     } else {
       const auto t0 = Clock::now();
       response = service_->handle(job.request);
@@ -305,10 +306,14 @@ void Server::worker_loop() {
 }
 
 void Server::send_response(Connection& conn, const JsonValue& response) {
+  send_response(conn, response.dump(0));
+}
+
+void Server::send_response(Connection& conn, const std::string& frame) {
   std::lock_guard<std::mutex> lock(conn.write_mutex);
   if (!conn.open.load()) return;
   std::string err;
-  if (!write_frame(conn.fd, response.dump(0), &err)) {
+  if (!write_frame(conn.fd, frame, &err)) {
     // Client went away; the reader will notice on its next read.
     conn.open.store(false);
   }

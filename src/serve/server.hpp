@@ -94,7 +94,10 @@ class Server {
   void accept_loop();
   void connection_loop(std::shared_ptr<Connection> conn);
   void worker_loop();
+  /// Frames and writes one response; the server's own replies come as
+  /// objects, Service::handle's as finished text.
   void send_response(Connection& conn, const obs::JsonValue& response);
+  void send_response(Connection& conn, const std::string& frame);
 
   ServerOptions options_;
   Service* service_;

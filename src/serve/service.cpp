@@ -144,14 +144,28 @@ std::string bit_string_of(const std::vector<bool>& v) {
   return s;
 }
 
+/// The text of one object holding `envelope`'s members, then those of
+/// the serialized object `members`: the cached payload is copied in once,
+/// never parsed.
+std::string splice(const JsonValue& envelope, const std::string& members) {
+  const std::string head = envelope.dump(0);
+  std::string frame;
+  frame.reserve(head.size() + members.size());
+  frame.append(head, 0, head.size() - 1);  // drop the closing brace
+  frame += ',';
+  frame.append(members, 1);  // drop the opening brace
+  return frame;
+}
+
 }  // namespace
 
-/// One cached analyze response: the serialized profile document plus the
-/// circuit name (evict-by-circuit) and its key (unlink on LRU eviction).
+/// One cached payload: the compact JSON text of an object whose members
+/// follow the response envelope, plus the circuit name (evict-by-circuit)
+/// and its key (unlink on LRU eviction).
 struct Service::CacheEntry {
   std::string key;
   std::string circuit;
-  JsonValue payload;
+  std::shared_ptr<const std::string> payload;
 };
 
 Service::Service(const ServiceOptions& options, obs::MetricsRegistry* metrics)
@@ -184,36 +198,36 @@ Service::ResidentCounts Service::resident_counts() const {
   return counts;
 }
 
-bool Service::cache_lookup(const std::string& key, JsonValue* out) {
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  auto it = cache_.find(key);
-  if (it == cache_.end()) {
+std::shared_ptr<const std::string> Service::cached_payload(
+    const std::string& key, const std::string& circuit,
+    const std::function<JsonValue()>& compute, bool* hit) {
+  {
+    std::lock_guard<std::mutex> lock(cache_mutex_);
+    if (auto it = cache_.find(key); it != cache_.end()) {
+      lru_.splice(lru_.begin(), lru_, it->second);
+      if (metrics_) metrics_->counter("serve.profile_cache.hits").add();
+      *hit = true;
+      return it->second->payload;
+    }
     if (metrics_) metrics_->counter("serve.profile_cache.misses").add();
-    return false;
   }
-  lru_.splice(lru_.begin(), lru_, it->second);
-  if (metrics_) metrics_->counter("serve.profile_cache.hits").add();
-  *out = it->second->payload;  // copy out under the lock
-  return true;
-}
-
-void Service::cache_insert(const std::string& key, const std::string& circuit,
-                           JsonValue payload) {
+  *hit = false;
+  auto payload = std::make_shared<const std::string>(compute().dump(0));
   std::lock_guard<std::mutex> lock(cache_mutex_);
-  auto it = cache_.find(key);
-  if (it != cache_.end()) {
-    // A concurrent request computed the same profile; results are
+  if (auto it = cache_.find(key); it != cache_.end()) {
+    // A concurrent request computed the same payload; results are
     // deterministic, so either copy is THE result. Keep the incumbent.
     lru_.splice(lru_.begin(), lru_, it->second);
-    return;
+    return it->second->payload;
   }
-  lru_.push_front(CacheEntry{key, circuit, std::move(payload)});
+  lru_.push_front(CacheEntry{key, circuit, payload});
   cache_[key] = lru_.begin();
   while (cache_.size() > options_.profile_cache_entries && !lru_.empty()) {
     cache_.erase(lru_.back().key);
     lru_.pop_back();
     if (metrics_) metrics_->counter("serve.profile_cache.evictions").add();
   }
+  return payload;
 }
 
 std::shared_ptr<Service::Resident> Service::resident_for(
@@ -304,7 +318,7 @@ std::shared_ptr<const analysis::NDetectTestSets> Service::test_sets_of(
   return sets;
 }
 
-JsonValue Service::handle(const JsonValue& request) noexcept {
+std::string Service::handle(const JsonValue& request) noexcept {
   long long id = 0;
   try {
     if (!request.is_object()) throw BadRequest("request must be an object");
@@ -313,23 +327,23 @@ JsonValue Service::handle(const JsonValue& request) noexcept {
     obs::ScopedSpan span(obs::SpanCollector::current(), "serve." + type);
     if (type == "analyze") return handle_analyze(id, request);
     if (type == "ndetect") return handle_ndetect(id, request);
-    if (type == "grade") return handle_grade(id, request);
-    if (type == "hash") return handle_hash(id, request);
-    if (type == "evict") return handle_evict(id, request);
-    if (type == "metrics") return handle_metrics(id);
-    if (type == "sleep") return handle_sleep(id, request);
-    if (type == "ping") return make_ok_response(id, "ping");
+    if (type == "grade") return handle_grade(id, request).dump(0);
+    if (type == "hash") return handle_hash(id, request).dump(0);
+    if (type == "evict") return handle_evict(id, request).dump(0);
+    if (type == "metrics") return handle_metrics(id).dump(0);
+    if (type == "sleep") return handle_sleep(id, request).dump(0);
+    if (type == "ping") return make_ok_response(id, "ping").dump(0);
     throw BadRequest("unknown request type '" + type + "'");
   } catch (const BadRequest& e) {
     if (metrics_) metrics_->counter("serve.errors.bad_request").add();
-    return make_error_response(id, ErrorCode::BadRequest, e.what());
+    return make_error_response(id, ErrorCode::BadRequest, e.what()).dump(0);
   } catch (const std::exception& e) {
     if (metrics_) metrics_->counter("serve.errors.internal").add();
-    return make_error_response(id, ErrorCode::Internal, e.what());
+    return make_error_response(id, ErrorCode::Internal, e.what()).dump(0);
   }
 }
 
-JsonValue Service::handle_analyze(long long id, const JsonValue& request) {
+std::string Service::handle_analyze(long long id, const JsonValue& request) {
   const JsonValue& opts = options_of(request);
   reject_unknown_keys(opts, {"model", "jobs", "collapse", "bridge_count",
                              "bridge_theta", "bridge_seed",
@@ -380,51 +394,44 @@ JsonValue Service::handle_analyze(long long id, const JsonValue& request) {
   }
 
   if (metrics_) metrics_->counter("serve.requests.analyze").add();
-  JsonValue cached;
-  if (cache_lookup(key, &cached)) {
-    JsonValue resp = make_ok_response(id, "analyze");
-    resp["model"] = model;
-    resp["circuit"] = circuit->name();
-    resp["cached"] = true;
-    resp["key"] = key;
-    resp["profile"] = std::move(cached);
-    return resp;
-  }
-
-  // Cache miss: the sweep will run, so pin (or build) the resident
-  // frozen forest and hand it to the engine. Concurrent analyzes of the
-  // same circuit adopt the same immutable node pool.
-  a.shared_good = forest_of(*resident);
-
-  JsonValue profile;
-  {
-    obs::ScopedSpan span(obs::SpanCollector::current(),
-                         "serve.analyze." + model);
-    span.attr("circuit", circuit->name()).attr("jobs", a.jobs);
-    if (model == "sa") {
-      profile = analysis::profile_to_json(analysis::analyze_stuck_at(*circuit, a), key);
-    } else if (model == "bf.and" || model == "bf.or") {
-      const fault::BridgeType bt = model == "bf.and" ? fault::BridgeType::And
-                                                     : fault::BridgeType::Or;
-      profile = analysis::profile_to_json(
-          analysis::analyze_bridging(*circuit, bt, a), key);
-    } else {
-      profile = analysis::hybrid_profile_to_json(
-          analysis::analyze_stuck_at_hybrid(*circuit, a, h));
-    }
-  }
-  cache_insert(key, circuit->name(), profile);
+  bool hit = false;
+  const std::shared_ptr<const std::string> payload = cached_payload(
+      key, circuit->name(),
+      [&] {
+        // Cache miss: the sweep will run, so pin (or build) the resident
+        // frozen forest and hand it to the engine. Concurrent analyzes of
+        // the same circuit adopt the same immutable node pool.
+        a.shared_good = forest_of(*resident);
+        obs::ScopedSpan span(obs::SpanCollector::current(),
+                             "serve.analyze." + model);
+        span.attr("circuit", circuit->name()).attr("jobs", a.jobs);
+        JsonValue members = JsonValue::object();
+        if (model == "sa") {
+          members["profile"] = analysis::profile_to_json(
+              analysis::analyze_stuck_at(*circuit, a), key);
+        } else if (model == "bf.and" || model == "bf.or") {
+          const fault::BridgeType bt = model == "bf.and"
+                                           ? fault::BridgeType::And
+                                           : fault::BridgeType::Or;
+          members["profile"] = analysis::profile_to_json(
+              analysis::analyze_bridging(*circuit, bt, a), key);
+        } else {
+          members["profile"] = analysis::hybrid_profile_to_json(
+              analysis::analyze_stuck_at_hybrid(*circuit, a, h));
+        }
+        return members;
+      },
+      &hit);
 
   JsonValue resp = make_ok_response(id, "analyze");
   resp["model"] = model;
   resp["circuit"] = circuit->name();
-  resp["cached"] = false;
+  resp["cached"] = hit;
   resp["key"] = key;
-  resp["profile"] = std::move(profile);
-  return resp;
+  return splice(resp, *payload);
 }
 
-JsonValue Service::handle_ndetect(long long id, const JsonValue& request) {
+std::string Service::handle_ndetect(long long id, const JsonValue& request) {
   const JsonValue& opts = options_of(request);
   reject_unknown_keys(opts, {"n", "jobs", "topup", "collapse"});
   const std::shared_ptr<Resident> resident = resident_for(request);
@@ -453,46 +460,37 @@ JsonValue Service::handle_ndetect(long long id, const JsonValue& request) {
   const std::string key = kb.hex();
 
   if (metrics_) metrics_->counter("serve.requests.ndetect").add();
-  JsonValue cached;
-  if (cache_lookup(key, &cached)) {
-    JsonValue resp = make_ok_response(id, "ndetect");
-    resp["circuit"] = circuit->name();
-    resp["cached"] = true;
-    resp["key"] = key;
-    resp["report"] = std::move(cached["report"]);
-    resp["minted_vectors"] = std::move(cached["minted_vectors"]);
-    return resp;
-  }
-
-  // Cache miss: count against the circuit's resident test sets (the DP
-  // sweep runs only for the first ndetect on a circuit and flag).
-  JsonValue payload = JsonValue::object();
-  {
-    obs::ScopedSpan span(obs::SpanCollector::current(), "serve.ndetect");
-    span.attr("circuit", circuit->name()).attr("jobs", jobs);
-    analysis::NDetectAnalyzer analyzer(
-        *circuit, test_sets_of(*resident, collapse, jobs));
-    const std::size_t given = vectors.size();
-    std::size_t minted = 0;
-    if (topup) minted = analyzer.top_up(vectors, n);
-    analysis::NDetectReport report = analyzer.report(vectors, n);
-    report.minted_vectors = minted;
-    payload["report"] = analysis::ndetect_report_to_json(report, key);
-    JsonValue minted_vectors = JsonValue::array();
-    for (std::size_t i = given; i < vectors.size(); ++i) {
-      minted_vectors.push_back(bit_string_of(vectors[i]));
-    }
-    payload["minted_vectors"] = std::move(minted_vectors);
-  }
-  cache_insert(key, circuit->name(), payload);
+  bool hit = false;
+  const std::shared_ptr<const std::string> payload = cached_payload(
+      key, circuit->name(),
+      [&] {
+        // Cache miss: count against the circuit's resident test sets (the
+        // DP sweep runs only for the first ndetect on a circuit and flag).
+        obs::ScopedSpan span(obs::SpanCollector::current(), "serve.ndetect");
+        span.attr("circuit", circuit->name()).attr("jobs", jobs);
+        analysis::NDetectAnalyzer analyzer(
+            *circuit, test_sets_of(*resident, collapse, jobs));
+        const std::size_t given = vectors.size();
+        std::size_t minted = 0;
+        if (topup) minted = analyzer.top_up(vectors, n);
+        analysis::NDetectReport report = analyzer.report(vectors, n);
+        report.minted_vectors = minted;
+        JsonValue members = JsonValue::object();
+        members["report"] = analysis::ndetect_report_to_json(report, key);
+        JsonValue minted_vectors = JsonValue::array();
+        for (std::size_t i = given; i < vectors.size(); ++i) {
+          minted_vectors.push_back(bit_string_of(vectors[i]));
+        }
+        members["minted_vectors"] = std::move(minted_vectors);
+        return members;
+      },
+      &hit);
 
   JsonValue resp = make_ok_response(id, "ndetect");
   resp["circuit"] = circuit->name();
-  resp["cached"] = false;
+  resp["cached"] = hit;
   resp["key"] = key;
-  resp["report"] = std::move(payload["report"]);
-  resp["minted_vectors"] = std::move(payload["minted_vectors"]);
-  return resp;
+  return splice(resp, *payload);
 }
 
 JsonValue Service::handle_grade(long long id, const JsonValue& request) {

@@ -20,12 +20,14 @@
 //      lock, so a build never stalls requests for other circuits. Held
 //      by shared_ptr, so an evict during an in-flight request only
 //      unpins the entry; the request keeps its references until done.
-//   3. Profile cache -- a bounded in-memory LRU of fully serialized
-//      analyze responses keyed exactly like the artifact store
-//      (profile_cache_key + model-specific extras). A hit skips BDD
-//      construction and DP entirely and responds in microseconds; the
-//      response's "cached" flag is what dpload uses to split warm from
-//      cold latencies.
+//   3. Profile cache -- a bounded in-memory LRU of analyze and ndetect
+//      payloads, each held as the JSON text it was serialized to once
+//      (shared_ptr<const std::string>), keyed exactly like the artifact
+//      store (profile_cache_key + model-specific extras). A hit skips BDD
+//      construction, DP and serialization entirely: the cached text is
+//      spliced after the response's small envelope. The response's
+//      "cached" flag is what dpload uses to split warm from cold
+//      latencies.
 //   4. Artifact store (optional) -- when a cache directory is attached,
 //      sweeps run with persistence enabled, so profiles survive restarts
 //      and interrupted sweeps resume from checkpoints. The store is
@@ -36,14 +38,17 @@
 // byte-identical to serializing the corresponding in-process
 // analyze_stuck_at / analyze_bridging / analyze_hybrid result, for any
 // worker count -- sweeps are jobs-invariant and the serializers emit
-// exact round-trip doubles. tests/serve_test.cpp pins this.
+// exact round-trip doubles. A hit and a miss for the same key differ
+// only in "cached". tests/serve_test.cpp pins both.
 //
-// handle() never throws: engine exceptions become {"ok":false, code
-// "internal"}, option mistakes become "bad_request". Thread safety:
-// handle() may be called from any number of worker threads concurrently.
+// handle() returns the response frame's text and never throws: engine
+// exceptions become {"ok":false, code "internal"}, option mistakes
+// become "bad_request". Thread safety: handle() may be called from any
+// number of worker threads concurrently.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -80,10 +85,11 @@ class Service {
   Service(const Service&) = delete;
   Service& operator=(const Service&) = delete;
 
-  /// Executes one request object and returns the response object.
+  /// Executes one request object and returns the response object's
+  /// compact JSON text, ready to frame.
   /// Request types: analyze, ndetect, grade, hash, evict, metrics, sleep,
   /// ping. ("shutdown" is intercepted by the Server before reaching here.)
-  obs::JsonValue handle(const obs::JsonValue& request) noexcept;
+  std::string handle(const obs::JsonValue& request) noexcept;
 
   /// Current in-memory profile-cache entry count (tests).
   std::size_t profile_cache_size() const;
@@ -124,19 +130,20 @@ class Service {
   std::shared_ptr<const analysis::NDetectTestSets> test_sets_of(
       Resident& r, bool collapse, std::size_t jobs);
 
-  obs::JsonValue handle_analyze(long long id, const obs::JsonValue& request);
-  obs::JsonValue handle_ndetect(long long id, const obs::JsonValue& request);
+  std::string handle_analyze(long long id, const obs::JsonValue& request);
+  std::string handle_ndetect(long long id, const obs::JsonValue& request);
   obs::JsonValue handle_grade(long long id, const obs::JsonValue& request);
   obs::JsonValue handle_hash(long long id, const obs::JsonValue& request);
   obs::JsonValue handle_evict(long long id, const obs::JsonValue& request);
   obs::JsonValue handle_metrics(long long id);
   obs::JsonValue handle_sleep(long long id, const obs::JsonValue& request);
 
-  /// False on miss; on hit copies the payload out under the lock and
-  /// moves the entry to the LRU head.
-  bool cache_lookup(const std::string& key, obs::JsonValue* out);
-  void cache_insert(const std::string& key, const std::string& circuit,
-                    obs::JsonValue payload);
+  /// The serialized payload cached under `key`, moved to the LRU head
+  /// (`*hit` true). On a miss, `compute()` runs outside the lock, its
+  /// result is serialized once and cached for `circuit` (`*hit` false).
+  std::shared_ptr<const std::string> cached_payload(
+      const std::string& key, const std::string& circuit,
+      const std::function<obs::JsonValue()>& compute, bool* hit);
 
   ServiceOptions options_;
   obs::MetricsRegistry* metrics_;

@@ -102,10 +102,7 @@ bool ArtifactStore::store_document(const std::string& key,
       metrics_ ? std::optional<obs::ScopedTimer>(
                      metrics_->scoped_timer("store.store_seconds"))
                : std::nullopt;
-  std::ostringstream os;
-  doc.write(os, 2);
-  os << '\n';
-  const std::string bytes = os.str();
+  const std::string bytes = doc.dump(2) + '\n';
   span.attr("bytes", bytes.size());
   if (!obs::atomic_write_file(document_path(key, kind), bytes, error)) {
     return false;

@@ -2,7 +2,7 @@
 // gauges, timers, histograms), exact sums under concurrent mutation,
 // deterministic registry merges, span hierarchy/export semantics, the
 // sampling profiler's source registry, and a JSON model whose writer and
-// parser round-trip each other.
+// parser round-trip each other, pinned byte for byte by golden strings.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,6 +12,9 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/profile_io.hpp"
+#include "analysis/profiles.hpp"
+#include "netlist/generators.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
@@ -159,6 +162,147 @@ TEST(Json, FileRoundTrip) {
   // Unwritable path reports instead of throwing.
   EXPECT_FALSE(write_json_file("/nonexistent-dir/x.json", v, &error));
   EXPECT_FALSE(error.empty());
+}
+
+// ---- byte-exact writer output ------------------------------------------
+// Served responses, artifact-store documents and cache keys hash these
+// exact bytes, so the writer's output is pinned character by character.
+
+TEST(JsonGolden, StringEscapesAndNonFiniteDoubles) {
+  std::string s;
+  for (int c = 0; c < 0x20; ++c) s += static_cast<char>(c);
+  s += "\x7f/\"\\\xC3\xA9";  // DEL, slash and UTF-8 pass through raw
+  JsonValue v = JsonValue::object();
+  v["s"] = s;
+  v["nan"] = std::numeric_limits<double>::quiet_NaN();
+  v["ninf"] = -std::numeric_limits<double>::infinity();
+  const std::string escaped =
+      "\"\\u0000\\u0001\\u0002\\u0003\\u0004\\u0005\\u0006\\u0007"
+      "\\b\\t\\n\\u000b\\f\\r\\u000e\\u000f"
+      "\\u0010\\u0011\\u0012\\u0013\\u0014\\u0015\\u0016\\u0017"
+      "\\u0018\\u0019\\u001a\\u001b\\u001c\\u001d\\u001e\\u001f"
+      "\x7f/\\\"\\\\\xC3\xA9\"";
+  EXPECT_EQ(v.dump(0),
+            "{\"s\":" + escaped + ",\"nan\":null,\"ninf\":null}");
+  EXPECT_EQ(v.dump(2), "{\n  \"s\": " + escaped +
+                           ",\n  \"nan\": null,\n  \"ninf\": null\n}");
+  // Escapes in keys, and at both ends of an escape-free run.
+  JsonValue k = JsonValue::object();
+  k["\"a\tb\n"] = "\\x\\";
+  EXPECT_EQ(k.dump(0), "{\"\\\"a\\tb\\n\":\"\\\\x\\\\\"}");
+}
+
+TEST(JsonGolden, NestedEmptyContainers) {
+  JsonValue v = JsonValue::object();
+  v["a"] = JsonValue::array();
+  v["b"] = JsonValue::object();
+  JsonValue c = JsonValue::array();
+  c.push_back(JsonValue::array());
+  c.push_back(JsonValue::object());
+  JsonValue d = JsonValue::object();
+  d["x"] = JsonValue::object();
+  c.push_back(std::move(d));
+  v["c"] = std::move(c);
+  EXPECT_EQ(v.dump(0), "{\"a\":[],\"b\":{},\"c\":[[],{},{\"x\":{}}]}");
+  EXPECT_EQ(v.dump(2),
+            "{\n"
+            "  \"a\": [],\n"
+            "  \"b\": {},\n"
+            "  \"c\": [\n"
+            "    [],\n"
+            "    {},\n"
+            "    {\n"
+            "      \"x\": {}\n"
+            "    }\n"
+            "  ]\n"
+            "}");
+  EXPECT_EQ(JsonValue::array().dump(2), "[]");
+  EXPECT_EQ(JsonValue().dump(0), "null");
+}
+
+TEST(JsonGolden, IntegerExtremesAndShortestRoundTripDoubles) {
+  JsonValue n = JsonValue::array();
+  n.push_back(std::numeric_limits<long long>::min());
+  n.push_back(std::numeric_limits<long long>::max());
+  // Beyond long long: stored (and written) as the nearest double.
+  n.push_back(std::numeric_limits<unsigned long long>::max());
+  n.push_back(0);
+  n.push_back(-1);
+  n.push_back(true);
+  n.push_back(false);
+  for (const double x : {0.1, 1.0 / 3, 1e-7, 5e-324, 1.7976931348623157e308,
+                         -0.0, 1e21, 100.0, 123456789012.0, 2.5, 1e22,
+                         0.000123}) {
+    n.push_back(x);
+  }
+  const char* const items[] = {
+      "-9223372036854775808", "9223372036854775807", "18446744073709551616",
+      "0", "-1", "true", "false", "0.1", "0.3333333333333333", "1e-07",
+      "5e-324", "1.7976931348623157e+308", "-0", "1e+21", "100",
+      "123456789012", "2.5", "1e+22", "0.000123"};
+  std::string compact = "[", pretty = "[";
+  for (std::size_t i = 0; i < std::size(items); ++i) {
+    compact += (i ? "," : "") + std::string(items[i]);
+    pretty += (i ? ",\n  " : "\n  ") + std::string(items[i]);
+  }
+  EXPECT_EQ(n.dump(0), compact + "]");
+  EXPECT_EQ(n.dump(2), pretty + "\n]");
+  // Every double reads back to the same text ("-0" has no fraction or
+  // exponent, so it reads back as the integer 0).
+  const JsonValue back = JsonValue::parse(n.dump(0));
+  for (std::size_t i = 7; i < std::size(items); ++i) {
+    const std::string item = items[i];
+    EXPECT_EQ(back.at(i).dump(0), item == "-0" ? "0" : item);
+  }
+}
+
+// ---- parser fast paths -------------------------------------------------
+
+TEST(JsonParse, EscapesAtEveryPositionOfARun) {
+  EXPECT_EQ(JsonValue::parse("\"\\nabc\"").as_string(), "\nabc");
+  EXPECT_EQ(JsonValue::parse("\"ab\\ncd\"").as_string(), "ab\ncd");
+  EXPECT_EQ(JsonValue::parse("\"abc\\n\"").as_string(), "abc\n");
+  EXPECT_EQ(JsonValue::parse("\"\\\"\\\\\\/\"").as_string(), "\"\\/");
+  EXPECT_EQ(JsonValue::parse("\"\"").as_string(), "");
+  EXPECT_EQ(JsonValue::parse("\"x\\u00e9y\\u0041\"").as_string(),
+            "x\xC3\xA9yA");
+  const JsonValue obj = JsonValue::parse("{\"\\tk\\\"ey\\n\": \"v\"}");
+  EXPECT_EQ(obj.members()[0].first, "\tk\"ey\n");
+}
+
+TEST(JsonParse, UnterminatedStringInsideARunThrows) {
+  for (const char* bad : {"\"abc", "{\"key", "{\"k\":\"abc", "[\"a\\nbc"}) {
+    try {
+      JsonValue::parse(bad);
+      FAIL() << "expected JsonError for: " << bad;
+    } catch (const JsonError& e) {
+      EXPECT_NE(std::string(e.what()).find("unterminated string"),
+                std::string::npos)
+          << bad << ": " << e.what();
+    }
+  }
+}
+
+TEST(JsonParse, DuplicateKeysKeepTheLastValueInTheFirstPosition) {
+  const JsonValue v = JsonValue::parse("{\"a\":1,\"b\":2,\"a\":{\"c\":3}}");
+  ASSERT_EQ(v.size(), 2u);
+  EXPECT_EQ(v.members()[0].first, "a");
+  EXPECT_EQ(v.members()[1].first, "b");
+  EXPECT_EQ(v.dump(0), "{\"a\":{\"c\":3},\"b\":2}");
+}
+
+TEST(JsonParse, BridgeProfileRoundTripsByteForByte) {
+  // A large real document: c95's 1,000-record AND bridge profile.
+  const netlist::Circuit c95 = netlist::make_benchmark("c95");
+  const analysis::AnalysisOptions options;
+  const JsonValue profile = analysis::profile_to_json(
+      analysis::analyze_bridging(c95, fault::BridgeType::And, options),
+      analysis::profile_cache_key(c95, "bf.and", options));
+  const std::string compact = profile.dump(0);
+  ASSERT_GT(compact.size(), 100000u);
+  EXPECT_EQ(JsonValue::parse(compact).dump(0), compact);
+  const std::string pretty = profile.dump(2);
+  EXPECT_EQ(JsonValue::parse(pretty).dump(2), pretty);
 }
 
 // ---------------------------------------------------------------------------

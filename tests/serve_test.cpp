@@ -4,6 +4,8 @@
 // profile cache, and graceful drain.
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+#include <signal.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -73,6 +75,51 @@ TEST(ProtocolTest, CleanCloseIsEofMidFrameIsError) {
   ::close(fds[1]);
 }
 
+TEST(ProtocolTest, FrameLargerThanTheSocketBufferRoundTrips) {
+  // 3 MiB cannot fit a socketpair's buffer, so the writer blocks in
+  // sendmsg while the reader drains the other end. A handler installed
+  // without SA_RESTART interrupts it over and over: write_frame sees
+  // EINTR and short writes and must resume mid-header or mid-payload.
+  struct sigaction interrupt {}, old {};
+  interrupt.sa_handler = [](int) {};
+  ASSERT_EQ(::sigaction(SIGUSR1, &interrupt, &old), 0);
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  std::string big(3u << 20, '\0');
+  for (std::size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<char>('a' + (i * 7919) % 26);
+  }
+  bool wrote = false;
+  std::string write_error;
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    wrote = write_frame(fds[0], big, &write_error);
+    wrote = wrote && write_frame(fds[0], "tail", &write_error);
+    done.store(true);
+  });
+  std::thread interrupter([&] {
+    while (!done.load()) {
+      ::pthread_kill(writer.native_handle(), SIGUSR1);
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  });
+  std::string payload, error;
+  EXPECT_EQ(read_frame(fds[1], &payload, kDefaultMaxFrameBytes, &error),
+            ReadStatus::Ok)
+      << error;
+  EXPECT_TRUE(payload == big);
+  EXPECT_EQ(read_frame(fds[1], &payload, kDefaultMaxFrameBytes, &error),
+            ReadStatus::Ok)
+      << error;
+  EXPECT_EQ(payload, "tail");
+  ::close(fds[1]);  // a writer stuck behind a broken stream gets EPIPE
+  interrupter.join();
+  writer.join();
+  EXPECT_TRUE(wrote) << write_error;
+  ::close(fds[0]);
+  ::sigaction(SIGUSR1, &old, nullptr);
+}
+
 TEST(ProtocolTest, BadMagicAndOversizedLengthRejected) {
   int fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
@@ -104,16 +151,21 @@ JsonValue req(const char* type, const char* circuit = nullptr) {
   return r;
 }
 
+/// Service::handle returns the response frame's text; parse it.
+JsonValue handled(Service& service, const JsonValue& request) {
+  return JsonValue::parse(service.handle(request));
+}
+
 TEST(ServiceTest, PingHashAndUnknownType) {
   obs::MetricsRegistry metrics;
   Service service(ServiceOptions{}, &metrics);
-  EXPECT_TRUE(service.handle(req("ping")).at("ok").as_bool());
+  EXPECT_TRUE(handled(service, req("ping")).at("ok").as_bool());
 
-  JsonValue h = service.handle(req("hash", "c17"));
+  JsonValue h = handled(service, req("hash", "c17"));
   ASSERT_TRUE(h.at("ok").as_bool());
   EXPECT_EQ(h.at("hash").as_string().size(), 32u);
 
-  JsonValue bad = service.handle(req("frobnicate"));
+  JsonValue bad = handled(service, req("frobnicate"));
   EXPECT_FALSE(bad.at("ok").as_bool());
   EXPECT_EQ(bad.at("error").at("code").as_string(), "bad_request");
 }
@@ -121,7 +173,7 @@ TEST(ServiceTest, PingHashAndUnknownType) {
 TEST(ServiceTest, UnknownCircuitAndUnknownOptionAreBadRequests) {
   obs::MetricsRegistry metrics;
   Service service(ServiceOptions{}, &metrics);
-  JsonValue r = service.handle(req("analyze", "not_a_circuit"));
+  JsonValue r = handled(service, req("analyze", "not_a_circuit"));
   EXPECT_FALSE(r.at("ok").as_bool());
   EXPECT_EQ(r.at("error").at("code").as_string(), "bad_request");
 
@@ -129,7 +181,7 @@ TEST(ServiceTest, UnknownCircuitAndUnknownOptionAreBadRequests) {
   JsonValue opts = JsonValue::object();
   opts["colapse"] = true;  // misspelled: must fail, not silently default
   typo["options"] = std::move(opts);
-  r = service.handle(typo);
+  r = handled(service, typo);
   EXPECT_FALSE(r.at("ok").as_bool());
   EXPECT_EQ(r.at("error").at("code").as_string(), "bad_request");
   EXPECT_NE(r.at("error").at("message").as_string().find("colapse"),
@@ -142,12 +194,12 @@ TEST(ServiceTest, InlineBenchTextIsAccepted) {
   JsonValue r = JsonValue::object();
   r["type"] = "analyze";
   r["bench"] = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\n";
-  JsonValue resp = service.handle(r);
+  JsonValue resp = handled(service, r);
   ASSERT_TRUE(resp.at("ok").as_bool()) << resp.dump(0);
   EXPECT_GT(resp.at("profile").at("faults").size(), 0u);
 
   r["bench"] = "INPUT(a\n";  // malformed inline netlist
-  resp = service.handle(r);
+  resp = handled(service, r);
   EXPECT_FALSE(resp.at("ok").as_bool());
   EXPECT_EQ(resp.at("error").at("code").as_string(), "bad_request");
 }
@@ -160,7 +212,7 @@ TEST(ServiceTest, GradeMatchesDirectWideSim) {
   opts["patterns"] = 512;
   opts["seed"] = 7;
   r["options"] = std::move(opts);
-  JsonValue resp = service.handle(r);
+  JsonValue resp = handled(service, r);
   ASSERT_TRUE(resp.at("ok").as_bool()) << resp.dump(0);
 
   const netlist::Circuit c = netlist::make_benchmark("c95");
@@ -181,10 +233,10 @@ TEST(ServiceTest, ProfileCacheHitsEvictsAndLruBound) {
   options.profile_cache_entries = 2;
   Service service(options, &metrics);
 
-  JsonValue r1 = service.handle(req("analyze", "c17"));
+  JsonValue r1 = handled(service, req("analyze", "c17"));
   ASSERT_TRUE(r1.at("ok").as_bool());
   EXPECT_FALSE(r1.at("cached").as_bool());
-  JsonValue r2 = service.handle(req("analyze", "c17"));
+  JsonValue r2 = handled(service, req("analyze", "c17"));
   ASSERT_TRUE(r2.at("ok").as_bool());
   EXPECT_TRUE(r2.at("cached").as_bool());
   // The cached response carries the identical profile document.
@@ -196,16 +248,16 @@ TEST(ServiceTest, ProfileCacheHitsEvictsAndLruBound) {
   JsonValue opts = JsonValue::object();
   opts["model"] = "bf.and";
   bf["options"] = std::move(opts);
-  ASSERT_TRUE(service.handle(bf).at("ok").as_bool());
-  ASSERT_TRUE(service.handle(req("analyze", "fulladder")).at("ok").as_bool());
+  ASSERT_TRUE(handled(service, bf).at("ok").as_bool());
+  ASSERT_TRUE(handled(service, req("analyze", "fulladder")).at("ok").as_bool());
   EXPECT_EQ(service.profile_cache_size(), 2u);
   EXPECT_TRUE(metrics.counter("serve.profile_cache.evictions").value() >= 1u);
 
-  JsonValue r3 = service.handle(req("analyze", "c17"));
+  JsonValue r3 = handled(service, req("analyze", "c17"));
   EXPECT_FALSE(r3.at("cached").as_bool());  // was evicted, recomputed
   EXPECT_EQ(r1.at("profile").dump(0), r3.at("profile").dump(0));
 
-  JsonValue ev = service.handle(req("evict"));
+  JsonValue ev = handled(service, req("evict"));
   ASSERT_TRUE(ev.at("ok").as_bool());
   EXPECT_EQ(service.profile_cache_size(), 0u);
 }
@@ -224,8 +276,8 @@ TEST(ServiceTest, ConcurrentAnalyzesShareOneFrozenForest) {
   bf["options"] = std::move(opts);
 
   JsonValue resp_sa, resp_bf;
-  std::thread t1([&] { resp_sa = service.handle(sa); });
-  std::thread t2([&] { resp_bf = service.handle(bf); });
+  std::thread t1([&] { resp_sa = handled(service, sa); });
+  std::thread t2([&] { resp_bf = handled(service, bf); });
   t1.join();
   t2.join();
 
@@ -240,7 +292,7 @@ TEST(ServiceTest, ConcurrentAnalyzesShareOneFrozenForest) {
   JsonValue hopts = JsonValue::object();
   hopts["model"] = "bf.or";
   hy["options"] = std::move(hopts);
-  ASSERT_TRUE(service.handle(hy).at("ok").as_bool());
+  ASSERT_TRUE(handled(service, hy).at("ok").as_bool());
   EXPECT_EQ(metrics.counter("serve.forest.builds").value(), 1u);
   EXPECT_GE(metrics.counter("serve.forest.reuses").value(), 2u);
 }
@@ -261,20 +313,20 @@ TEST(ServiceTest, EvictingOneCircuitDropsItsWholeResidentEntry) {
   obs::MetricsRegistry metrics;
   Service service(ServiceOptions{}, &metrics);
   for (const char* c : {"c17", "alu181"}) {
-    ASSERT_TRUE(service.handle(req("analyze", c)).at("ok").as_bool());
+    ASSERT_TRUE(handled(service, req("analyze", c)).at("ok").as_bool());
   }
-  ASSERT_TRUE(service.handle(ndetect_req("c17", "01010")).at("ok").as_bool());
-  ASSERT_TRUE(service.handle(ndetect_req("alu181", std::string(14, '1')))
+  ASSERT_TRUE(handled(service, ndetect_req("c17", "01010")).at("ok").as_bool());
+  ASSERT_TRUE(handled(service, ndetect_req("alu181", std::string(14, '1')))
                   .at("ok")
                   .as_bool());
-  ASSERT_TRUE(service.handle(req("hash", "c95")).at("ok").as_bool());
+  ASSERT_TRUE(handled(service, req("hash", "c95")).at("ok").as_bool());
   Service::ResidentCounts counts = service.resident_counts();
   EXPECT_EQ(counts.circuits, 3u);
   EXPECT_EQ(counts.forests, 2u);
   EXPECT_EQ(counts.test_sets, 2u);
 
   JsonValue ev = req("evict", "c17");
-  ASSERT_TRUE(service.handle(ev).at("ok").as_bool());
+  ASSERT_TRUE(handled(service, ev).at("ok").as_bool());
   counts = service.resident_counts();
   EXPECT_EQ(counts.circuits, 2u);
   EXPECT_EQ(counts.forests, 1u);
@@ -282,15 +334,15 @@ TEST(ServiceTest, EvictingOneCircuitDropsItsWholeResidentEntry) {
 
   // c17 comes back cold: its forest and test sets are built again, and
   // alu181's survive untouched.
-  ASSERT_TRUE(service.handle(ndetect_req("c17", "11111")).at("ok").as_bool());
+  ASSERT_TRUE(handled(service, ndetect_req("c17", "11111")).at("ok").as_bool());
   EXPECT_EQ(metrics.counter("serve.forest.builds").value(), 3u);
   EXPECT_EQ(metrics.counter("serve.ndetect.test_sets.builds").value(), 3u);
-  ASSERT_TRUE(service.handle(ndetect_req("alu181", std::string(14, '0')))
+  ASSERT_TRUE(handled(service, ndetect_req("alu181", std::string(14, '0')))
                   .at("ok")
                   .as_bool());
   EXPECT_EQ(metrics.counter("serve.ndetect.test_sets.builds").value(), 3u);
 
-  ASSERT_TRUE(service.handle(req("evict")).at("ok").as_bool());
+  ASSERT_TRUE(handled(service, req("evict")).at("ok").as_bool());
   counts = service.resident_counts();
   EXPECT_EQ(counts.circuits, 0u);
   EXPECT_EQ(counts.forests, 0u);
@@ -305,8 +357,8 @@ TEST(ServiceTest, ConcurrentColdNDetectsBuildOnce) {
   Service service(ServiceOptions{}, &metrics);
   const std::string ones(14, '1'), zeros(14, '0');
   JsonValue r1, r2;
-  std::thread t1([&] { r1 = service.handle(ndetect_req("alu181", ones)); });
-  std::thread t2([&] { r2 = service.handle(ndetect_req("alu181", zeros)); });
+  std::thread t1([&] { r1 = handled(service, ndetect_req("alu181", ones)); });
+  std::thread t2([&] { r2 = handled(service, ndetect_req("alu181", zeros)); });
   t1.join();
   t2.join();
   ASSERT_TRUE(r1.at("ok").as_bool()) << r1.dump(0);
@@ -328,8 +380,8 @@ TEST(ServiceTest, NDetectReusesResidentTestSets) {
   Service service(ServiceOptions{}, &metrics);
   obs::SpanCollector spans;
   obs::SpanCollector::install(&spans);
-  const JsonValue first = service.handle(ndetect_req("c95", "01100110"));
-  const JsonValue second = service.handle(ndetect_req("c95", "10011001"));
+  const JsonValue first = handled(service, ndetect_req("c95", "01100110"));
+  const JsonValue second = handled(service, ndetect_req("c95", "10011001"));
   obs::SpanCollector::install(nullptr);
   ASSERT_TRUE(first.at("ok").as_bool()) << first.dump(0);
   ASSERT_TRUE(second.at("ok").as_bool()) << second.dump(0);
@@ -353,19 +405,19 @@ TEST(ServiceTest, EvictDuringInFlightAnalyzeIsSafe) {
   Service service(ServiceOptions{}, &metrics);
 
   // Reference result, computed without any eviction interference.
-  JsonValue expected = service.handle(req("analyze", "alu181"));
+  JsonValue expected = handled(service, req("analyze", "alu181"));
   ASSERT_TRUE(expected.at("ok").as_bool());
-  service.handle(req("evict"));
+  handled(service, req("evict"));
   ASSERT_EQ(service.resident_counts().forests, 0u);
 
   std::atomic<bool> done{false};
   JsonValue got;
   std::thread analyzer([&] {
-    got = service.handle(req("analyze", "alu181"));
+    got = handled(service, req("analyze", "alu181"));
     done.store(true);
   });
   while (!done.load()) {
-    service.handle(req("evict"));
+    handled(service, req("evict"));
     std::this_thread::yield();
   }
   analyzer.join();
@@ -560,7 +612,7 @@ TEST(ServiceTest, NDetectUnknownOptionAndBadVectorsAreBadRequests) {
   JsonValue opts = JsonValue::object();
   opts["frobnicate"] = true;  // unknown key: reject, never silently ignore
   r["options"] = std::move(opts);
-  JsonValue resp = service.handle(r);
+  JsonValue resp = handled(service, r);
   EXPECT_FALSE(resp.at("ok").as_bool());
   EXPECT_EQ(resp.at("error").at("code").as_string(), "bad_request");
   EXPECT_NE(resp.at("error").at("message").as_string().find("frobnicate"),
@@ -571,7 +623,7 @@ TEST(ServiceTest, NDetectUnknownOptionAndBadVectorsAreBadRequests) {
   JsonValue vecs = JsonValue::array();
   vecs.push_back(std::string("01"));  // c17 has 5 inputs
   bad["vectors"] = std::move(vecs);
-  resp = service.handle(bad);
+  resp = handled(service, bad);
   EXPECT_FALSE(resp.at("ok").as_bool());
   EXPECT_EQ(resp.at("error").at("code").as_string(), "bad_request");
 }
@@ -589,6 +641,102 @@ TEST(ServeIdentityTest, BfOrServedEqualsInProcess) {
   ASSERT_TRUE(resp.at("ok").as_bool()) << resp.dump(0);
   EXPECT_EQ(resp.at("profile").dump(0), expected.dump(0));
 }
+
+/// The cache holds each payload as serialized text and splices it into
+/// the frame: for every cached request kind, the hit frame is the miss
+/// frame with "cached" flipped, both end in the in-process serialization
+/// of the payload, and LRU eviction and "evict" still drop the entry.
+class CachedFrameTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(CachedFrameTest, HitEqualsMissAndBothCarryTheInProcessPayload) {
+  const std::string model = GetParam();
+  const netlist::Circuit circuit = netlist::make_benchmark("c95");
+  JsonValue request;
+  std::string expected_tail;  // the payload members and the closing brace
+  if (model == "ndetect") {
+    request = req("ndetect", "c95");
+    JsonValue opts = JsonValue::object();
+    opts["n"] = 2;
+    request["options"] = std::move(opts);
+    store::KeyBuilder kb;
+    kb.str(analysis::kNDetectSchema);
+    kb.str(store::circuit_content_hash(circuit));
+    kb.u64(2);
+    kb.flag(true);  // topup
+    kb.flag(true);  // collapse
+    kb.u64(0);      // no client vectors
+    analysis::NDetectAnalyzer analyzer(
+        circuit, fault::collapse_checkpoint_faults(circuit));
+    std::vector<std::vector<bool>> vectors;
+    const std::size_t minted = analyzer.top_up(vectors, 2);
+    analysis::NDetectReport report = analyzer.report(vectors, 2);
+    report.minted_vectors = minted;
+    JsonValue minted_vectors = JsonValue::array();
+    for (const auto& v : vectors) {
+      std::string bits;
+      for (const bool b : v) bits += b ? '1' : '0';
+      minted_vectors.push_back(bits);
+    }
+    expected_tail =
+        "\"report\":" +
+        analysis::ndetect_report_to_json(report, kb.hex()).dump(0) +
+        ",\"minted_vectors\":" + minted_vectors.dump(0) + "}";
+  } else {
+    request = analyze_req("c95", model, 1);
+    analysis::AnalysisOptions a;
+    JsonValue expected;
+    if (model == "sa") {
+      expected = analysis::profile_to_json(
+          analysis::analyze_stuck_at(circuit, a),
+          analysis::profile_cache_key(circuit, "sa", a));
+    } else if (model == "hybrid") {
+      analysis::HybridOptions h;
+      h.prefilter_patterns = 512;
+      expected = analysis::hybrid_profile_to_json(
+          analysis::analyze_stuck_at_hybrid(circuit, a, h));
+    } else {
+      a.sampling.target_count = 40;
+      expected = analysis::profile_to_json(
+          analysis::analyze_bridging(circuit,
+                                     model == "bf.and"
+                                         ? fault::BridgeType::And
+                                         : fault::BridgeType::Or,
+                                     a),
+          analysis::profile_cache_key(circuit, model, a));
+    }
+    expected_tail = "\"profile\":" + expected.dump(0) + "}";
+  }
+
+  obs::MetricsRegistry metrics;
+  ServiceOptions options;
+  options.profile_cache_entries = 1;
+  Service service(options, &metrics);
+  const std::string miss = service.handle(request);
+  const std::string hit = service.handle(request);
+  const std::string cold = "\"cached\":false";
+  const std::size_t at = miss.find(cold);
+  ASSERT_NE(at, std::string::npos) << miss.substr(0, 200);
+  std::string miss_as_hit = miss;
+  miss_as_hit.replace(at, cold.size(), "\"cached\":true");
+  EXPECT_EQ(hit, miss_as_hit);
+  EXPECT_TRUE(miss.ends_with(expected_tail)) << miss.substr(0, 200);
+  EXPECT_TRUE(hit.ends_with(expected_tail)) << hit.substr(0, 200);
+  EXPECT_TRUE(JsonValue::parse(hit).at("ok").as_bool());
+  EXPECT_EQ(service.profile_cache_size(), 1u);
+
+  // Another key through the one-entry LRU evicts this payload; the next
+  // request recomputes it cold, to the same frame.
+  ASSERT_TRUE(handled(service, req("analyze", "c17")).at("ok").as_bool());
+  EXPECT_EQ(service.profile_cache_size(), 1u);
+  EXPECT_EQ(metrics.counter("serve.profile_cache.evictions").value(), 1u);
+  EXPECT_EQ(service.handle(request), miss);
+  ASSERT_TRUE(handled(service, req("evict")).at("ok").as_bool());
+  EXPECT_EQ(service.profile_cache_size(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Models, CachedFrameTest,
+                         ::testing::Values("sa", "bf.and", "bf.or", "hybrid",
+                                           "ndetect"));
 
 // ---- admission control, deadlines, drain -------------------------------
 

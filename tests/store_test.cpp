@@ -491,9 +491,7 @@ TEST(ProfileIoTest, ProfileRoundTripsBitIdentically) {
 
   const obs::JsonValue doc = analysis::profile_to_json(p, "key123");
   // Through text: serialize + reparse, as the artifact store does.
-  std::ostringstream os;
-  doc.write(os, 2);
-  const obs::JsonValue reparsed = obs::JsonValue::parse(os.str());
+  const obs::JsonValue reparsed = obs::JsonValue::parse(doc.dump(2));
   const auto back = analysis::profile_from_json(reparsed, "key123");
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->circuit, p.circuit);
