@@ -36,15 +36,17 @@
 // sa, bf and atpg take --jobs N to shard the sweep over N worker threads
 // (0 = all hardware threads; results are bit-identical to --jobs 1) and
 // --cache-dir PATH: sa and bf reuse cached profiles and resume
-// interrupted sweeps (--resume/--no-resume), atpg reuses the per-fault
-// test-set forest. --prefilter-patterns N sets the random patterns of
-// every --hybrid prefilter (default 4096).
+// interrupted sweeps (--resume/--no-resume), atpg reuses the swept
+// faults' complete test sets (analysis::TestSets, kind "tests").
+// --prefilter-patterns N sets the random patterns of every --hybrid
+// prefilter (default 4096).
 //
 // C is a built-in benchmark name or a path to a .bench file.
 #include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -66,7 +68,6 @@
 #include "netlist/structure.hpp"
 #include "sim/fault_sim.hpp"
 #include "sim/wide_sim.hpp"
-#include "store/bdd_io.hpp"
 #include "store/hash.hpp"
 
 using namespace dp;
@@ -247,13 +248,8 @@ bool print_ndetect_resistance(const netlist::Circuit& circuit,
   // Materialize the stream and collapse duplicate patterns: the n-detect
   // algebra is over vector SETS, so the simulator must grade the same
   // distinct vectors DP intersects.
-  std::vector<std::vector<bool>> patterns;
-  {
-    std::set<std::vector<bool>> seen;
-    for (auto& v : wide.random_patterns(num_patterns, kNDetectSeed)) {
-      if (seen.insert(v).second) patterns.push_back(std::move(v));
-    }
-  }
+  const std::vector<std::vector<bool>> patterns = analysis::distinct_vectors(
+      wide.random_patterns(num_patterns, kNDetectSeed));
 
   sim::WideFaultSimulator::Options wopt;
   wopt.drop_detected = false;
@@ -528,33 +524,21 @@ std::size_t compact(const std::vector<bdd::Bdd>& test_sets,
 }
 
 /// Phase 3 of atpg (--ndetect N): tops `vectors` up until every
-/// detectable fault has min(N, |CTS|) distinct detecting vectors, hardest
-/// fault first, then re-derives every count with the wide simulator
-/// (exact ==). The analyzer runs its own DP sweep over the FULL collapsed
-/// fault list (a hybrid run analyzed only the resistant remainder).
-/// Returns false when the recount disagrees or a quota stays unmet;
-/// `detected` receives the faults the final set detects.
+/// detectable fault of `sets` (the full collapsed list) has min(N, |CTS|)
+/// distinct detecting vectors, hardest fault first, then re-derives every
+/// count with the wide simulator (exact ==). Returns false when the
+/// recount disagrees or a quota stays unmet; `detected` receives the
+/// faults the final set detects.
 bool ndetect_top_up(const netlist::Circuit& c,
-                    const std::vector<fault::StuckAtFault>& faults,
-                    const Flags& flags, cli::Telemetry& tel,
-                    std::vector<std::vector<bool>>& vectors,
+                    const std::shared_ptr<const analysis::TestSets>& sets,
+                    const Flags& flags, std::vector<std::vector<bool>>& vectors,
                     std::size_t& detected) {
   // The n-detect algebra counts DISTINCT vectors; drop any duplicates
   // (possible between hybrid witness patterns) so the per-pattern
   // simulator recount below matches the satcounts exactly.
-  {
-    std::set<std::vector<bool>> seen;
-    std::vector<std::vector<bool>> distinct;
-    distinct.reserve(vectors.size());
-    for (auto& v : vectors) {
-      if (seen.insert(v).second) distinct.push_back(std::move(v));
-    }
-    vectors.swap(distinct);
-  }
-  analysis::NDetectOptions nopt;
-  nopt.jobs = flags.jobs;
-  analysis::NDetectAnalyzer analyzer(c, faults, nopt);
-  analyzer.stats().export_metrics(tel.metrics(), "ndetect");
+  vectors = analysis::distinct_vectors(vectors);
+  analysis::NDetectAnalyzer analyzer(c, sets);
+  const auto& faults = sets->faults();
 
   std::cout << "\nn-detect top-up (target N=" << flags.ndetect << "):\n"
             << "  n=0: " << vectors.size() << " vectors (1-detect set)\n";
@@ -605,7 +589,6 @@ bool ndetect_top_up(const netlist::Circuit& c,
 
 int cmd_atpg(const netlist::Circuit& c, const Flags& flags,
              cli::Telemetry& tel) {
-  const netlist::Structure structure(c);
   const analysis::HybridOptions& hopt = flags.hybrid_options;
   const auto faults = fault::collapse_checkpoint_faults(c);
   std::cout << "ATPG for " << c.name() << ": " << faults.size()
@@ -616,6 +599,7 @@ int cmd_atpg(const netlist::Circuit& c, const Flags& flags,
   // deterministic stream, so the random phase's coverage claims are backed
   // by concrete vectors in the emitted set.
   std::vector<std::vector<bool>> vectors;
+  std::vector<bool> prefiltered(faults.size(), false);
   std::vector<fault::StuckAtFault> dp_faults = faults;
   if (flags.hybrid) {
     const sim::WideFaultSimulator wide(c);
@@ -629,6 +613,7 @@ int cmd_atpg(const netlist::Circuit& c, const Flags& flags,
       if (grade.first_detection[i] == sim::WideFaultSimulator::kNotDetected) {
         dp_faults.push_back(faults[i]);
       } else {
+        prefiltered[i] = true;
         picks.push_back(grade.first_detection[i]);
       }
     }
@@ -646,92 +631,45 @@ int cmd_atpg(const netlist::Circuit& c, const Flags& flags,
               << " faults left for DP\n";
   }
 
-  // Test-set forest cache: with --cache-dir the complete per-fault test
-  // sets are serialized after the sweep, keyed on the circuit's
-  // structural content. A warm rerun reloads them into `cache_mgr` and
-  // skips BDD construction and the DP sweep entirely; every downstream
-  // number is bit-identical because detectability is exactly the test
-  // set's density and the reconstructed BDDs are canonical. The hybrid
-  // remainder depends on the prefilter stream, so its key includes the
-  // prefilter parameters.
-  bdd::Manager cache_mgr(0);
-  std::string forest_key;
+  // Phase 2: the complete test sets, from one DP sweep or, with
+  // --cache-dir, from the "tests" artifact of an earlier run over the
+  // same fault list. The n-detect top-up needs every fault's set, so it
+  // sweeps the full collapsed list; otherwise only the DP remainder.
+  const bool sweep_all = flags.ndetect > 0;
+  const auto& swept = sweep_all ? faults : dp_faults;
+  std::shared_ptr<const analysis::TestSets> sets;
   if (tel.store()) {
-    store::KeyBuilder kb;
-    kb.str("dp.atpg.tests.v1");
-    kb.str(store::circuit_content_hash(c));
-    kb.u64(dp_faults.size());
-    if (flags.hybrid) {
-      kb.str("hybrid");
-      kb.u64(hopt.prefilter_patterns);
-      kb.u64(hopt.prefilter_seed);
-    }
-    forest_key = kb.hex();
-  }
-
-  // On the cold path the engine must stay alive until vector minting is
-  // done: the test-set BDDs live in its worker managers. Declared before
-  // `entries` and `test_sets` so it is destroyed after the handles into
-  // it.
-  std::optional<core::ParallelEngine> engine;
-
-  struct Entry {
-    bdd::Bdd test_set;
-    double detectability;
-  };
-  std::vector<Entry> entries;
-  std::size_t redundant = 0;
-  bool from_cache = false;
-  if (tel.store()) {
-    if (auto roots = tel.store()->load_forest(forest_key, "tests", cache_mgr)) {
-      if (roots->size() == dp_faults.size()) {
-        from_cache = true;
-        std::cout << "[cache] test-set forest hit in " << tel.store()->dir()
-                  << "\n";
-        for (const bdd::Bdd& ts : *roots) {
-          if (!ts.valid() || ts.is_zero()) {
-            ++redundant;  // stored as an absent/empty test set
-            continue;
-          }
-          entries.push_back({ts, ts.density(c.num_inputs())});
-        }
-      }
+    if (auto loaded = analysis::load_test_sets(*tel.store(), c, swept)) {
+      sets = std::make_shared<const analysis::TestSets>(std::move(*loaded));
+      std::cout << "[cache] test-set forest hit in " << tel.store()->dir()
+                << "\n";
     }
   }
-  if (!from_cache && !dp_faults.empty()) {
-    core::ParallelEngine::Options popt;
-    popt.jobs = flags.jobs;
-    engine.emplace(c, structure, popt);
-    std::vector<core::FaultAnalysis> analyses = engine->analyze_all(dp_faults);
-    engine->stats().export_metrics(tel.metrics());
-
-    std::vector<bdd::Bdd> roots(dp_faults.size());
-    for (std::size_t i = 0; i < dp_faults.size(); ++i) {
-      if (!analyses[i].detectable) {
-        ++redundant;  // proven untestable: excluded, not abandoned
-        continue;
-      }
-      if (tel.store()) {
-        roots[i] = store::transfer(cache_mgr, analyses[i].test_set);
-      }
-      entries.push_back(
-          {std::move(analyses[i].test_set), analyses[i].detectability});
-    }
-    if (tel.store()) {
-      tel.store()->store_forest(forest_key, "tests", cache_mgr, roots);
-    }
+  if (!sets) {
+    analysis::NDetectOptions nopt;
+    nopt.jobs = flags.jobs;
+    sets = std::make_shared<const analysis::TestSets>(c, swept, nopt);
+    if (tel.store()) analysis::save_test_sets(*tel.store(), c, *sets);
+  }
+  // A warm-cache run, or an empty DP remainder, sweeps nothing.
+  const bool swept_any = sets->stats().jobs > 0;
+  if (swept_any) sets->stats().export_metrics(tel.metrics());
+  std::size_t redundant = 0;  // proven untestable: excluded, not abandoned
+  for (std::size_t i = 0; i < swept.size(); ++i) {
+    redundant += sets->detectable(i) ? 0 : 1;
   }
   std::cout << "Provably redundant faults: " << redundant << "\n";
 
   // Hardest (smallest test set) first, so scarce vectors are placed
   // before flexible ones. In hybrid mode the prefilter's witness vectors
   // are already in the set, so DP-phase faults reuse them when possible.
-  std::sort(entries.begin(), entries.end(), [](const Entry& a, const Entry& b) {
-    return a.detectability < b.detectability;
-  });
+  bdd::Manager manager(sets->forest());
   std::vector<bdd::Bdd> test_sets;
-  test_sets.reserve(entries.size());
-  for (Entry& e : entries) test_sets.push_back(std::move(e.test_set));
+  for (const std::size_t i : sets->order()) {
+    if (sets->detectable(i) && !(sweep_all && prefiltered[i])) {
+      test_sets.push_back(manager.make(sets->test_set(i)));
+    }
+  }
   const std::size_t random_vectors = vectors.size();
   const std::size_t reused = compact(test_sets, c.num_inputs(), vectors);
   std::cout << "Generated vectors: " << vectors.size() << " (" << reused
@@ -765,11 +703,10 @@ int cmd_atpg(const netlist::Circuit& c, const Flags& flags,
   std::cout << (ok ? "OK: complete coverage of all testable faults\n"
                    : "WARNING: coverage gap\n");
   if (flags.ndetect > 0) {
-    ok = ndetect_top_up(c, faults, flags, tel, vectors, detected) && ok;
+    ok = ndetect_top_up(c, sets, flags, vectors, detected) && ok;
   }
   // Always shown (even serial) so refcount underflows can never hide.
-  // A warm-cache run has no engine (that is the point), so nothing to show.
-  if (engine) std::cout << "\n" << engine->stats();
+  if (swept_any) std::cout << "\n" << sets->stats();
 
   std::cout << "# " << c.name() << ": " << vectors.size() << " vectors, "
             << detected << "/" << cov.total << " faults detected, "
@@ -799,16 +736,22 @@ int cmd_diagnose(const netlist::Circuit& c, const std::string& net,
   core::DifferencePropagator dp(good, st);
   sim::FaultSimulator fs(c);
 
-  // Dictionary over a compact vector set, compacted in fault order.
+  // Dictionary over a compact vector set, compacted in fault order. Each
+  // fault is analyzed once: its test set feeds the compaction and its
+  // per-PO differences the dictionary.
   const auto faults = fault::collapse_checkpoint_faults(c);
+  std::vector<core::FaultAnalysis> analyses;
   std::vector<bdd::Bdd> test_sets;
+  analyses.reserve(faults.size());
   for (const auto& f : faults) {
-    core::FaultAnalysis a = dp.analyze(f);
-    if (a.detectable) test_sets.push_back(std::move(a.test_set));
+    analyses.push_back(dp.analyze(f));
+    if (analyses.back().detectable) {
+      test_sets.push_back(analyses.back().test_set);
+    }
   }
   std::vector<std::vector<bool>> vectors;
   compact(test_sets, c.num_inputs(), vectors);
-  const analysis::FaultDictionary dict(dp, faults, vectors);
+  const analysis::FaultDictionary dict(c, faults, analyses, vectors);
 
   // "Defective unit": simulate the requested fault and collect its
   // failing-PO signatures on the same vectors.

@@ -8,14 +8,16 @@
 namespace dp::analysis {
 
 FaultDictionary::FaultDictionary(
-    const core::DifferencePropagator& engine,
-    const std::vector<fault::StuckAtFault>& faults,
+    const netlist::Circuit& c, const std::vector<fault::StuckAtFault>& faults,
+    const std::vector<core::FaultAnalysis>& analyses,
     const std::vector<std::vector<bool>>& vectors)
     : faults_(faults), num_vectors_(vectors.size()) {
-  const netlist::Circuit& c = engine.good().circuit();
   if (c.num_outputs() > 64) {
     throw std::invalid_argument(
         "FaultDictionary: more than 64 POs (signature word too small)");
+  }
+  if (analyses.size() != faults.size()) {
+    throw std::invalid_argument("FaultDictionary: one analysis per fault");
   }
   for (const auto& v : vectors) {
     if (v.size() != c.num_inputs()) {
@@ -24,8 +26,11 @@ FaultDictionary::FaultDictionary(
   }
 
   signatures_.reserve(faults.size());
-  for (const fault::StuckAtFault& f : faults) {
-    const core::FaultAnalysis a = engine.analyze(f);
+  for (const core::FaultAnalysis& a : analyses) {
+    // Bridge analyses leave po_differences empty (engine.hpp).
+    if (a.po_differences.size() != c.num_outputs()) {
+      throw std::invalid_argument("FaultDictionary: no per-PO differences");
+    }
     std::vector<PoSignature> row(vectors.size(), 0);
     for (std::size_t p = 0; p < c.num_outputs(); ++p) {
       const bdd::Bdd& d = a.po_differences[p];

@@ -24,13 +24,15 @@ using PoSignature = std::uint64_t;
 /// POs. Circuits with more than 64 POs are not supported (signature word).
 class FaultDictionary {
  public:
-  /// Builds the dictionary by analyzing every fault with the engine:
-  /// entry(f, v) has bit p set iff vector v is in fault f's test set at
-  /// PO p (the per-PO difference function evaluates true). Requires exact
-  /// good functions (no cut-point decomposition): difference functions
-  /// over cut variables cannot be evaluated on PI vectors alone.
-  FaultDictionary(const core::DifferencePropagator& engine,
+  /// Builds the dictionary from every fault's analysis (analyses[i] is
+  /// faults[i]'s, per-PO differences included): entry(f, v) has bit p set
+  /// iff vector v is in fault f's test set at PO p (the per-PO difference
+  /// function evaluates true). Requires exact good functions (no cut-point
+  /// decomposition): difference functions over cut variables cannot be
+  /// evaluated on PI vectors alone.
+  FaultDictionary(const netlist::Circuit& circuit,
                   const std::vector<fault::StuckAtFault>& faults,
+                  const std::vector<core::FaultAnalysis>& analyses,
                   const std::vector<std::vector<bool>>& vectors);
 
   std::size_t num_faults() const { return signatures_.size(); }

@@ -2,23 +2,28 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
 
 #include "netlist/structure.hpp"
+#include "store/artifact_store.hpp"
+#include "store/hash.hpp"
 
 namespace dp::analysis {
 
 namespace {
 
-/// Distinct vectors of `vectors`, first occurrence order.
-std::vector<std::vector<bool>> dedupe(
-    const std::vector<std::vector<bool>>& vectors) {
-  std::vector<std::vector<bool>> out;
-  std::set<std::vector<bool>> seen;
-  out.reserve(vectors.size());
-  for (const auto& v : vectors) {
-    if (seen.insert(v).second) out.push_back(v);
+/// The "tests" artifact key: everything the test sets depend on.
+std::string test_sets_key(const netlist::Circuit& circuit,
+                          const std::vector<fault::StuckAtFault>& faults) {
+  store::KeyBuilder k;
+  k.str(kTestSetsSchema);
+  k.str(store::circuit_content_hash(circuit));
+  k.u64(faults.size());
+  for (const fault::StuckAtFault& f : faults) {
+    k.u64(f.net).flag(f.stuck_value).flag(f.is_branch());
+    if (f.branch) k.u64(f.branch->gate).u64(f.branch->pin);
   }
-  return out;
+  return k.hex();
 }
 
 /// The minterm of `v` over variables [0, v.size()), built bottom-up.
@@ -51,6 +56,17 @@ std::vector<bool> vector_of_cube(const std::vector<signed char>& cube,
 }
 
 }  // namespace
+
+std::vector<std::vector<bool>> distinct_vectors(
+    const std::vector<std::vector<bool>>& vectors) {
+  std::vector<std::vector<bool>> out;
+  std::set<std::vector<bool>> seen;
+  out.reserve(vectors.size());
+  for (const auto& v : vectors) {
+    if (seen.insert(v).second) out.push_back(v);
+  }
+  return out;
+}
 
 std::size_t NDetectReport::detectable_faults() const {
   std::size_t count = 0;
@@ -85,30 +101,48 @@ bool NDetectReport::complete() const {
   return faults_meeting_target() == faults.size();
 }
 
-NDetectTestSets::NDetectTestSets(const netlist::Circuit& circuit,
-                                 std::vector<fault::StuckAtFault> faults,
-                                 const NDetectOptions& options)
+TestSets::TestSets(const netlist::Circuit& circuit,
+                   std::vector<fault::StuckAtFault> faults,
+                   const NDetectOptions& options)
     : faults_(std::move(faults)) {
+  // An empty list sweeps nothing, so it builds no good functions either.
+  if (faults_.empty()) {
+    pack({}, circuit.num_inputs());
+    return;
+  }
   const netlist::Structure structure(circuit);
   core::ParallelEngine::Options popt;
   popt.jobs = options.jobs;
   popt.shared_good = options.shared_good;
   core::ParallelEngine engine(circuit, structure, popt);
-  // Each worker sizes its faults' test sets in its own manager and hands
-  // over only the test-set handle (the per-PO differences die with the
-  // fault); then every test set moves into one forest, and the workers
-  // and their managers go with the engine.
-  const std::size_t n = circuit.num_inputs();
+  // Each worker hands over only its fault's test-set handle (the per-PO
+  // differences die with the fault); then every test set moves into one
+  // forest, and the workers and their managers go with the engine.
   std::vector<bdd::Bdd> roots(faults_.size());
-  cts_sizes_.assign(faults_.size(), 0.0);
   engine.analyze_each(faults_, [&](std::size_t i, core::FaultAnalysis&& a) {
-    if (a.detectable) cts_sizes_[i] = a.test_set.sat_count(n);
     roots[i] = std::move(a.test_set);
   });
   stats_ = engine.stats();
-  forest_ = bdd::FrozenForest::pack(roots, &test_sets_);
+  pack(roots, circuit.num_inputs());
+}
 
-  order_.resize(faults_.size());
+TestSets::TestSets(std::vector<fault::StuckAtFault> faults,
+                   const std::vector<bdd::Bdd>& roots, std::size_t num_inputs)
+    : faults_(std::move(faults)) {
+  if (roots.size() != faults_.size()) {
+    throw std::invalid_argument("TestSets: one root per fault required");
+  }
+  pack(roots, num_inputs);
+}
+
+void TestSets::pack(const std::vector<bdd::Bdd>& roots,
+                    std::size_t num_inputs) {
+  forest_ = bdd::FrozenForest::pack(roots, &test_sets_);
+  cts_sizes_.resize(roots.size());
+  for (std::size_t i = 0; i < roots.size(); ++i) {
+    cts_sizes_[i] = roots[i].sat_count(num_inputs);
+  }
+  order_.resize(roots.size());
   for (std::size_t i = 0; i < order_.size(); ++i) order_[i] = i;
   std::stable_sort(order_.begin(), order_.end(),
                    [&](std::size_t a, std::size_t b) {
@@ -116,15 +150,43 @@ NDetectTestSets::NDetectTestSets(const netlist::Circuit& circuit,
                    });
 }
 
+bool save_test_sets(store::ArtifactStore& store,
+                    const netlist::Circuit& circuit, const TestSets& sets) {
+  bdd::Manager manager(sets.forest());
+  std::vector<bdd::Bdd> roots;
+  roots.reserve(sets.faults().size());
+  for (std::size_t i = 0; i < sets.faults().size(); ++i) {
+    roots.push_back(manager.make(sets.test_set(i)));
+  }
+  return store.store_forest(test_sets_key(circuit, sets.faults()), "tests",
+                            manager, roots);
+}
+
+std::optional<TestSets> load_test_sets(
+    store::ArtifactStore& store, const netlist::Circuit& circuit,
+    std::vector<fault::StuckAtFault> faults) {
+  bdd::Manager manager(0);
+  const auto roots = store.load_forest(test_sets_key(circuit, faults),
+                                       "tests", manager);
+  // The key covers the fault list, so a well-formed artifact has one
+  // valid root per fault; anything else is treated as a miss.
+  if (!roots || roots->size() != faults.size() ||
+      !std::all_of(roots->begin(), roots->end(),
+                   [](const bdd::Bdd& r) { return r.valid(); })) {
+    return std::nullopt;
+  }
+  return TestSets(std::move(faults), *roots, circuit.num_inputs());
+}
+
 NDetectAnalyzer::NDetectAnalyzer(const netlist::Circuit& circuit,
                                  std::vector<fault::StuckAtFault> faults,
                                  const NDetectOptions& options)
-    : NDetectAnalyzer(circuit, std::make_shared<const NDetectTestSets>(
+    : NDetectAnalyzer(circuit, std::make_shared<const TestSets>(
                                    circuit, std::move(faults), options)) {}
 
 NDetectAnalyzer::NDetectAnalyzer(
     const netlist::Circuit& circuit,
-    std::shared_ptr<const NDetectTestSets> test_sets)
+    std::shared_ptr<const TestSets> test_sets)
     : circuit_(&circuit),
       sets_(std::move(test_sets)),
       manager_(sets_->forest()) {}
@@ -139,7 +201,7 @@ std::uint64_t NDetectAnalyzer::quota(std::size_t i, std::size_t n) const {
 std::vector<std::uint64_t> NDetectAnalyzer::detection_counts(
     const std::vector<std::vector<bool>>& vectors) {
   std::vector<std::uint64_t> counts(num_faults(), 0);
-  const auto distinct = dedupe(vectors);
+  const auto distinct = distinct_vectors(vectors);
   if (distinct.empty() || counts.empty()) return counts;
 
   const std::size_t n = circuit_->num_inputs();
@@ -157,7 +219,7 @@ std::size_t NDetectAnalyzer::top_up(std::vector<std::vector<bool>>& vectors,
 
   // B(V), kept current as vectors are minted so every later fault's count
   // and residual see the full working set.
-  bdd::Bdd used = vector_set_bdd(manager_, dedupe(vectors));
+  bdd::Bdd used = vector_set_bdd(manager_, distinct_vectors(vectors));
   std::size_t minted = 0;
   for (const std::size_t idx : sets_->order()) {
     const std::uint64_t target = quota(idx, n);
@@ -190,7 +252,7 @@ NDetectReport NDetectAnalyzer::report(
   r.circuit = circuit_->name();
   r.n = n;
   r.num_inputs = circuit_->num_inputs();
-  r.num_vectors = dedupe(vectors).size();
+  r.num_vectors = distinct_vectors(vectors).size();
   const std::vector<std::uint64_t> counts = detection_counts(vectors);
   r.faults.reserve(num_faults());
   for (std::size_t i = 0; i < num_faults(); ++i) {
@@ -207,14 +269,6 @@ NDetectReport NDetectAnalyzer::report(
     r.faults.push_back(std::move(rec));
   }
   return r;
-}
-
-NDetectReport analyze_ndetect(const netlist::Circuit& circuit,
-                              const std::vector<fault::StuckAtFault>& faults,
-                              const std::vector<std::vector<bool>>& vectors,
-                              std::size_t n, const NDetectOptions& options) {
-  NDetectAnalyzer analyzer(circuit, faults, options);
-  return analyzer.report(vectors, n);
 }
 
 obs::JsonValue ndetect_report_to_json(const NDetectReport& report,

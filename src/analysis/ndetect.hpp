@@ -23,20 +23,21 @@
 // later faults.
 //
 // The test sets depend only on the circuit and the fault list, so they
-// are computed once into an NDetectTestSets: the DP sweep runs through
-// the ParallelEngine at any worker count, and the workers' test sets are
-// packed into one standalone bdd::FrozenForest beside their CTS sizes and
-// the hardest-first order. That object is immutable and holds no
-// reference to the circuit, so any number of analyzers -- concurrent
-// served requests included -- adopt one copy lock-free. Each analyzer
-// adopts it in one private Manager, where the vector-set BDDs of its
-// queries live. Results are bit-identical for any worker count: the
-// analyses are jobs-invariant and every count is a sat count of a
-// canonical function.
+// are computed once into a TestSets, the one complete-test-set artifact
+// (ATPG, top-up, served requests and the "tests" cache all read it): a
+// DP sweep at any worker count, or roots loaded from the store, packed
+// into one standalone bdd::FrozenForest beside their CTS sizes and the
+// hardest-first order. That object is immutable and holds no reference
+// to the circuit, so any number of analyzers -- concurrent served
+// requests included -- adopt one copy lock-free. Each analyzer adopts it
+// in one private Manager, where the vector-set BDDs of its queries live.
+// Results are bit-identical for any worker count: the analyses are
+// jobs-invariant and every count is a sat count of a canonical function.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -47,9 +48,20 @@
 #include "netlist/circuit.hpp"
 #include "obs/json.hpp"
 
+namespace dp::store {
+class ArtifactStore;
+}
+
 namespace dp::analysis {
 
 inline constexpr const char* kNDetectSchema = "dp.ndetect.v1";
+/// Salt of the "tests" artifact key (save_test_sets/load_test_sets).
+inline constexpr const char* kTestSetsSchema = "dp.tests.v1";
+
+/// The distinct vectors of `vectors`, in first-occurrence order: the
+/// vector SET the n-detect algebra counts over.
+std::vector<std::vector<bool>> distinct_vectors(
+    const std::vector<std::vector<bool>>& vectors);
 
 struct NDetectOptions {
   /// Fault-parallel workers for the DP sweep; 0 = all hardware threads.
@@ -100,17 +112,23 @@ struct NDetectReport {
   bool complete() const;
 };
 
-/// Circuit-only n-detect state: every fault's complete test set, packed
-/// into one standalone frozen forest, with its exact size and the
-/// hardest-first order. Immutable after construction, so one copy can be
-/// shared by any number of analyzers on any threads.
-class NDetectTestSets {
+/// Every fault's complete test set, packed into one standalone frozen
+/// forest, with its exact size and the hardest-first order. Immutable
+/// after construction, so one copy can be shared by any number of
+/// analyzers on any threads.
+class TestSets {
  public:
   /// Runs the DP sweep over `faults` (options.jobs workers) and packs the
   /// test sets. `circuit` is only read during construction.
-  NDetectTestSets(const netlist::Circuit& circuit,
-                  std::vector<fault::StuckAtFault> faults,
-                  const NDetectOptions& options = {});
+  TestSets(const netlist::Circuit& circuit,
+           std::vector<fault::StuckAtFault> faults,
+           const NDetectOptions& options = {});
+  /// Packs given test sets: roots[i] is faults[i]'s CTS over
+  /// `num_inputs` PI variables (the FALSE function when undetectable),
+  /// from any managers that share the identity variable order -- the way
+  /// in for sets loaded from the artifact store. stats() stays empty.
+  TestSets(std::vector<fault::StuckAtFault> faults,
+           const std::vector<bdd::Bdd>& roots, std::size_t num_inputs);
 
   const std::vector<fault::StuckAtFault>& faults() const { return faults_; }
   /// The packed test sets; test_set(i) is fault i's CTS as an edge of it.
@@ -125,10 +143,15 @@ class NDetectTestSets {
   double cts_size(std::size_t i) const { return cts_sizes_.at(i); }
   /// Fault indices sorted hardest (smallest CTS) first; ties by index.
   const std::vector<std::size_t>& order() const { return order_; }
-  /// Stats of the DP sweep that built the sets.
+  /// Stats of the DP sweep that built the sets (empty when packed from
+  /// given roots).
   const core::ParallelStats& stats() const { return stats_; }
 
  private:
+  /// Packs `roots` into the forest, sizes every CTS and orders the
+  /// faults: the one path both constructors take.
+  void pack(const std::vector<bdd::Bdd>& roots, std::size_t num_inputs);
+
   std::vector<fault::StuckAtFault> faults_;
   std::shared_ptr<const bdd::FrozenForest> forest_;
   std::vector<bdd::NodeIndex> test_sets_;
@@ -137,10 +160,21 @@ class NDetectTestSets {
   core::ParallelStats stats_;
 };
 
+/// Writes `sets` to `store` as kind "tests", keyed on kTestSetsSchema,
+/// the circuit's content hash and the swept fault list. False when the
+/// write failed.
+bool save_test_sets(store::ArtifactStore& store,
+                    const netlist::Circuit& circuit, const TestSets& sets);
+/// The test sets save_test_sets wrote for `circuit` and exactly `faults`;
+/// nullopt on a miss or a corrupt artifact (counted by the store).
+std::optional<TestSets> load_test_sets(
+    store::ArtifactStore& store, const netlist::Circuit& circuit,
+    std::vector<fault::StuckAtFault> faults);
+
 /// Answers any number of counting / top-up queries against one fault
 /// list's test sets. Not thread-safe (the queries build vector-set BDDs
 /// in the analyzer's private manager); concurrent analyzers share one
-/// NDetectTestSets instead.
+/// TestSets instead.
 class NDetectAnalyzer {
  public:
   /// Builds the test sets (the DP sweep runs here). `circuit` must
@@ -151,7 +185,7 @@ class NDetectAnalyzer {
   /// Adopts test sets built for `circuit` (no sweep). `circuit` must
   /// outlive the analyzer.
   NDetectAnalyzer(const netlist::Circuit& circuit,
-                  std::shared_ptr<const NDetectTestSets> test_sets);
+                  std::shared_ptr<const TestSets> test_sets);
 
   const netlist::Circuit& circuit() const { return *circuit_; }
   const std::vector<fault::StuckAtFault>& faults() const {
@@ -180,7 +214,7 @@ class NDetectAnalyzer {
                        std::size_t n);
 
   /// The adopted test sets (share them with further analyzers).
-  const std::shared_ptr<const NDetectTestSets>& test_sets() const {
+  const std::shared_ptr<const TestSets>& test_sets() const {
     return sets_;
   }
   /// Stats of the DP sweep that built the test sets.
@@ -191,16 +225,9 @@ class NDetectAnalyzer {
   bdd::Bdd cts(std::size_t i) { return manager_.make(sets_->test_set(i)); }
 
   const netlist::Circuit* circuit_;
-  std::shared_ptr<const NDetectTestSets> sets_;
+  std::shared_ptr<const TestSets> sets_;
   bdd::Manager manager_;
 };
-
-/// One-shot analysis (no top-up): sweep + report(vectors, n).
-NDetectReport analyze_ndetect(const netlist::Circuit& circuit,
-                              const std::vector<fault::StuckAtFault>& faults,
-                              const std::vector<std::vector<bool>>& vectors,
-                              std::size_t n,
-                              const NDetectOptions& options = {});
 
 /// The dp.ndetect.v1 document. Excludes run observations (engine stats),
 /// so serialized reports are byte-identical for any worker count --

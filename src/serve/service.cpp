@@ -294,11 +294,11 @@ std::shared_ptr<const core::SharedGoodFunctions> Service::forest_of(
   return r.forest;
 }
 
-std::shared_ptr<const analysis::NDetectTestSets> Service::test_sets_of(
+std::shared_ptr<const analysis::TestSets> Service::test_sets_of(
     Resident& r, bool collapse, std::size_t jobs) {
   // Lock order: test sets, then (inside forest_of) the forest.
   std::lock_guard<std::mutex> lock(r.test_sets_mutex);
-  std::shared_ptr<const analysis::NDetectTestSets>& sets =
+  std::shared_ptr<const analysis::TestSets>& sets =
       r.test_sets[collapse ? 1 : 0];
   if (sets) {
     if (metrics_) metrics_->counter("serve.ndetect.test_sets.reuses").add();
@@ -309,7 +309,7 @@ std::shared_ptr<const analysis::NDetectTestSets> Service::test_sets_of(
   options.shared_good = forest_of(r);
   obs::ScopedSpan span(obs::SpanCollector::current(), "serve.ndetect.build");
   span.attr("circuit", r.circuit->name()).attr("jobs", jobs);
-  sets = std::make_shared<const analysis::NDetectTestSets>(
+  sets = std::make_shared<const analysis::TestSets>(
       *r.circuit,
       collapse ? fault::collapse_checkpoint_faults(*r.circuit)
                : fault::checkpoint_faults(*r.circuit),

@@ -12,7 +12,7 @@
 //   2. Frozen state -- the circuit's immutable good-function universe
 //      (core::SharedGoodFunctions), built on first analyze or ndetect,
 //      and its n-detect test sets per collapse flag
-//      (analysis::NDetectTestSets), built on first ndetect. Later
+//      (analysis::TestSets), built on first ndetect. Later
 //      requests, concurrent ones included, adopt them read-only: an
 //      analyze that misses the profile cache still skips the entire
 //      good-function build, and an ndetect with a fresh vector set skips
@@ -62,7 +62,7 @@
 #include "store/artifact_store.hpp"
 
 namespace dp::analysis {
-class NDetectTestSets;
+class TestSets;
 }
 
 namespace dp::serve {
@@ -114,7 +114,7 @@ class Service {
     std::shared_ptr<const core::SharedGoodFunctions> forest;
     std::mutex test_sets_mutex;
     /// Indexed by the collapse flag.
-    std::shared_ptr<const analysis::NDetectTestSets> test_sets[2];
+    std::shared_ptr<const analysis::TestSets> test_sets[2];
   };
 
   /// The resident entry of the request's circuit ("circuit" name or
@@ -127,7 +127,7 @@ class Service {
 
   /// The entry's n-detect test sets for the collapse flag, built on first
   /// use over its forest at `jobs` workers (the sets are jobs-invariant).
-  std::shared_ptr<const analysis::NDetectTestSets> test_sets_of(
+  std::shared_ptr<const analysis::TestSets> test_sets_of(
       Resident& r, bool collapse, std::size_t jobs);
 
   std::string handle_analyze(long long id, const obs::JsonValue& request);

@@ -273,35 +273,6 @@ std::vector<bdd::Bdd> load_forest_file(const std::string& path,
   return load_forest(is, manager, options);
 }
 
-namespace {
-
-bdd::Bdd transfer_rec(bdd::Manager& dst, bdd::Manager& src, bdd::NodeIndex n,
-                      std::unordered_map<bdd::NodeIndex, bdd::Bdd>& memo) {
-  // Memoize on the regular edge and re-apply the polarity on exit, so
-  // both polarities of a shared node translate through one entry.
-  const bool c = bdd::edge_complemented(n) != 0;
-  const bdd::NodeIndex nr = bdd::edge_regular(n);
-  if (nr == bdd::kTrueNode) return c ? dst.zero() : dst.one();
-  const auto it = memo.find(nr);
-  if (it != memo.end()) return c ? !it->second : it->second;
-  const bdd::Bdd lo = transfer_rec(dst, src, src.lo(nr), memo);
-  const bdd::Bdd hi = transfer_rec(dst, src, src.hi(nr), memo);
-  bdd::Bdd r = dst.var(src.var_of(nr)).ite(hi, lo);
-  memo.emplace(nr, r);
-  return c ? !r : r;
-}
-
-}  // namespace
-
-bdd::Bdd transfer(bdd::Manager& dst, const bdd::Bdd& src) {
-  if (!src.valid()) return {};
-  bdd::Manager& sm = *src.manager();
-  if (&sm == &dst) return src;
-  while (dst.num_vars() < sm.num_vars()) dst.new_var();
-  std::unordered_map<bdd::NodeIndex, bdd::Bdd> memo;
-  return transfer_rec(dst, sm, src.index(), memo);
-}
-
 void apply_variable_order(bdd::Manager& manager,
                           const std::vector<bdd::Var>& order) {
   const std::size_t n = manager.num_vars();

@@ -82,12 +82,6 @@ std::vector<bdd::Bdd> load_forest_file(const std::string& path,
                                        bdd::Manager& manager,
                                        const ForestLoadOptions& options = {});
 
-/// Copies one function into another manager (memoized over the shared
-/// DAG), translating across different variable orders. Invalid handles
-/// copy to invalid handles. The managers must agree on what a variable
-/// id MEANS; missing variables are created in `dst`.
-bdd::Bdd transfer(bdd::Manager& dst, const bdd::Bdd& src);
-
 /// Rearranges `manager` so its level order equals `order` (order[level]
 /// = variable id, a permutation of all ids) using adjacent swaps. All
 /// live handles remain valid.

@@ -47,6 +47,14 @@ struct Rig {
     return out;
   }
 
+  /// The dictionary over `vectors`, from one analysis per fault.
+  FaultDictionary dictionary(const std::vector<StuckAtFault>& faults,
+                             const std::vector<std::vector<bool>>& vs) const {
+    std::vector<core::FaultAnalysis> analyses;
+    for (const StuckAtFault& f : faults) analyses.push_back(engine.analyze(f));
+    return FaultDictionary(circuit, faults, analyses, vs);
+  }
+
   Circuit circuit;
   netlist::Structure structure;
   bdd::Manager manager;
@@ -69,7 +77,7 @@ TEST(DiagnosisTest, DictionarySignaturesMatchSimulatedResponses) {
   Rig rig(netlist::make_c17());
   const auto faults = fault::checkpoint_faults(rig.circuit);
   const auto vectors = exhaustive_vectors(rig.circuit.num_inputs());
-  const FaultDictionary dict(rig.engine, faults, vectors);
+  const FaultDictionary dict = rig.dictionary(faults, vectors);
 
   ASSERT_EQ(dict.num_faults(), faults.size());
   ASSERT_EQ(dict.num_vectors(), vectors.size());
@@ -86,7 +94,7 @@ TEST(DiagnosisTest, InjectedFaultDiagnosedAtDistanceZero) {
   Rig rig(netlist::make_c95_analog());
   const auto faults = fault::collapse_checkpoint_faults(rig.circuit);
   const auto vectors = exhaustive_vectors(rig.circuit.num_inputs());
-  const FaultDictionary dict(rig.engine, faults, vectors);
+  const FaultDictionary dict = rig.dictionary(faults, vectors);
 
   for (std::size_t fi = 0; fi < faults.size(); fi += 7) {
     const auto observed = rig.observe(faults[fi], vectors);
@@ -108,7 +116,7 @@ TEST(DiagnosisTest, NoisyObservationStillRanksTrueFaultNearTop) {
   Rig rig(netlist::make_c17());
   const auto faults = fault::checkpoint_faults(rig.circuit);
   const auto vectors = exhaustive_vectors(5);
-  const FaultDictionary dict(rig.engine, faults, vectors);
+  const FaultDictionary dict = rig.dictionary(faults, vectors);
 
   const std::size_t target = 4;
   auto observed = rig.observe(faults[target], vectors);
@@ -132,7 +140,7 @@ TEST(DiagnosisTest, ExhaustiveDictionaryGroupsExactlyTheEquivalentFaults) {
   Rig rig(netlist::make_c17());
   const auto faults = fault::checkpoint_faults(rig.circuit);
   const auto vectors = exhaustive_vectors(5);
-  const FaultDictionary dict(rig.engine, faults, vectors);
+  const FaultDictionary dict = rig.dictionary(faults, vectors);
 
   std::size_t grouped = 0;
   for (const auto& group : dict.indistinguishable_groups()) {
@@ -154,10 +162,14 @@ TEST(DiagnosisTest, InputValidation) {
   Rig rig(netlist::make_c17());
   const auto faults = fault::checkpoint_faults(rig.circuit);
   const auto vectors = exhaustive_vectors(5);
-  EXPECT_THROW(FaultDictionary(rig.engine, faults,
-                               {std::vector<bool>(3, false)}),
+  EXPECT_THROW(rig.dictionary(faults, {std::vector<bool>(3, false)}),
                std::invalid_argument);
-  const FaultDictionary dict(rig.engine, faults, vectors);
+  EXPECT_THROW(FaultDictionary(rig.circuit, faults, {}, vectors),
+               std::invalid_argument);
+  const std::vector<core::FaultAnalysis> without_pos(faults.size());
+  EXPECT_THROW(FaultDictionary(rig.circuit, faults, without_pos, vectors),
+               std::invalid_argument);
+  const FaultDictionary dict = rig.dictionary(faults, vectors);
   EXPECT_THROW(dict.diagnose(std::vector<PoSignature>(2, 0)),
                std::invalid_argument);
 }

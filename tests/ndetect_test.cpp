@@ -211,7 +211,7 @@ TEST(NDetectTest, AdoptedTestSetsMatchAFreshSerialAnalyzer) {
       analysis::NDetectOptions wide;
       wide.jobs = 4;
       const auto sets =
-          std::make_shared<const analysis::NDetectTestSets>(c, faults, wide);
+          std::make_shared<const analysis::TestSets>(c, faults, wide);
       analysis::NDetectOptions serial;
       serial.jobs = 1;
       analysis::NDetectAnalyzer fresh(c, faults, serial);

@@ -11,13 +11,16 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "analysis/ndetect.hpp"
 #include "analysis/profile_io.hpp"
 #include "bdd/manager.hpp"
+#include "fault/stuck_at.hpp"
 #include "netlist/generators.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -286,16 +289,6 @@ TEST(BddIoTest, FileRoundTripIsAtomic) {
   EXPECT_EQ(entries, 1u);
 
   EXPECT_THROW(load_forest_file(dir.str() + "/absent.bdd", dst), StoreError);
-}
-
-TEST(BddIoTest, TransferCopiesAcrossManagers) {
-  bdd::Manager a(4);
-  const bdd::Bdd f = (a.var(0) & a.var(1)) ^ a.var(3);
-  bdd::Manager b(0);
-  const bdd::Bdd g = transfer(b, f);
-  EXPECT_EQ(g.manager(), &b);
-  EXPECT_TRUE(same_function(f, g, 4));
-  EXPECT_FALSE(transfer(b, bdd::Bdd()).valid());
 }
 
 // ---- artifact store ----------------------------------------------------
@@ -583,6 +576,88 @@ TEST(AtomicWriteTest, WritesWholeFileAndCleansUp) {
   EXPECT_FALSE(obs::atomic_write_file(
       dir.str() + "/no/such/dir/doc.json", "x", &error));
   EXPECT_FALSE(error.empty());
+}
+
+// ---- complete test sets (kind "tests") ---------------------------------
+
+TEST(TestSetsStoreTest, RoundTripKeepsSetsSizesOrderAndTopUp) {
+  TempDir dir("test_sets");
+  obs::MetricsRegistry metrics;
+  ArtifactStore store(dir.str(), ArtifactStore::Options{}, &metrics);
+  for (const char* name : {"c17", "c95", "c432"}) {
+    const netlist::Circuit c = netlist::make_benchmark(name);
+    const auto faults = fault::collapse_checkpoint_faults(c);
+    analysis::NDetectOptions options;
+    options.jobs = 2;
+    const auto built =
+        std::make_shared<const analysis::TestSets>(c, faults, options);
+    EXPECT_FALSE(analysis::load_test_sets(store, c, faults)) << name;
+    ASSERT_TRUE(analysis::save_test_sets(store, c, *built)) << name;
+    auto hit = analysis::load_test_sets(store, c, faults);
+    ASSERT_TRUE(hit) << name;
+    const auto loaded =
+        std::make_shared<const analysis::TestSets>(std::move(*hit));
+
+    ASSERT_EQ(loaded->faults(), built->faults()) << name;
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+      EXPECT_EQ(loaded->test_set(i), built->test_set(i)) << name << " " << i;
+      EXPECT_EQ(loaded->cts_size(i), built->cts_size(i)) << name << " " << i;
+    }
+    EXPECT_EQ(loaded->order(), built->order()) << name;
+    // The swept fault list is part of the key.
+    const std::vector<fault::StuckAtFault> fewer(faults.begin() + 1,
+                                                 faults.end());
+    EXPECT_FALSE(analysis::load_test_sets(store, c, fewer)) << name;
+
+    analysis::NDetectAnalyzer from_built(c, built);
+    analysis::NDetectAnalyzer from_loaded(c, loaded);
+    std::vector<std::vector<bool>> a, b;
+    EXPECT_EQ(from_built.top_up(a, 3), from_loaded.top_up(b, 3)) << name;
+    EXPECT_FALSE(a.empty()) << name;
+    EXPECT_EQ(a, b) << name;
+  }
+  EXPECT_EQ(metrics.counter("store.tests.hits").value(), 3u);
+  EXPECT_EQ(metrics.counter("store.tests.corrupt").value(), 0u);
+}
+
+TEST(TestSetsStoreTest, TruncatedOrCorruptArtifactIsACountedMiss) {
+  TempDir dir("test_sets");
+  obs::MetricsRegistry metrics;
+  ArtifactStore store(dir.str(), ArtifactStore::Options{}, &metrics);
+  const netlist::Circuit c = netlist::make_benchmark("c95");
+  const auto faults = fault::collapse_checkpoint_faults(c);
+  ASSERT_TRUE(
+      analysis::save_test_sets(store, c, analysis::TestSets(c, faults)));
+  fs::path path;
+  for (const auto& e : fs::directory_iterator(dir.path())) {
+    if (e.path().string().ends_with(".tests.bdd")) path = e.path();
+  }
+  ASSERT_FALSE(path.empty());
+  std::string bytes;
+  {
+    std::ifstream is(path, std::ios::binary);
+    std::ostringstream os;
+    os << is.rdbuf();
+    bytes = os.str();
+  }
+  const auto write = [&](const std::string& content) {
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os << content;
+  };
+
+  write(bytes.substr(0, bytes.size() / 2));
+  EXPECT_FALSE(analysis::load_test_sets(store, c, faults));
+  EXPECT_EQ(metrics.counter("store.tests.corrupt").value(), 1u);
+
+  std::string flipped = bytes;
+  flipped[flipped.size() / 2] ^= 0x40;
+  write(flipped);
+  EXPECT_FALSE(analysis::load_test_sets(store, c, faults));
+  EXPECT_EQ(metrics.counter("store.tests.corrupt").value(), 2u);
+
+  write(bytes);
+  EXPECT_TRUE(analysis::load_test_sets(store, c, faults));
+  EXPECT_EQ(metrics.counter("store.tests.hits").value(), 1u);
 }
 
 }  // namespace
