@@ -11,6 +11,7 @@
 
 #include "common.hpp"
 #include "dp/engine.hpp"
+#include "dp/observabilities.hpp"
 #include "fault/sampling.hpp"
 #include "netlist/layout.hpp"
 #include "netlist/structure.hpp"
@@ -31,16 +32,17 @@ RunResult classify(const netlist::Circuit& c,
                    std::size_t cut_threshold) {
   const auto t0 = std::chrono::steady_clock::now();
   netlist::Structure st(c);
-  bdd::Manager mgr(0);
   core::GoodFunctionOptions opt;
   opt.cut_threshold = cut_threshold;
-  core::GoodFunctions good(mgr, c, opt);
-  core::DifferencePropagator dp(good, st);
+  const core::Observabilities layer(
+      std::make_shared<const core::SharedGoodFunctions>(c, opt), st,
+      core::Observabilities::wires_of(faults));
+  const core::AdoptedPropagator dp(layer, st);
   RunResult r;
-  r.good_nodes = good.total_nodes();
-  r.cuts = good.cut_nets().size();
+  r.good_nodes = dp.good.total_nodes();
+  r.cuts = dp.good.cut_nets().size();
   for (const auto& f : faults) {
-    r.stuck_at_like.push_back(dp.analyze(f).bridge_stuck_at);
+    r.stuck_at_like.push_back(dp.propagator.analyze(f).bridge_stuck_at);
   }
   r.millis = std::chrono::duration_cast<std::chrono::milliseconds>(
                  std::chrono::steady_clock::now() - t0)

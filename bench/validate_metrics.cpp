@@ -519,8 +519,8 @@ JsonValue validate(const std::string& file) {
     }
   }
   if (const JsonValue* counters = metrics->find("counters")) {
-    for (const char* key :
-         {"dp.faults_analyzed", "dp.gates_evaluated", "dp.gates_skipped"}) {
+    for (const char* key : {"dp.faults_analyzed", "dp.gates_evaluated",
+                            "dp.gates_skipped", "dp.observe.roots"}) {
       if (const JsonValue* c = counters->find(key)) rec[key] = *c;
     }
   }

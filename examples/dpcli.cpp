@@ -43,6 +43,7 @@
 //
 // C is a built-in benchmark name or a path to a .bench file.
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -55,16 +56,19 @@
 #include "analysis/diagnosis.hpp"
 #include "analysis/hybrid.hpp"
 #include "analysis/ndetect.hpp"
+#include "analysis/profile_io.hpp"
 #include "analysis/profiles.hpp"
 #include "analysis/random_pattern.hpp"
 #include "analysis/report.hpp"
 #include "bdd/dot_export.hpp"
 #include "cli_common.hpp"
 #include "dp/engine.hpp"
+#include "dp/observabilities.hpp"
 #include "dp/parallel_engine.hpp"
 #include "fault/bridging.hpp"
 #include "netlist/bench_io.hpp"
 #include "netlist/generators.hpp"
+#include "netlist/layout.hpp"
 #include "netlist/structure.hpp"
 #include "sim/fault_sim.hpp"
 #include "sim/wide_sim.hpp"
@@ -411,6 +415,31 @@ int cmd_bf(const netlist::Circuit& c, const Flags& flags,
   opt.persistence.store = tel.store();
   opt.persistence.resume = tel.resume();
   const netlist::Structure structure(c);
+  // One observability layer serves both sweeps: it covers the wires of the
+  // AND and the OR sample, which analyze_bridging draws again, identically.
+  // A --cache-dir run that finds both profiles stored sweeps nothing and
+  // builds no layer (a profile that then fails to load is swept over a
+  // layer of its own).
+  bool stored = tel.store() != nullptr;
+  for (const char* kind : {"bf.and", "bf.or"}) {
+    stored = stored && std::filesystem::exists(tel.store()->document_path(
+                           analysis::profile_cache_key(c, kind, opt),
+                           "profile"));
+  }
+  if (!stored) {
+    const netlist::LayoutEstimate layout(c, structure);
+    std::vector<netlist::NetId> wires;
+    for (fault::BridgeType type :
+         {fault::BridgeType::And, fault::BridgeType::Or}) {
+      const std::vector<netlist::NetId> w = core::Observabilities::wires_of(
+          fault::nfbf_fault_set(c, structure, layout, type, opt.sampling));
+      wires.insert(wires.end(), w.begin(), w.end());
+    }
+    opt.observabilities = std::make_shared<const core::Observabilities>(
+        std::make_shared<const core::SharedGoodFunctions>(c), structure,
+        wires, flags.jobs);
+    opt.observabilities->stats().export_metrics(tel.metrics());
+  }
   analysis::TextTable t({"type", "enumerated NFBFs", "faults", "detectable",
                          "mean det", "stuck-at-like"});
   std::optional<analysis::Histogram> and_histogram;

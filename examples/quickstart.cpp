@@ -6,6 +6,7 @@
 
 #include "cli_common.hpp"
 #include "dp/engine.hpp"
+#include "dp/observabilities.hpp"
 #include "fault/stuck_at.hpp"
 #include "netlist/generators.hpp"
 #include "netlist/structure.hpp"
@@ -57,10 +58,17 @@ int main(int argc, char** argv) {
             << a.test_set.sat_count(c17.num_inputs()) << " of "
             << (1u << c17.num_inputs()) << "\n\n";
 
-  // 4. A bridging fault between two internal wires.
+  // 4. A bridging fault between two internal wires. A bridge is analyzed
+  // from stem observabilities that every bridge of a circuit shares; they
+  // are built once into a frozen layer, which the propagator reads
+  // through a manager that adopts it.
   fault::BridgingFault bf{*c17.find_net("10"), *c17.find_net("19"),
                           fault::BridgeType::And};
-  core::FaultAnalysis b = dp.analyze(bf);
+  const core::Observabilities layer(
+      std::make_shared<const core::SharedGoodFunctions>(c17), structure,
+      core::Observabilities::wires_of({bf}));
+  const core::AdoptedPropagator bridged(layer, structure);
+  core::FaultAnalysis b = bridged.propagator.analyze(bf);
   std::cout << "Fault " << describe(bf, c17) << ":\n";
   std::cout << "  detectability   : " << b.detectability << "\n";
   std::cout << "  stuck-at-like   : " << (b.bridge_stuck_at ? "yes" : "no")

@@ -149,61 +149,6 @@ JsonValue hybrid_profile_to_json(const HybridProfile& profile) {
   return doc;
 }
 
-std::optional<HybridProfile> hybrid_profile_from_json(const JsonValue& doc) {
-  try {
-    if (!doc.is_object()) return std::nullopt;
-    const JsonValue* schema = doc.find("schema");
-    if (!schema || !schema->is_string() ||
-        schema->as_string() != kHybridProfileSchema) {
-      return std::nullopt;
-    }
-    HybridProfile p;
-    p.circuit = doc.at("circuit").as_string();
-    p.netlist_size = static_cast<std::size_t>(doc.at("netlist_size").as_int());
-    p.num_inputs = static_cast<std::size_t>(doc.at("num_inputs").as_int());
-    p.num_outputs = static_cast<std::size_t>(doc.at("num_outputs").as_int());
-    p.prefilter_patterns =
-        static_cast<std::size_t>(doc.at("prefilter_patterns").as_int());
-    p.prefilter_seed =
-        static_cast<std::uint64_t>(doc.at("prefilter_seed").as_int());
-    p.sim_events = static_cast<std::uint64_t>(doc.at("sim_events").as_int());
-    const JsonValue& levels = doc.at("sim_level_events");
-    if (!levels.is_array()) return std::nullopt;
-    for (std::size_t i = 0; i < levels.size(); ++i) {
-      p.sim_level_events.push_back(
-          static_cast<std::uint64_t>(levels.at(i).as_int()));
-    }
-    const JsonValue& faults = doc.at("faults");
-    if (!faults.is_array()) return std::nullopt;
-    for (std::size_t i = 0; i < faults.size(); ++i) {
-      const JsonValue& j = faults.at(i);
-      HybridFaultRecord r;
-      const std::string& by = j.at("resolved_by").as_string();
-      if (by == "prefilter") {
-        r.resolved_by = ResolvedBy::Prefilter;
-      } else if (by == "dp") {
-        r.resolved_by = ResolvedBy::ExactDp;
-      } else {
-        return std::nullopt;
-      }
-      r.detectable = j.at("detectable").as_bool();
-      r.detection_count =
-          static_cast<std::uint64_t>(j.at("detection_count").as_int());
-      const long long first = j.at("first_detection").as_int();
-      r.first_detection = first < 0
-                              ? sim::WideFaultSimulator::kNotDetected
-                              : static_cast<std::uint64_t>(first);
-      if (r.resolved_by == ResolvedBy::ExactDp) {
-        r.dp = record_from_json(j.at("dp"));
-      }
-      p.faults.push_back(std::move(r));
-    }
-    return p;
-  } catch (const obs::JsonError&) {
-    return std::nullopt;
-  }
-}
-
 JsonValue checkpoint_to_json(const SweepCheckpoint& ckpt) {
   JsonValue doc = JsonValue::object();
   doc["schema"] = kCheckpointSchema;

@@ -60,11 +60,6 @@ std::optional<CircuitProfile> profile_from_json(const obs::JsonValue& doc,
 /// what the serve layer's field-identity tests compare.
 obs::JsonValue hybrid_profile_to_json(const HybridProfile& profile);
 
-/// Strict parse; nullopt when `doc` is not a well-formed
-/// dp.hybrid_profile.v1 document.
-std::optional<HybridProfile> hybrid_profile_from_json(
-    const obs::JsonValue& doc);
-
 /// A checkpoint is the contiguous completed prefix of a sweep.
 struct SweepCheckpoint {
   std::string key;

@@ -1,6 +1,7 @@
 #include "analysis/profiles.hpp"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "analysis/profile_io.hpp"
 #include "netlist/layout.hpp"
@@ -192,8 +193,21 @@ void run_sweep(const Circuit& circuit, const Structure& structure,
   core::ParallelEngine::Options popt;
   popt.jobs = options.jobs;
   popt.shared_good = options.shared_good;
-  core::ParallelEngine engine(circuit, structure, popt);
   core::ParallelStats totals;
+  if constexpr (std::is_same_v<Fault, fault::BridgingFault>) {
+    popt.observabilities = options.observabilities;
+    if (!popt.observabilities && completed < faults.size()) {
+      if (!popt.shared_good) {
+        popt.shared_good =
+            std::make_shared<const core::SharedGoodFunctions>(circuit);
+      }
+      popt.observabilities = std::make_shared<const core::Observabilities>(
+          popt.shared_good, structure,
+          core::Observabilities::wires_of(faults), options.jobs);
+      totals.observe = popt.observabilities->stats();
+    }
+  }
+  core::ParallelEngine engine(circuit, structure, popt);
   const std::size_t interval =
       cache ? std::max<std::size_t>(1, options.persistence.checkpoint_interval)
             : faults.size();

@@ -1,9 +1,11 @@
 #include "dp/engine.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 
 #include "dp/difference.hpp"
+#include "dp/observabilities.hpp"
 
 namespace dp::core {
 
@@ -11,10 +13,20 @@ using netlist::GateType;
 using netlist::NetId;
 using netlist::Regions;
 
-DifferencePropagator::DifferencePropagator(const GoodFunctions& good,
-                                           const netlist::Structure& structure,
-                                           Options options)
-    : good_(good), structure_(structure), options_(options) {}
+DifferencePropagator::DifferencePropagator(
+    const GoodFunctions& good, const netlist::Structure& structure,
+    Options options, const Observabilities* observabilities)
+    : good_(good),
+      structure_(structure),
+      options_(options),
+      observabilities_(observabilities) {
+  if (observabilities_ &&
+      good_.manager().frozen_forest() != observabilities_->forest()) {
+    throw bdd::BddError(
+        "DifferencePropagator: manager does not adopt the observability "
+        "layer's forest");
+  }
+}
 
 PropagationStats DifferencePropagator::propagate(
     const Seeds& seeds, std::vector<bdd::Bdd>& diff) const {
@@ -115,70 +127,6 @@ bdd::Bdd DifferencePropagator::to_root(NetId net, bdd::Bdd delta,
     net = gate;
   }
   return delta;
-}
-
-void DifferencePropagator::chase(std::uint32_t region) const {
-  // Every path from the root to a PO crosses its post-dominator d, and
-  // nothing the root reaches past d is reachable except through d. So the
-  // root's flip is observed at PO p exactly where it arrives at d and d's
-  // flip is observed at p: d's difference pushed along d's region path,
-  // AND the observability of d's region root (known: lower region index).
-  const Circuit& c = good_.circuit();
-  const Regions& regions = structure_.regions();
-  const NetId root = regions.root(region);
-  const NetId d = regions.ipdom(root);
-  Observability out{std::vector<bdd::Bdd>(c.num_outputs()),
-                    good_.manager().zero()};
-  if (d != Regions::kUnobservable) {
-    obs::ScopedSpan span(obs::SpanCollector::current(), "dp.observe");
-    ++roots_observed_;
-    Seeds seeds;
-    seeds.nets.push_back(NetSeed{root, good_.manager().one()});
-    if (d != Regions::kSink) seeds.stop = d;
-    std::vector<bdd::Bdd> diff(c.num_nets());
-    PropagationStats stats = propagate(seeds, diff);
-    if (d == Regions::kSink) {
-      for (std::size_t i = 0; i < c.num_outputs(); ++i) {
-        const bdd::Bdd& o = diff[c.outputs()[i]];
-        if (!o.valid()) continue;
-        out.po[i] = o;
-        out.any = out.any | o;
-      }
-    } else if (diff[d].valid()) {
-      const bdd::Bdd through = to_root(d, diff[d], stats);
-      const Observability& next = *observed_[regions.region_of(d)];
-      for (std::size_t i = 0; i < c.num_outputs(); ++i) {
-        if (!next.po[i].valid()) continue;
-        bdd::Bdd o = through & next.po[i];
-        if (!o.is_zero()) out.po[i] = std::move(o);
-      }
-      out.any = through & next.any;
-    }
-    if (span.enabled()) {
-      span.attr("root", c.net_name(root));
-      span.attr("stop", d == Regions::kSink ? std::string("sink")
-                                            : c.net_name(d));
-      span.attr("gates_evaluated", stats.gates_evaluated);
-    }
-  }
-  observed_[region] = std::move(out);
-}
-
-const DifferencePropagator::Observability& DifferencePropagator::observe(
-    NetId root) const {
-  const Regions& regions = structure_.regions();
-  if (observed_.empty()) observed_.resize(regions.num_regions());
-  // Walk the post-dominator chain to the first known observability, then
-  // chase the missing roots deepest first.
-  std::vector<std::uint32_t> missing;
-  for (std::uint32_t r = regions.region_of(root); !observed_[r];) {
-    missing.push_back(r);
-    const NetId d = regions.ipdom(regions.root(r));
-    if (d == Regions::kSink || d == Regions::kUnobservable) break;
-    r = regions.region_of(d);
-  }
-  for (auto it = missing.rbegin(); it != missing.rend(); ++it) chase(*it);
-  return *observed_[regions.region_of(root)];
 }
 
 FaultAnalysis DifferencePropagator::finish(const Seeds& seeds,
@@ -282,8 +230,13 @@ DifferencePropagator::BridgeFlips DifferencePropagator::flip(
     const NetId wire = w == 0 ? fault.a : fault.b;
     RootFlip& f = out.roots[w];
     f.delta = to_root(wire, good_.at(wire) ^ out.wired, stats);
-    if (!f.delta.is_zero()) {
-      f.observed = &observe(structure_.regions().root_of(wire));
+    if (f.delta.is_zero()) continue;
+    const std::uint32_t region = structure_.regions().region_of(wire);
+    f.observed = observabilities_ ? observabilities_->find(region) : nullptr;
+    if (!f.observed) {
+      throw std::logic_error(
+          "analyze: no observability layer covers the root of " +
+          good_.circuit().net_name(wire));
     }
   }
   return out;
@@ -308,16 +261,18 @@ FaultAnalysis DifferencePropagator::analyze(
   // with O(R) the OR of O(R, p) over p, kept with the observabilities.
   // PO p observes the bridge iff either product is nonzero, which an
   // emptiness test decides without building it (po_differences() does).
+  bdd::Manager& mgr = good_.manager();
+  const std::size_t m = c.num_outputs();
   FaultAnalysis out;
-  out.test_set = good_.manager().zero();
-  out.po_observable.assign(c.num_outputs(), false);
+  out.test_set = mgr.zero();
+  out.po_observable.assign(m, false);
   const BridgeFlips flips = flip(fault, out.stats);
   for (const RootFlip& f : flips.roots) {
     if (!f.observed) continue;
-    out.test_set = out.test_set | (f.delta & f.observed->any);
-    for (std::size_t i = 0; i < c.num_outputs(); ++i) {
-      if (out.po_observable[i] || !f.observed->po[i].valid()) continue;
-      out.po_observable[i] = f.delta.intersects(f.observed->po[i]);
+    out.test_set = out.test_set | (f.delta & mgr.make(f.observed[m]));
+    for (std::size_t i = 0; i < m; ++i) {
+      if (out.po_observable[i] || f.observed[i] == bdd::kFalseNode) continue;
+      out.po_observable[i] = f.delta.intersects(mgr.make(f.observed[i]));
     }
   }
 
@@ -337,8 +292,8 @@ std::vector<bdd::Bdd> DifferencePropagator::po_differences(
   for (const RootFlip& f : flips.roots) {
     if (!f.observed) continue;
     for (std::size_t i = 0; i < po_diffs.size(); ++i) {
-      if (!f.observed->po[i].valid()) continue;
-      bdd::Bdd t = f.delta & f.observed->po[i];
+      if (f.observed[i] == bdd::kFalseNode) continue;
+      bdd::Bdd t = f.delta & good_.manager().make(f.observed[i]);
       if (t.is_zero()) continue;
       po_diffs[i] = po_diffs[i].valid() ? po_diffs[i] | t : std::move(t);
     }
@@ -385,5 +340,34 @@ FaultAnalysis DifferencePropagator::analyze(
   }
   return finish(seeds, upper, span);
 }
+
+namespace {
+
+/// GC trigger floor of an adopting worker's manager: small enough that
+/// per-fault (or per-chase) churn is collected, large enough that the
+/// trigger's adaptive max(floor, 2x live) term governs real circuits.
+constexpr std::size_t kWorkerGcFloor = 1u << 16;
+
+}  // namespace
+
+AdoptedPropagator::AdoptedPropagator(const SharedGoodFunctions& shared,
+                                     const netlist::Structure& structure,
+                                     const Observabilities* observabilities,
+                                     std::size_t max_nodes)
+    : manager(shared.forest(), max_nodes),
+      good(manager, structure.circuit(), shared),
+      propagator(good, structure, DifferencePropagator::Options{},
+                 observabilities) {
+  // A worker builds and drops BDDs per fault; with the default
+  // (throughput-oriented) GC floor that churn is never collected, so its
+  // memory footprint -- and its peak_live_nodes accounting -- would grow
+  // with the fault count instead of the working set. Results are
+  // unaffected (GC is invisible to canonical BDD semantics).
+  manager.set_gc_floor(kWorkerGcFloor);
+}
+
+AdoptedPropagator::AdoptedPropagator(const Observabilities& layer,
+                                     const netlist::Structure& structure)
+    : AdoptedPropagator(*layer.good(), structure, &layer) {}
 
 }  // namespace dp::core

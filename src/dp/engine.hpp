@@ -13,7 +13,6 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "bdd/bdd.hpp"
@@ -26,6 +25,8 @@
 
 namespace dp::core {
 
+class Observabilities;
+
 /// Per-fault work. For stuck-at and multiple faults these count one
 /// selective-trace sweep: a pinned net's gate (a stem under fault) never
 /// needs its difference computed; it counts as skipped with selective
@@ -35,7 +36,7 @@ namespace dp::core {
 /// roots, evaluated while a difference remains and skipped after it dies
 /// (with selective trace off, every step is evaluated). The chases that
 /// build stem observabilities are shared by every bridge, so no fault
-/// counts them; each one is a dp.observe span and one roots_observed().
+/// counts them: each is a dp.observe span of the Observabilities build.
 struct PropagationStats {
   std::uint64_t gates_evaluated = 0;  ///< gates whose difference was computed
   std::uint64_t gates_skipped = 0;    ///< gates skipped (no input difference)
@@ -76,11 +77,15 @@ class DifferencePropagator {
     bool selective_trace = true;
   };
 
+  /// Bridges read their roots' observabilities from `observabilities`,
+  /// whose forest good's manager must adopt (ParallelEngine sets both up);
+  /// without a layer covering its wires a bridge throws std::logic_error.
   DifferencePropagator(const GoodFunctions& good,
                        const netlist::Structure& structure)
       : DifferencePropagator(good, structure, Options{}) {}
   DifferencePropagator(const GoodFunctions& good,
-                       const netlist::Structure& structure, Options options);
+                       const netlist::Structure& structure, Options options,
+                       const Observabilities* observabilities = nullptr);
 
   FaultAnalysis analyze(const fault::StuckAtFault& fault) const;
   /// A non-feedback bridge, as the OR of two one-wire flips observed
@@ -99,10 +104,9 @@ class DifferencePropagator {
 
   const GoodFunctions& good() const { return good_; }
 
-  /// Region roots whose observability this propagator has chased so far.
-  std::uint64_t roots_observed() const { return roots_observed_; }
-
  private:
+  friend class Observabilities;  // builds its layer with propagate()
+
   /// One per-gate pin-difference override (branch-fault seeding).
   struct PinSeed {
     netlist::NetId gate = netlist::kInvalidNet;
@@ -126,17 +130,12 @@ class DifferencePropagator {
     netlist::NetId stop = netlist::kInvalidNet;
   };
 
-  /// A region root r's observability: per PO p, O(r, p), the inputs on
-  /// which flipping r flips PO p (invalid == zero), and their OR.
-  struct Observability {
-    std::vector<bdd::Bdd> po;
-    bdd::Bdd any;
-  };
   /// One bridge wire's flip pushed to its region root (zero when the
-  /// flip dies on the way), and the root's observability (null then).
+  /// flip dies on the way), and the root's observability as layer edges
+  /// (Observabilities::find; null then).
   struct RootFlip {
     bdd::Bdd delta;
-    const Observability* observed = nullptr;
+    const bdd::NodeIndex* observed = nullptr;
   };
   /// A bridge as the wired value and wire a's and wire b's root flips.
   struct BridgeFlips {
@@ -155,14 +154,10 @@ class DifferencePropagator {
   bdd::Bdd to_root(netlist::NetId net, bdd::Bdd delta,
                    PropagationStats& stats) const;
 
-  /// O(r, .) for region root `root`, chased on first use and kept.
-  const Observability& observe(netlist::NetId root) const;
-  /// The bridge's flips (an observability is chased only for a flip
+  /// The bridge's flips (an observability is looked up only for a flip
   /// that reaches its root). Throws NetlistError for a feedback bridge.
   BridgeFlips flip(const fault::BridgingFault& fault,
                    PropagationStats& stats) const;
-  /// Chases one root whose post-dominator's observability is known.
-  void chase(std::uint32_t region) const;
 
   /// Shared tail of every analyze(): `out` carries the test set, the
   /// per-PO flags (and differences, where built) and the work counters;
@@ -177,10 +172,28 @@ class DifferencePropagator {
   const GoodFunctions& good_;
   const netlist::Structure& structure_;
   Options options_;
-  /// Per region: its root's observability, once chased (the propagator
-  /// is single-threaded, like its manager).
-  mutable std::vector<std::optional<Observability>> observed_;
-  mutable std::uint64_t roots_observed_ = 0;
+  const Observabilities* observabilities_;
+};
+
+/// A propagator with a private manager over a frozen universe: the
+/// manager adopts `shared`'s forest and the good functions are adopted
+/// from it, so building one does no BDD work. The manager collects at a
+/// small GC floor (64K nodes), so its footprint tracks its working set.
+/// Every ParallelEngine and Observabilities worker is one, and so is any
+/// single-threaded caller that analyzes bridges (through the layer's
+/// constructor).
+struct AdoptedPropagator {
+  AdoptedPropagator(const SharedGoodFunctions& shared,
+                    const netlist::Structure& structure,
+                    const Observabilities* observabilities = nullptr,
+                    std::size_t max_nodes = 32u * 1024 * 1024);
+  /// Over `layer`'s forest, reading `layer` for bridges.
+  AdoptedPropagator(const Observabilities& layer,
+                    const netlist::Structure& structure);
+
+  bdd::Manager manager;
+  GoodFunctions good;
+  DifferencePropagator propagator;
 };
 
 }  // namespace dp::core

@@ -149,4 +149,20 @@ SharedGoodFunctions::SharedGoodFunctions(const Circuit& circuit,
           .count();
 }
 
+SharedGoodFunctions::SharedGoodFunctions(
+    const SharedGoodFunctions& source,
+    std::shared_ptr<const bdd::FrozenForest> forest,
+    std::vector<bdd::NodeIndex> roots)
+    : forest_(std::move(forest)),
+      roots_(std::move(roots)),
+      order_(source.order_),
+      cut_nets_(source.cut_nets_),
+      syndromes_(source.syndromes_),
+      num_vars_(source.num_vars_),
+      build_seconds_(source.build_seconds_) {
+  if (roots_.size() != source.roots_.size()) {
+    throw bdd::BddError("SharedGoodFunctions: re-pack lost a net's root");
+  }
+}
+
 }  // namespace dp::core

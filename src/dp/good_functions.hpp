@@ -106,6 +106,11 @@ class SharedGoodFunctions {
   explicit SharedGoodFunctions(const Circuit& circuit,
                                const GoodFunctionOptions& options = {},
                                std::size_t max_nodes = 32u * 1024 * 1024);
+  /// `source`'s functions re-packed into `forest`, a superset of them
+  /// (Observabilities packs its layer so): roots[net] in its numbering.
+  SharedGoodFunctions(const SharedGoodFunctions& source,
+                      std::shared_ptr<const bdd::FrozenForest> forest,
+                      std::vector<bdd::NodeIndex> roots);
 
   const std::shared_ptr<const bdd::FrozenForest>& forest() const {
     return forest_;
@@ -119,7 +124,8 @@ class SharedGoodFunctions {
   /// Per net: its syndrome (GoodFunctions::syndrome).
   const std::vector<double>& syndromes() const { return syndromes_; }
   std::size_t frozen_nodes() const { return forest_->size(); }
-  /// Wall-clock cost of the one-time build+freeze.
+  /// Wall-clock cost of the one-time build+freeze (of `source`'s, for a
+  /// re-packed universe).
   double build_seconds() const { return build_seconds_; }
 
  private:

@@ -18,11 +18,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// GC trigger floor for sweep-worker managers (see the constructor): small
-/// enough that per-fault churn is collected, large enough that the
-/// trigger's adaptive max(floor, 2x live) term governs real circuits.
-constexpr std::size_t kWorkerGcFloor = 1u << 16;
-
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
@@ -72,12 +67,6 @@ std::uint64_t ParallelStats::total_gates_evaluated() const {
 std::uint64_t ParallelStats::total_gates_skipped() const {
   std::uint64_t n = 0;
   for (const WorkerStats& w : workers) n += w.gates_skipped;
-  return n;
-}
-
-std::uint64_t ParallelStats::total_roots_observed() const {
-  std::uint64_t n = 0;
-  for (const WorkerStats& w : workers) n += w.roots_observed;
   return n;
 }
 
@@ -148,6 +137,7 @@ void ParallelStats::merge(const ParallelStats& other) {
   shared_build_seconds = std::max(shared_build_seconds,
                                   other.shared_build_seconds);
   frozen_nodes = std::max(frozen_nodes, other.frozen_nodes);
+  observe.merge(other.observe);
   if (workers.size() < other.workers.size()) {
     workers.resize(other.workers.size());
   }
@@ -157,7 +147,6 @@ void ParallelStats::merge(const ParallelStats& other) {
     w.faults_analyzed += o.faults_analyzed;
     w.gates_evaluated += o.gates_evaluated;
     w.gates_skipped += o.gates_skipped;
-    w.roots_observed += o.roots_observed;
     w.analyze_seconds += o.analyze_seconds;
     w.max_fault_seconds = std::max(w.max_fault_seconds, o.max_fault_seconds);
     w.fault_seconds.insert(w.fault_seconds.end(), o.fault_seconds.begin(),
@@ -189,6 +178,12 @@ void ParallelStats::print(std::ostream& os) const {
     os << "  shared forest: " << human_count(frozen_nodes)
        << " frozen nodes, built once in " << std::setprecision(3)
        << shared_build_seconds << " s\n";
+  }
+  if (observe.frozen_nodes > 0) {
+    os << "  observabilities: " << observe.roots_chased
+       << " roots chased once, " << human_count(observe.frozen_nodes)
+       << " frozen nodes, built in " << std::setprecision(3)
+       << observe.build_seconds << " s\n";
   }
   std::vector<double> lat = all_fault_seconds();
   if (!lat.empty()) {
@@ -249,8 +244,6 @@ void ParallelStats::export_metrics(obs::MetricsRegistry& registry,
       .add(static_cast<double>(total_cache_canonical_swaps()));
   registry.gauge(prefix + ".gc_runs")
       .add(static_cast<double>(total_gc_runs()));
-  registry.gauge(prefix + ".roots_observed")
-      .add(static_cast<double>(total_roots_observed()));
   registry.gauge(prefix + ".ref_underflows")
       .add(static_cast<double>(total_ref_underflows()));
 
@@ -282,16 +275,8 @@ void ParallelStats::export_metrics(obs::MetricsRegistry& registry,
   if (shared_build_seconds > 0.0) {
     registry.timer(prefix + ".shared_build").record(shared_build_seconds);
   }
+  observe.export_metrics(registry, prefix);
 }
-
-/// A worker owns its private analysis stack over the shared frozen
-/// forest: the forest is immutable, and no other BDD state is shared
-/// between workers, so no locks are needed anywhere on the hot path.
-struct ParallelEngine::Worker {
-  std::unique_ptr<bdd::Manager> manager;
-  std::unique_ptr<GoodFunctions> good;
-  std::unique_ptr<DifferencePropagator> propagator;
-};
 
 ParallelEngine::ParallelEngine(const netlist::Circuit& circuit,
                                const netlist::Structure& structure,
@@ -307,7 +292,9 @@ ParallelEngine::ParallelEngine(const netlist::Circuit& circuit,
 
   // Build (or adopt) the good-function universe once; exceptions from the
   // build (e.g. OutOfNodes) propagate directly.
-  std::shared_ptr<const SharedGoodFunctions> shared = options.shared_good;
+  observabilities_ = options.observabilities;
+  std::shared_ptr<const SharedGoodFunctions> shared =
+      observabilities_ ? observabilities_->good() : options.shared_good;
   {
     obs::ScopedSpan freeze_span(spans, "dp.shared_build", build_span.id());
     if (!shared) {
@@ -328,19 +315,8 @@ ParallelEngine::ParallelEngine(const netlist::Circuit& circuit,
   for (std::size_t slot = 0; slot < jobs; ++slot) {
     obs::ScopedSpan span(spans, "dp.build_worker", build_span.id());
     span.attr("worker", slot);
-    auto w = std::make_unique<Worker>();
-    w->manager = std::make_unique<bdd::Manager>(shared->forest(),
-                                                options.bdd_node_limit);
-    w->good = std::make_unique<GoodFunctions>(*w->manager, circuit, *shared);
-    // Sweep workers build and drop one test-set BDD per fault; with the
-    // default (throughput-oriented) GC floor that churn is never
-    // collected, so a worker's memory footprint -- and its
-    // peak_live_nodes accounting -- would grow with the fault count
-    // instead of the working set. An aggressive floor keeps both
-    // tracking the live data. Results are unaffected (GC is invisible
-    // to canonical BDD semantics).
-    w->manager->set_gc_floor(kWorkerGcFloor);
-    w->propagator = std::make_unique<DifferencePropagator>(*w->good, structure);
+    auto w = std::make_unique<AdoptedPropagator>(
+        *shared, structure, observabilities_.get(), options.bdd_node_limit);
     workers_.push_back(std::move(w));
   }
 }
@@ -371,7 +347,7 @@ void ParallelEngine::run(const std::vector<Fault>& faults,
     // the propagator) nest under this one via the worker's own TLS stack.
     obs::ScopedSpan worker_span(spans, "dp.worker", sweep_span.id());
     worker_span.attr("worker", slot);
-    Worker& w = *workers_[slot];
+    AdoptedPropagator& w = *workers_[slot];
     WorkerStats& ws = stats_.workers[slot];
     ws.faults_analyzed = 0;
     ws.gates_evaluated = 0;
@@ -379,14 +355,13 @@ void ParallelEngine::run(const std::vector<Fault>& faults,
     ws.analyze_seconds = 0.0;
     ws.max_fault_seconds = 0.0;
     ws.fault_seconds.clear();
-    const bdd::ManagerStats before = w.manager->stats();
-    const std::uint64_t roots_before = w.propagator->roots_observed();
+    const bdd::ManagerStats before = w.manager.stats();
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= faults.size()) break;
       const auto fault_start = Clock::now();
       try {
-        FaultAnalysis a = w.propagator->analyze(faults[i]);
+        FaultAnalysis a = w.propagator.analyze(faults[i]);
         ws.gates_evaluated += a.stats.gates_evaluated;
         ws.gates_skipped += a.stats.gates_skipped;
         sink(i, std::move(a));
@@ -406,8 +381,7 @@ void ParallelEngine::run(const std::vector<Fault>& faults,
       ws.max_fault_seconds = std::max(ws.max_fault_seconds, dt);
       ws.fault_seconds.push_back(dt);
     }
-    const bdd::ManagerStats after = w.manager->stats();
-    ws.roots_observed = w.propagator->roots_observed() - roots_before;
+    const bdd::ManagerStats after = w.manager.stats();
     ws.gc_runs = after.gc_runs - before.gc_runs;
     ws.apply_calls = after.apply_calls - before.apply_calls;
     ws.intersect_calls = after.intersect_calls - before.intersect_calls;
@@ -417,7 +391,7 @@ void ParallelEngine::run(const std::vector<Fault>& faults,
     ws.cache_canonical_swaps =
         after.cache_canonical_swaps - before.cache_canonical_swaps;
     ws.ref_underflows = after.ref_underflows - before.ref_underflows;
-    ws.live_nodes = w.manager->live_nodes();
+    ws.live_nodes = w.manager.live_nodes();
     ws.peak_live_nodes = after.peak_live_nodes;
     worker_span.attr("faults", ws.faults_analyzed);
     worker_span.attr("busy_seconds", ws.analyze_seconds);

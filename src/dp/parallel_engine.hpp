@@ -32,6 +32,7 @@
 
 #include "dp/engine.hpp"
 #include "dp/good_functions.hpp"
+#include "dp/observabilities.hpp"
 #include "obs/metrics.hpp"
 
 namespace dp::core {
@@ -43,9 +44,6 @@ struct WorkerStats {
   std::size_t faults_analyzed = 0;
   std::uint64_t gates_evaluated = 0;  ///< summed PropagationStats
   std::uint64_t gates_skipped = 0;    ///< summed PropagationStats
-  /// Region roots whose observability this worker chased for bridges
-  /// (each once per worker, so the total depends on the schedule).
-  std::uint64_t roots_observed = 0;
   double analyze_seconds = 0.0;     ///< summed per-fault wall clock
   double max_fault_seconds = 0.0;   ///< slowest single fault
   /// Wall clock of every fault this worker analyzed, in claim order --
@@ -78,13 +76,16 @@ struct ParallelStats {
   double shared_build_seconds = 0.0;
   /// Size of the shared frozen forest.
   std::size_t frozen_nodes = 0;
+  /// The observability layer built for this sweep, when the sweep built
+  /// its own (analyze_bridging with none adopted); zero otherwise, since
+  /// whoever builds a shared layer reports it once.
+  ObserveStats observe;
   std::vector<WorkerStats> workers;
 
   double total_analyze_seconds() const;
   double faults_per_second() const;
   std::uint64_t total_gates_evaluated() const;
   std::uint64_t total_gates_skipped() const;
-  std::uint64_t total_roots_observed() const;
   std::uint64_t total_gc_runs() const;
   std::uint64_t total_apply_calls() const;
   std::uint64_t total_intersect_calls() const;
@@ -137,6 +138,11 @@ class ParallelEngine {
     /// `circuit` and `good`); used by serve::Service to share one forest
     /// across requests. nullptr = the engine builds it.
     std::shared_ptr<const SharedGoodFunctions> shared_good;
+    /// Stem observabilities for bridge sweeps, built over the same
+    /// universe. Its forest holds the good functions too, so workers adopt
+    /// it in place of shared_good's. nullptr = stuck-at and multiple
+    /// faults only (a bridge then throws std::logic_error).
+    std::shared_ptr<const Observabilities> observabilities;
   };
 
   /// Builds (or takes) the shared forest, then one Manager + adopted
@@ -184,15 +190,17 @@ class ParallelEngine {
   const ParallelStats& stats() const { return stats_; }
 
  private:
-  struct Worker;
-
   template <typename Fault>
   void run(const std::vector<Fault>& faults, const ResultSink& sink);
 
   template <typename Fault>
   std::vector<FaultAnalysis> run_collect(const std::vector<Fault>& faults);
 
-  std::vector<std::unique_ptr<Worker>> workers_;
+  std::shared_ptr<const Observabilities> observabilities_;
+  /// One private analysis stack per worker over the shared frozen forest:
+  /// the forest is immutable and no other BDD state is shared between
+  /// workers, so no locks are needed anywhere on the hot path.
+  std::vector<std::unique_ptr<AdoptedPropagator>> workers_;
   ParallelStats stats_;
 };
 

@@ -20,6 +20,8 @@ class Structure {
  public:
   explicit Structure(const Circuit& circuit);
 
+  const Circuit& circuit() const { return circuit_; }
+
   /// Longest path (in gate levels) from any PI; PIs are level 0.
   int level_from_pi(NetId id) const { return level_from_pi_.at(id); }
 

@@ -192,8 +192,12 @@ Service::ResidentCounts Service::resident_counts() const {
       std::lock_guard<std::mutex> forest_lock(r->forest_mutex);
       counts.forests += r->forest ? 1 : 0;
     }
-    std::lock_guard<std::mutex> sets_lock(r->test_sets_mutex);
-    for (const auto& sets : r->test_sets) counts.test_sets += sets ? 1 : 0;
+    {
+      std::lock_guard<std::mutex> sets_lock(r->test_sets_mutex);
+      for (const auto& sets : r->test_sets) counts.test_sets += sets ? 1 : 0;
+    }
+    std::lock_guard<std::mutex> layer_lock(r->observabilities_mutex);
+    counts.observabilities += r->observabilities ? 1 : 0;
   }
   return counts;
 }
@@ -318,6 +322,25 @@ std::shared_ptr<const analysis::TestSets> Service::test_sets_of(
   return sets;
 }
 
+std::shared_ptr<const core::Observabilities> Service::observabilities_of(
+    Resident& r, std::size_t jobs) {
+  // Lock order: observabilities, then (inside forest_of) the forest.
+  std::lock_guard<std::mutex> lock(r.observabilities_mutex);
+  if (r.observabilities) {
+    if (metrics_) metrics_->counter("serve.observabilities.reuses").add();
+    return r.observabilities;
+  }
+  obs::ScopedSpan span(obs::SpanCollector::current(),
+                       "serve.observabilities.build");
+  span.attr("circuit", r.circuit->name()).attr("jobs", jobs);
+  const netlist::Structure structure(*r.circuit);
+  r.observabilities = std::make_shared<const core::Observabilities>(
+      forest_of(r), structure, core::Observabilities::every_net(*r.circuit),
+      jobs);
+  if (metrics_) metrics_->counter("serve.observabilities.builds").add();
+  return r.observabilities;
+}
+
 std::string Service::handle(const JsonValue& request) noexcept {
   long long id = 0;
   try {
@@ -402,6 +425,9 @@ std::string Service::handle_analyze(long long id, const JsonValue& request) {
         // frozen forest and hand it to the engine. Concurrent analyzes of
         // the same circuit adopt the same immutable node pool.
         a.shared_good = forest_of(*resident);
+        if (model == "bf.and" || model == "bf.or") {
+          a.observabilities = observabilities_of(*resident, a.jobs);
+        }
         obs::ScopedSpan span(obs::SpanCollector::current(),
                              "serve.analyze." + model);
         span.attr("circuit", circuit->name()).attr("jobs", a.jobs);
@@ -556,8 +582,9 @@ JsonValue Service::handle_evict(long long id, const JsonValue& request) {
     }
   }
   {
-    // Dropping an entry only unpins its circuit, forest and test sets; an
-    // in-flight request keeps its references until it completes.
+    // Dropping an entry only unpins its circuit, forest, test sets and
+    // observability layer; an in-flight request keeps its references
+    // until it completes.
     std::lock_guard<std::mutex> lock(residents_mutex_);
     std::erase_if(residents_, [&](const auto& entry) {
       return !which || entry.second->circuit->name() == which->as_string();

@@ -10,12 +10,15 @@
 //   1. Circuits -- parsed netlists (built-in benchmarks or inline .bench
 //      text) are constructed once and shared by reference afterwards.
 //   2. Frozen state -- the circuit's immutable good-function universe
-//      (core::SharedGoodFunctions), built on first analyze or ndetect,
-//      and its n-detect test sets per collapse flag
-//      (analysis::TestSets), built on first ndetect. Later
+//      (core::SharedGoodFunctions), built on first analyze or ndetect;
+//      its n-detect test sets per collapse flag (analysis::TestSets),
+//      built on first ndetect; and its stem observabilities over every
+//      region root (core::Observabilities), built on the first bridge
+//      analyze that misses the profile cache, never at warm-up. Later
 //      requests, concurrent ones included, adopt them read-only: an
 //      analyze that misses the profile cache still skips the entire
-//      good-function build, and an ndetect with a fresh vector set skips
+//      good-function build, a bridge analyze with a fresh sample chases
+//      no observability, and an ndetect with a fresh vector set skips
 //      the DP sweep. Each part is built once, under its entry's own
 //      lock, so a build never stalls requests for other circuits. Held
 //      by shared_ptr, so an evict during an in-flight request only
@@ -64,6 +67,9 @@
 namespace dp::analysis {
 class TestSets;
 }
+namespace dp::core {
+class Observabilities;
+}
 
 namespace dp::serve {
 
@@ -99,6 +105,7 @@ class Service {
     std::size_t circuits = 0;
     std::size_t forests = 0;
     std::size_t test_sets = 0;  ///< n-detect test sets, per collapse flag
+    std::size_t observabilities = 0;  ///< bridge observability layers
   };
   ResidentCounts resident_counts() const;
 
@@ -106,8 +113,8 @@ class Service {
   struct CacheEntry;
 
   /// One circuit's resident state. The circuit is fixed at creation; the
-  /// forest and the test sets are built on first use, each under its own
-  /// mutex, and never change afterwards.
+  /// forest, the test sets and the observability layer are built on first
+  /// use, each under its own mutex, and never change afterwards.
   struct Resident {
     std::shared_ptr<const netlist::Circuit> circuit;
     std::mutex forest_mutex;
@@ -115,6 +122,8 @@ class Service {
     std::mutex test_sets_mutex;
     /// Indexed by the collapse flag.
     std::shared_ptr<const analysis::TestSets> test_sets[2];
+    std::mutex observabilities_mutex;
+    std::shared_ptr<const core::Observabilities> observabilities;
   };
 
   /// The resident entry of the request's circuit ("circuit" name or
@@ -129,6 +138,12 @@ class Service {
   /// use over its forest at `jobs` workers (the sets are jobs-invariant).
   std::shared_ptr<const analysis::TestSets> test_sets_of(
       Resident& r, bool collapse, std::size_t jobs);
+
+  /// The entry's observability layer over every region root (any bridge
+  /// sample is covered), built on the first bridge sweep over its forest
+  /// at `jobs` workers (the layer is jobs-invariant).
+  std::shared_ptr<const core::Observabilities> observabilities_of(
+      Resident& r, std::size_t jobs);
 
   std::string handle_analyze(long long id, const obs::JsonValue& request);
   std::string handle_ndetect(long long id, const obs::JsonValue& request);

@@ -12,6 +12,7 @@
 #include "analysis/profile_io.hpp"
 #include "analysis/profiles.hpp"
 #include "dp/engine.hpp"
+#include "dp/observabilities.hpp"
 #include "dp/parallel_engine.hpp"
 #include "dp/symbolic_sim.hpp"
 #include "fault/multiple.hpp"
@@ -282,6 +283,15 @@ OracleResult run_oracles(const FuzzCase& fc, const OracleConfig& config) {
     bdd::Manager manager(0);
     const core::GoodFunctions good(manager, fc.circuit);
     const core::DifferencePropagator dp(good, structure);
+    // Bridges read an observability layer over the case's wires, through
+    // a manager that adopts it; the parallel arm builds its own layer on
+    // config.jobs.
+    const auto shared =
+        std::make_shared<const core::SharedGoodFunctions>(fc.circuit);
+    const std::vector<netlist::NetId> wires =
+        core::Observabilities::wires_of(fc.bridges);
+    const core::Observabilities layer(shared, structure, wires);
+    const core::AdoptedPropagator bridged(layer, structure);
     const sim::FaultSimulator fs(fc.circuit);
     const std::size_t n = fc.circuit.num_inputs();
 
@@ -309,14 +319,15 @@ OracleResult run_oracles(const FuzzCase& fc, const OracleConfig& config) {
                   config.mutate, rec, result, serial_sa[i]);
     }
     for (std::size_t i = 0; i < fc.bridges.size(); ++i) {
-      check_fault(fc.bridges[i], &mutate_pending, fc, dp, fs, config.mutate,
-                  rec, result, serial_br[i]);
+      check_fault(fc.bridges[i], &mutate_pending, fc, bridged.propagator, fs,
+                  config.mutate, rec, result, serial_br[i]);
     }
-    const core::SymbolicFaultSimulator symbolic(good, structure);
+    const core::SymbolicFaultSimulator symbolic(bridged.good, structure);
     for (std::size_t i = 0; i < fc.bridges.size(); ++i) {
-      check_symbolic_bridge(describe(fc.bridges[i], fc.circuit),
-                            serial_br[i], dp.po_differences(fc.bridges[i]),
-                            symbolic.analyze(fc.bridges[i]), rec);
+      check_symbolic_bridge(
+          describe(fc.bridges[i], fc.circuit), serial_br[i],
+          bridged.propagator.po_differences(fc.bridges[i]),
+          symbolic.analyze(fc.bridges[i]), rec);
     }
     // A few 2- and 3-line multiple faults, sampled with a seed derived
     // from the case seed so the case's own fault lists stay as they were.
@@ -337,6 +348,9 @@ OracleResult run_oracles(const FuzzCase& fc, const OracleConfig& config) {
     if (config.check_parallel) {
       core::ParallelEngine::Options par_options;
       par_options.jobs = config.jobs;
+      par_options.observabilities =
+          std::make_shared<const core::Observabilities>(shared, structure,
+                                                        wires, config.jobs);
       core::ParallelEngine engine(fc.circuit, structure, par_options);
       const auto par_sa = engine.analyze_all(fc.sa_faults);
       for (std::size_t i = 0; i < fc.sa_faults.size(); ++i) {

@@ -11,10 +11,14 @@
 #include <string>
 #include <vector>
 
+#include "analysis/profile_io.hpp"
+#include "analysis/profiles.hpp"
 #include "dp/engine.hpp"
+#include "dp/observabilities.hpp"
 #include "dp/parallel_engine.hpp"
 #include "dp/symbolic_sim.hpp"
 #include "netlist/generators.hpp"
+#include "netlist/layout.hpp"
 #include "netlist/regions.hpp"
 #include "sim/fault_sim.hpp"
 
@@ -29,13 +33,17 @@ using netlist::NetId;
 using netlist::Regions;
 using netlist::Structure;
 
+/// DP over an observability layer for every region root, and symbolic
+/// simulation in the same manager.
 struct Rig {
   explicit Rig(Circuit&& c)
       : circuit(std::move(c)),
         structure(circuit),
-        manager(0),
-        good(manager, circuit),
-        dp(good, structure),
+        layer(std::make_shared<const SharedGoodFunctions>(circuit), structure,
+              Observabilities::every_net(circuit)),
+        stack(layer, structure),
+        good(stack.good),
+        dp(stack.propagator),
         symbolic(good, structure),
         fs(circuit) {}
 
@@ -92,9 +100,10 @@ struct Rig {
 
   Circuit circuit;
   Structure structure;
-  bdd::Manager manager;
-  GoodFunctions good;
-  DifferencePropagator dp;
+  Observabilities layer;
+  AdoptedPropagator stack;
+  const GoodFunctions& good;
+  const DifferencePropagator& dp;
   SymbolicFaultSimulator symbolic;
   sim::FaultSimulator fs;
 };
@@ -176,12 +185,31 @@ TEST(BridgeObservabilityTest, ThreeNestedPostDominators) {
   EXPECT_FALSE(regions.is_root(rig.net("d3")));
 
   EXPECT_TRUE(rig.check("s1", "i7").detectable);
-  // s1, d1 and d2 were chased, each only to its post-dominator; the PO's
-  // region root needed no chase beyond the first.
-  EXPECT_EQ(rig.dp.roots_observed(), 4u);
   rig.check("d1", "i7");
   rig.check("s1", "i6");
-  EXPECT_EQ(rig.dp.roots_observed(), 4u);  // every chase was reused
+  // A layer over those wires chases s1, d1 and d2 each only to its
+  // post-dominator and the PO's region root to the sink: four roots, the
+  // closure of s1's region alone.
+  const auto good = std::make_shared<const SharedGoodFunctions>(rig.circuit);
+  const Observabilities layer(
+      good, rig.structure,
+      {rig.net("s1"), rig.net("i7"), rig.net("d1"), rig.net("i6")});
+  EXPECT_EQ(layer.stats().roots_chased, 4u);
+  const Observabilities s1_only(good, rig.structure, {rig.net("s1")});
+  EXPECT_EQ(s1_only.stats().roots_chased, 4u);
+  AdoptedPropagator narrow(s1_only, rig.structure);
+  EXPECT_EQ(narrow.propagator
+                .analyze(BridgingFault{rig.net("s1"), rig.net("i7"),
+                                       BridgeType::And})
+                .test_set.sat_count(8),
+            rig.check("s1", "i7").test_set.sat_count(8));
+  // A wire outside a layer's closure is refused, not chased.
+  const Observabilities none(good, rig.structure, {});
+  EXPECT_EQ(none.stats().roots_chased, 0u);
+  AdoptedPropagator blind(none, rig.structure);
+  EXPECT_THROW((void)blind.propagator.analyze(BridgingFault{
+                   rig.net("s1"), rig.net("i7"), BridgeType::And}),
+               std::logic_error);
 }
 
 TEST(BridgeObservabilityTest, WireThatReachesNoPo) {
@@ -228,7 +256,7 @@ TEST(BridgeObservabilityTest, RegionPathThatKillsTheDifference) {
 
   // Without selective trace every region step is evaluated.
   DifferencePropagator full(rig.good, rig.structure,
-                            {/*selective_trace=*/false});
+                            {/*selective_trace=*/false}, &rig.layer);
   const FaultAnalysis all =
       full.analyze(BridgingFault{rig.net("a"), rig.net("b"), BridgeType::And});
   EXPECT_EQ(all.stats.gates_evaluated, 4u);
@@ -277,40 +305,125 @@ TEST(BridgeObservabilityTest, FeedbackBridgesAndSelfBridgesThrow) {
   }
 }
 
-TEST(BridgeObservabilityTest, ObserveSpansMatchRootsObserved) {
+/// The distinct region roots a layer over `wires` needs: each wire's
+/// region and every region down its post-dominator chain, less the
+/// unobservable ones (they are zero and chase nothing).
+std::size_t distinct_roots(const Structure& structure,
+                           const std::vector<NetId>& wires) {
+  const Regions& regions = structure.regions();
+  std::vector<bool> seen(regions.num_regions(), false);
+  std::size_t roots = 0;
+  for (const NetId w : wires) {
+    for (std::uint32_t r = regions.region_of(w); !seen[r];) {
+      seen[r] = true;
+      const NetId d = regions.ipdom(regions.root(r));
+      if (d == Regions::kUnobservable) break;
+      ++roots;
+      if (d == Regions::kSink) break;
+      r = regions.region_of(d);
+    }
+  }
+  return roots;
+}
+
+std::size_t count_spans(const obs::SpanCollector& spans,
+                        const std::string& name) {
+  std::size_t n = 0;
+  for (const obs::SpanRecord& span : spans.snapshot().spans) {
+    n += span.name == name ? 1 : 0;
+  }
+  return n;
+}
+
+TEST(BridgeObservabilityTest, ObserveSpansMatchDistinctRootsAtAnyJobs) {
   const Circuit circuit = netlist::make_c95_analog();
   const Structure structure(circuit);
   const std::vector<BridgingFault> faults =
       fault::enumerate_nfbfs(circuit, structure, BridgeType::Or);
+  const std::vector<NetId> wires = Observabilities::wires_of(faults);
+  const std::size_t roots = distinct_roots(structure, wires);
+  ASSERT_GT(roots, 0u);
+  const auto good = std::make_shared<const SharedGoodFunctions>(circuit);
+
+  std::size_t frozen_at_one_job = 0;
+  for (const std::size_t jobs : {1u, 2u, 4u}) {
+    obs::SpanCollector spans;
+    obs::SpanCollector::install(&spans);
+    const auto layer =
+        std::make_shared<const Observabilities>(good, structure, wires, jobs);
+    // Every chase happens in the build, once per distinct root ...
+    EXPECT_EQ(count_spans(spans, "dp.observe"), roots) << "jobs " << jobs;
+    ParallelEngine::Options opt;
+    opt.jobs = jobs;
+    opt.observabilities = layer;
+    ParallelEngine engine(circuit, structure, opt);
+    (void)engine.analyze_all(faults);
+    obs::SpanCollector::install(nullptr);
+
+    // ... and the sweep chases nothing.
+    EXPECT_EQ(count_spans(spans, "dp.observe"), roots) << "jobs " << jobs;
+    EXPECT_EQ(count_spans(spans, "dp.fault"), faults.size());
+    for (const obs::SpanRecord& span : spans.snapshot().spans) {
+      if (span.name != "dp.observe") continue;
+      std::vector<std::string> keys;
+      for (const obs::SpanAttr& a : span.attrs) keys.push_back(a.key);
+      EXPECT_EQ(keys, (std::vector<std::string>{"root", "stop",
+                                                "gates_evaluated"}));
+    }
+    EXPECT_EQ(layer->stats().roots_chased, roots) << "jobs " << jobs;
+    // The packed layer is the same forest at any worker count.
+    if (jobs == 1) frozen_at_one_job = layer->stats().frozen_nodes;
+    EXPECT_EQ(layer->stats().frozen_nodes, frozen_at_one_job);
+
+    obs::MetricsRegistry registry;
+    layer->stats().export_metrics(registry);
+    EXPECT_EQ(registry.counter("dp.observe.roots").value(), roots);
+    EXPECT_EQ(registry.gauge("dp.observe.frozen_nodes").value(),
+              static_cast<double>(frozen_at_one_job));
+    EXPECT_EQ(registry.timer("dp.observe").snapshot().count, 1u);
+  }
+}
+
+TEST(BridgeObservabilityTest, OneLayerServesAnAndSweepThenAnOrSweep) {
+  const Circuit circuit = netlist::make_benchmark("alu181");
+  const Structure structure(circuit);
+  const netlist::LayoutEstimate layout(circuit, structure);
+  analysis::AnalysisOptions own;
+  own.sampling.target_count = 200;
+  std::vector<NetId> wires;
+  for (const BridgeType type : {BridgeType::And, BridgeType::Or}) {
+    const std::vector<NetId> w = Observabilities::wires_of(
+        fault::nfbf_fault_set(circuit, structure, layout, type,
+                              own.sampling));
+    wires.insert(wires.end(), w.begin(), w.end());
+  }
+
+  analysis::AnalysisOptions shared = own;
   obs::SpanCollector spans;
   obs::SpanCollector::install(&spans);
-  ParallelEngine::Options opt;
-  opt.jobs = 2;
-  ParallelEngine engine(circuit, structure, opt);
-  (void)engine.analyze_all(faults);
+  shared.observabilities = std::make_shared<const Observabilities>(
+      std::make_shared<const SharedGoodFunctions>(circuit), structure, wires);
+  const analysis::CircuitProfile and_shared =
+      analysis::analyze_bridging(circuit, BridgeType::And, shared);
+  const analysis::CircuitProfile or_shared =
+      analysis::analyze_bridging(circuit, BridgeType::Or, shared);
   obs::SpanCollector::install(nullptr);
+  EXPECT_EQ(count_spans(spans, "dp.observabilities"), 1u);
+  EXPECT_EQ(count_spans(spans, "dp.observe"), distinct_roots(structure, wires));
+  // An adopted layer is reported by its builder, not by the sweeps.
+  EXPECT_EQ(and_shared.engine_stats.observe.roots_chased, 0u);
+  EXPECT_EQ(or_shared.engine_stats.observe.roots_chased, 0u);
 
-  std::uint64_t observe_spans = 0;
-  std::uint64_t fault_spans = 0;
-  for (const obs::SpanRecord& span : spans.snapshot().spans) {
-    if (span.name == "dp.fault") ++fault_spans;
-    if (span.name != "dp.observe") continue;
-    ++observe_spans;
-    std::vector<std::string> keys;
-    for (const obs::SpanAttr& a : span.attrs) keys.push_back(a.key);
-    EXPECT_EQ(keys, (std::vector<std::string>{"root", "stop",
-                                              "gates_evaluated"}));
-  }
-  EXPECT_EQ(fault_spans, faults.size());
-  const std::uint64_t roots = engine.stats().total_roots_observed();
-  EXPECT_GT(roots, 0u);
-  EXPECT_EQ(observe_spans, roots);
-  // Each worker chases a root at most once.
-  EXPECT_LE(roots, opt.jobs * structure.regions().num_regions());
-  obs::MetricsRegistry registry;
-  engine.stats().export_metrics(registry);
-  EXPECT_EQ(registry.gauge("dp.roots_observed").value(),
-            static_cast<double>(roots));
+  // Sweeps that build their own layers give the same records.
+  const analysis::CircuitProfile and_own =
+      analysis::analyze_bridging(circuit, BridgeType::And, own);
+  const analysis::CircuitProfile or_own =
+      analysis::analyze_bridging(circuit, BridgeType::Or, own);
+  EXPECT_GT(and_own.engine_stats.observe.roots_chased, 0u);
+  EXPECT_EQ(analysis::profile_to_json(and_shared, "k").dump(0),
+            analysis::profile_to_json(and_own, "k").dump(0));
+  EXPECT_EQ(analysis::profile_to_json(or_shared, "k").dump(0),
+            analysis::profile_to_json(or_own, "k").dump(0));
 }
 
 }  // namespace

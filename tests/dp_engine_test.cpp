@@ -7,6 +7,7 @@
 #include <string>
 
 #include "dp/engine.hpp"
+#include "dp/observabilities.hpp"
 #include "netlist/generators.hpp"
 #include "sim/fault_sim.hpp"
 
@@ -21,20 +22,25 @@ using netlist::NetId;
 using netlist::Structure;
 
 /// Everything needed to run DP and the exhaustive baseline side by side.
+/// The propagator reads an observability layer over every region root,
+/// so it analyzes any bridge.
 struct Rig {
   explicit Rig(Circuit&& c)
       : circuit(std::move(c)),
         structure(circuit),
-        manager(0),
-        good(manager, circuit),
-        dp(good, structure),
+        layer(std::make_shared<const SharedGoodFunctions>(circuit), structure,
+              Observabilities::every_net(circuit)),
+        stack(layer, structure),
+        good(stack.good),
+        dp(stack.propagator),
         fs(circuit) {}
 
   Circuit circuit;
   Structure structure;
-  bdd::Manager manager;
-  GoodFunctions good;
-  DifferencePropagator dp;
+  Observabilities layer;
+  AdoptedPropagator stack;
+  const GoodFunctions& good;
+  const DifferencePropagator& dp;
   sim::FaultSimulator fs;
 
   /// Compares DP's symbolic test set with the simulator's bitmap.

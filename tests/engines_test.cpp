@@ -6,6 +6,7 @@
 
 #include "dp/boolean_difference.hpp"
 #include "dp/engine.hpp"
+#include "dp/observabilities.hpp"
 #include "dp/symbolic_sim.hpp"
 #include "netlist/generators.hpp"
 #include "netlist/structure.hpp"
@@ -16,21 +17,26 @@ namespace {
 using fault::BridgeType;
 using netlist::Circuit;
 
+/// All three engines in one manager, which adopts an observability layer
+/// over every region root so that DP analyzes any bridge.
 struct Engines {
   explicit Engines(Circuit&& c)
       : circuit(std::move(c)),
         structure(circuit),
-        manager(0),
-        good(manager, circuit),
-        dp(good, structure),
+        layer(std::make_shared<const SharedGoodFunctions>(circuit), structure,
+              Observabilities::every_net(circuit)),
+        stack(layer, structure),
+        good(stack.good),
+        dp(stack.propagator),
         bd(good, structure),
         sym(good, structure) {}
 
   Circuit circuit;
   netlist::Structure structure;
-  bdd::Manager manager;
-  GoodFunctions good;
-  DifferencePropagator dp;
+  Observabilities layer;
+  AdoptedPropagator stack;
+  const GoodFunctions& good;
+  const DifferencePropagator& dp;
   BooleanDifferenceEngine bd;
   SymbolicFaultSimulator sym;
 };

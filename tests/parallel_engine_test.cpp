@@ -10,6 +10,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "dp/parallel_engine.hpp"
@@ -56,17 +57,33 @@ Scalars scalars(const FaultAnalysis& a, std::size_t num_vars) {
 }
 
 /// Serial reference sweep: one manager, one thread, the pre-engine loop.
-template <typename Fault>
+/// Stuck-at faults run over a plain manager; bridges over a layer built
+/// on one thread (the parallel sweep builds its own on `jobs`).
 std::vector<Scalars> serial_sweep(const Circuit& circuit,
-                                  const std::vector<Fault>& faults) {
+                                  const std::vector<StuckAtFault>& faults) {
   Structure structure(circuit);
   bdd::Manager manager(0, 32u * 1024 * 1024);
   GoodFunctions good(manager, circuit);
   DifferencePropagator dp(good, structure);
   std::vector<Scalars> out;
   out.reserve(faults.size());
-  for (const Fault& f : faults) {
+  for (const StuckAtFault& f : faults) {
     out.push_back(scalars(dp.analyze(f), circuit.num_inputs()));
+  }
+  return out;
+}
+
+std::vector<Scalars> serial_sweep(const Circuit& circuit,
+                                  const std::vector<BridgingFault>& faults) {
+  Structure structure(circuit);
+  const Observabilities layer(
+      std::make_shared<const SharedGoodFunctions>(circuit), structure,
+      Observabilities::wires_of(faults));
+  const AdoptedPropagator serial(layer, structure);
+  std::vector<Scalars> out;
+  out.reserve(faults.size());
+  for (const BridgingFault& f : faults) {
+    out.push_back(scalars(serial.propagator.analyze(f), circuit.num_inputs()));
   }
   return out;
 }
@@ -78,6 +95,11 @@ std::vector<Scalars> parallel_sweep(const Circuit& circuit,
   Structure structure(circuit);
   ParallelEngine::Options opt;
   opt.jobs = jobs;
+  if constexpr (std::is_same_v<Fault, BridgingFault>) {
+    opt.observabilities = std::make_shared<const Observabilities>(
+        std::make_shared<const SharedGoodFunctions>(circuit), structure,
+        Observabilities::wires_of(faults), jobs);
+  }
   ParallelEngine engine(circuit, structure, opt);
   EXPECT_GT(engine.stats().frozen_nodes, 0u);  // workers adopt one forest
   std::vector<Scalars> out(faults.size());

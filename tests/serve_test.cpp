@@ -20,6 +20,7 @@
 #include "analysis/ndetect.hpp"
 #include "analysis/profile_io.hpp"
 #include "analysis/profiles.hpp"
+#include "fault/bridging.hpp"
 #include "fault/stuck_at.hpp"
 #include "netlist/generators.hpp"
 #include "obs/metrics.hpp"
@@ -295,6 +296,72 @@ TEST(ServiceTest, ConcurrentAnalyzesShareOneFrozenForest) {
   ASSERT_TRUE(handled(service, hy).at("ok").as_bool());
   EXPECT_EQ(metrics.counter("serve.forest.builds").value(), 1u);
   EXPECT_GE(metrics.counter("serve.forest.reuses").value(), 2u);
+}
+
+/// A cold bf analyze of c95: 40 bridges drawn with `seed`.
+JsonValue bf_req(const char* model, long long seed) {
+  JsonValue r = req("analyze", "c95");
+  JsonValue opts = JsonValue::object();
+  opts["model"] = model;
+  opts["bridge_count"] = 40;
+  opts["bridge_seed"] = seed;
+  r["options"] = std::move(opts);
+  return r;
+}
+
+TEST(ServiceTest, BridgeSweepsShareOneResidentObservabilityLayer) {
+  obs::MetricsRegistry metrics;
+  Service service(ServiceOptions{}, &metrics);
+  const netlist::Circuit circuit = netlist::make_benchmark("c95");
+  auto in_process = [&](fault::BridgeType type, const char* model,
+                        long long seed) {
+    analysis::AnalysisOptions a;
+    a.sampling.target_count = 40;
+    a.sampling.seed = static_cast<std::uint64_t>(seed);
+    return "\"profile\":" +
+           analysis::profile_to_json(
+               analysis::analyze_bridging(circuit, type, a),
+               analysis::profile_cache_key(circuit, model, a))
+               .dump(0) +
+           "}";
+  };
+
+  // A stuck-at sweep never builds the layer; the first bridge sweep does.
+  ASSERT_TRUE(handled(service, req("analyze", "c95")).at("ok").as_bool());
+  EXPECT_EQ(service.resident_counts().observabilities, 0u);
+  const std::string and_miss = service.handle(bf_req("bf.and", 1));
+  EXPECT_EQ(metrics.counter("serve.observabilities.builds").value(), 1u);
+  EXPECT_EQ(service.resident_counts().observabilities, 1u);
+
+  // Another model and a fresh sample adopt it and chase nothing.
+  obs::SpanCollector spans;
+  obs::SpanCollector::install(&spans);
+  const std::string or_miss = service.handle(bf_req("bf.or", 2));
+  obs::SpanCollector::install(nullptr);
+  EXPECT_EQ(metrics.counter("serve.observabilities.builds").value(), 1u);
+  EXPECT_GE(metrics.counter("serve.observabilities.reuses").value(), 1u);
+  for (const obs::SpanRecord& span : spans.snapshot().spans) {
+    EXPECT_NE(span.name, "dp.observe");
+  }
+
+  // Responses are the in-process results (each sweep there builds its own
+  // layer), hit and miss alike.
+  EXPECT_TRUE(and_miss.ends_with(in_process(fault::BridgeType::And,
+                                            "bf.and", 1)));
+  EXPECT_TRUE(or_miss.ends_with(in_process(fault::BridgeType::Or,
+                                           "bf.or", 2)));
+  std::string and_hit = service.handle(bf_req("bf.and", 1));
+  const std::string warm = "\"cached\":true";
+  and_hit.replace(and_hit.find(warm), warm.size(), "\"cached\":false");
+  EXPECT_EQ(and_hit, and_miss);
+
+  // Evicting the circuit unpins the layer; the next bridge sweep rebuilds
+  // it, to the same response.
+  ASSERT_TRUE(handled(service, req("evict", "c95")).at("ok").as_bool());
+  EXPECT_EQ(service.resident_counts().observabilities, 0u);
+  EXPECT_EQ(service.handle(bf_req("bf.and", 1)), and_miss);
+  EXPECT_EQ(metrics.counter("serve.observabilities.builds").value(), 2u);
+  EXPECT_EQ(service.resident_counts().observabilities, 1u);
 }
 
 /// An ndetect request for `circuit` with `bits` as its one client vector.
