@@ -9,7 +9,7 @@
 #include "dp/engine.hpp"
 #include "netlist/generators.hpp"
 #include "netlist/structure.hpp"
-#include "sim/fault_sim.hpp"
+#include "sim/wide_sim.hpp"
 
 using namespace dp;
 
@@ -29,7 +29,7 @@ netlist::Circuit circuit_for(int id) {
 
 void BM_ExhaustiveSimulation(benchmark::State& state) {
   const netlist::Circuit c = circuit_for(static_cast<int>(state.range(0)));
-  sim::FaultSimulator fs(c);
+  const sim::WideFaultSimulator fs(c);
   const auto faults = fault::collapse_checkpoint_faults(c);
   std::size_t i = 0;
   for (auto _ : state) {

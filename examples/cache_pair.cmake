@@ -6,9 +6,10 @@
 # cold: empties DIR; CMD must exit 0, miss the cache and sweep (a nonzero
 #       dp.faults_analyzed counter in its metrics). Its result block is
 #       kept in DIR.result.
-# warm: CMD must exit 0, sweep nothing and build no observability layer
-#       (no dp.observe.roots counter), and print the cold result block
-#       byte for byte; atpg must also print "test-set forest hit".
+# warm: CMD must exit 0, sweep nothing (no dp.sweep timer and no
+#       dp.faults_analyzed counter) and build no observability layer (no
+#       dp.observe.roots counter), and print the cold result block byte
+#       for byte; atpg must also print "test-set forest hit".
 # The result block of `sa` and `bf` is their report before the engine's
 # stats block; that of `atpg` is its vector block ("# C: ..." onwards).
 string(REPLACE "|" ";" command "${CMD}")
@@ -39,15 +40,17 @@ else()
   string(SUBSTRING "${out}" 0 ${at} result)
   set(hit_ok TRUE)
 endif()
-# A run swept when its engine analyzed a fault (a cache hit may still
-# export the engine's zeroed stats) or it built an observability layer.
+# A run swept when it exported any engine stats (a dp.sweep timer or a
+# dp.faults_analyzed counter) or built an observability layer.
 file(READ ${DIR}.${MODE}.json doc)
-string(JSON analyzed ERROR_VARIABLE missing
+string(JSON analyzed ERROR_VARIABLE no_count
        GET "${doc}" metrics counters dp.faults_analyzed)
+string(JSON sweep ERROR_VARIABLE no_sweep
+       GET "${doc}" metrics timers dp.sweep)
 string(JSON roots ERROR_VARIABLE no_layer
        GET "${doc}" metrics counters dp.observe.roots)
 set(swept FALSE)
-if((NOT missing AND analyzed GREATER 0) OR NOT no_layer)
+if(NOT no_count OR NOT no_sweep OR NOT no_layer)
   set(swept TRUE)
 endif()
 if(MODE STREQUAL "cold")

@@ -70,7 +70,6 @@
 #include "netlist/generators.hpp"
 #include "netlist/layout.hpp"
 #include "netlist/structure.hpp"
-#include "sim/fault_sim.hpp"
 #include "sim/wide_sim.hpp"
 #include "store/hash.hpp"
 
@@ -763,7 +762,6 @@ int cmd_diagnose(const netlist::Circuit& c, const std::string& net,
   bdd::Manager mgr(0);
   core::GoodFunctions good(mgr, c);
   core::DifferencePropagator dp(good, st);
-  sim::FaultSimulator fs(c);
 
   // Dictionary over a compact vector set, compacted in fault order. Each
   // fault is analyzed once: its test set feeds the compaction and its
@@ -785,17 +783,14 @@ int cmd_diagnose(const netlist::Circuit& c, const std::string& net,
   // "Defective unit": simulate the requested fault and collect its
   // failing-PO signatures on the same vectors.
   const fault::StuckAtFault injected{*id, std::nullopt, value == "1"};
+  const sim::WideFaultSimulator wide(c);
+  const auto good_pos = wide.po_values(vectors);
+  const auto bad_pos = wide.po_values(vectors, injected);
   std::vector<analysis::PoSignature> observed;
-  for (const auto& v : vectors) {
-    std::vector<sim::Word> goodv(c.num_nets(), 0), badv(c.num_nets(), 0);
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      goodv[c.inputs()[i]] = badv[c.inputs()[i]] = v[i] ? ~sim::Word{0} : 0;
-    }
-    fs.good_values(goodv);
-    fs.faulty_values(badv, injected);
+  for (std::size_t k = 0; k < vectors.size(); ++k) {
     analysis::PoSignature sig = 0;
     for (std::size_t p = 0; p < c.num_outputs(); ++p) {
-      if ((goodv[c.outputs()[p]] ^ badv[c.outputs()[p]]) & 1) {
+      if (good_pos[k][p] != bad_pos[k][p]) {
         sig |= analysis::PoSignature{1} << p;
       }
     }

@@ -171,7 +171,8 @@ void run_sweep(const Circuit& circuit, const Structure& structure,
       if (auto cached = profile_from_json(*doc, key)) {
         if (cached->faults.size() == faults.size()) {
           // Hit: no engine, no BDDs. engine_stats stays default (zero
-          // faults analyzed), which downstream reporting prints as-is.
+          // faults analyzed, no jobs): reporting prints it as-is, and it
+          // exports no metrics.
           profile.faults = std::move(cached->faults);
           return;
         }

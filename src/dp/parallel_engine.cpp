@@ -219,6 +219,7 @@ std::ostream& operator<<(std::ostream& os, const ParallelStats& stats) {
 
 void ParallelStats::export_metrics(obs::MetricsRegistry& registry,
                                    const std::string& prefix) const {
+  if (jobs == 0) return;  // no engine ran (a cache hit, an empty remainder)
   // Deterministic workload totals -> counters (see the header comment).
   registry.counter(prefix + ".faults_analyzed")
       .add(static_cast<std::uint64_t>(faults));

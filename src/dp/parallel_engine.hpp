@@ -115,7 +115,9 @@ struct ParallelStats {
   /// become counters -- identical for --jobs 1 and --jobs N sweeps of the
   /// same workload; schedule-dependent values (apply calls, cache hits,
   /// node counts) become gauges. Repeated calls accumulate, so one
-  /// registry can absorb a whole multi-circuit bench.
+  /// registry can absorb a whole multi-circuit bench. Stats of no sweep
+  /// (jobs == 0: a profile-cache hit, or a hybrid run with no DP
+  /// remainder) export nothing.
   void export_metrics(obs::MetricsRegistry& registry,
                       const std::string& prefix = "dp") const;
 };

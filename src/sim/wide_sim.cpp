@@ -609,6 +609,306 @@ std::vector<std::vector<bool>> WideFaultSimulator::random_patterns(
   return vectors;
 }
 
+// ---- exhaustive reference ------------------------------------------------
+
+namespace {
+
+/// Lane-packed exhaustive inputs: lane L of `block` is input vector
+/// block*256 + L, of which PI `pi` is bit `pi`.
+WideWord exhaustive_input(std::size_t pi, std::uint64_t block) {
+  // Bits 0..5 of the vector number vary within a word, bits 6..7 across
+  // the block's words and the rest across blocks.
+  static constexpr Word kStripe[6] = {
+      0xaaaaaaaaaaaaaaaaull, 0xccccccccccccccccull, 0xf0f0f0f0f0f0f0f0ull,
+      0xff00ff00ff00ff00ull, 0xffff0000ffff0000ull, 0xffffffff00000000ull};
+  WideWord v;
+  for (std::size_t j = 0; j < kWideWords; ++j) {
+    const std::uint64_t word = block * kWideWords + j;
+    v.w[j] = pi < 6                       ? kStripe[pi]
+             : ((word >> (pi - 6)) & 1u) ? ~Word{0}
+                                          : Word{0};
+  }
+  return v;
+}
+
+/// The first `lanes` lanes of a block.
+WideWord lane_mask(std::size_t lanes) {
+  WideWord m;
+  for (std::size_t j = 0; j < kWideWords; ++j) {
+    const std::size_t lo = j * 64;
+    m.w[j] = lanes >= lo + 64 ? ~Word{0}
+             : lanes <= lo    ? Word{0}
+                              : (Word{1} << (lanes - lo)) - 1;
+  }
+  return m;
+}
+
+void check_inputs(const Circuit& c, std::size_t limit) {
+  if (c.num_inputs() > limit) {
+    throw std::invalid_argument(
+        "exhaustive analysis limited to " + std::to_string(limit) +
+        " inputs; circuit '" + c.name() + "' has " +
+        std::to_string(c.num_inputs()));
+  }
+}
+
+constexpr std::uint8_t kForced = 1;  // eval_faulty mark: a stem seed
+constexpr std::uint8_t kPinned = 2;  // eval_faulty mark: a gate's pin seed
+
+}  // namespace
+
+void WideFaultSimulator::check_reference(const MultipleStuckAtFault& f) const {
+  for (const StuckAtFault& line : f.components) check_fault(line);
+}
+
+void WideFaultSimulator::check_reference(const BridgingFault& f) const {
+  const std::size_t num_nets = circuit_->num_nets();
+  if (f.a >= num_nets || f.b >= num_nets) {
+    throw netlist::NetlistError("bridge on a net past the " +
+                                std::to_string(num_nets) + "-net circuit");
+  }
+  // Only the shallower wire can reach the deeper one: search its fanout
+  // cone down to the other wire's level.
+  const NetId from = net_level_[f.a] <= net_level_[f.b] ? f.a : f.b;
+  const NetId to = from == f.a ? f.b : f.a;
+  std::vector<std::uint8_t> seen(num_nets, 0);
+  std::vector<NetId> stack{from};
+  while (!stack.empty()) {
+    const NetId net = stack.back();
+    stack.pop_back();
+    for (std::uint32_t k = fanout_begin_[net]; k < fanout_begin_[net + 1];
+         ++k) {
+      const NetId gate = schedule_[fanout_flat_[k]].net;
+      if (gate == to) {
+        throw std::logic_error(
+            "exhaustive reference: feedback bridge passed to the simulator");
+      }
+      if (!seen[gate] && net_level_[gate] < net_level_[to]) {
+        seen[gate] = 1;
+        stack.push_back(gate);
+      }
+    }
+  }
+}
+
+void WideFaultSimulator::seed(const StuckAtFault& f, const WideWord* /*good*/,
+                              Seeds& s) const {
+  WideWord forced;
+  if (f.stuck_value) forced.w.fill(~Word{0});
+  if (f.branch) {
+    s.pins.push_back({f.branch->gate, f.branch->pin, forced});
+  } else {
+    s.stems.push_back({f.net, forced});
+  }
+}
+
+void WideFaultSimulator::seed(const MultipleStuckAtFault& f,
+                              const WideWord* good, Seeds& s) const {
+  for (const StuckAtFault& line : f.components) seed(line, good, s);
+}
+
+void WideFaultSimulator::seed(const BridgingFault& f, const WideWord* good,
+                              Seeds& s) const {
+  WideWord wired = good[f.a];
+  wide_apply(f.type == fault::BridgeType::And ? GateType::And : GateType::Or,
+             wired, good[f.b]);
+  s.stems.push_back({f.a, wired});
+  s.stems.push_back({f.b, wired});
+}
+
+void WideFaultSimulator::eval_good(WideWord* values) const {
+  for (const GateRef& gr : schedule_) {
+    values[gr.net] = eval_entry(gr, [&](std::uint32_t k) -> const WideWord& {
+      return values[fanin_flat_[gr.fanin_begin + k]];
+    });
+  }
+}
+
+void WideFaultSimulator::eval_faulty(const Seeds& s, const WideWord* good,
+                                     WideWord* faulty,
+                                     std::vector<std::uint8_t>& mark) const {
+  for (const NetId pi : circuit_->inputs()) faulty[pi] = good[pi];
+  // The last stem seed of a net wins, and the first pin seed of a pin; a
+  // forced stem overrides its gate's pin seeds.
+  for (const Seeds::Stem& stem : s.stems) {
+    faulty[stem.net] = stem.value;
+    mark[stem.net] |= kForced;
+  }
+  for (const Seeds::Pin& pin : s.pins) mark[pin.gate] |= kPinned;
+  for (const GateRef& gr : schedule_) {
+    const std::uint8_t m = mark[gr.net];
+    if (m == 0) {
+      faulty[gr.net] =
+          eval_entry(gr, [&](std::uint32_t k) -> const WideWord& {
+            return faulty[fanin_flat_[gr.fanin_begin + k]];
+          });
+    } else if (m == kPinned) {
+      faulty[gr.net] =
+          eval_entry(gr, [&](std::uint32_t k) -> const WideWord& {
+            for (const Seeds::Pin& pin : s.pins) {
+              if (pin.gate == gr.net && pin.pin == k) return pin.value;
+            }
+            return faulty[fanin_flat_[gr.fanin_begin + k]];
+          });
+    }
+  }
+  for (const Seeds::Stem& stem : s.stems) mark[stem.net] = 0;
+  for (const Seeds::Pin& pin : s.pins) mark[pin.gate] = 0;
+}
+
+template <typename Visit>
+void WideFaultSimulator::exhaustive_blocks(Visit&& visit) const {
+  const Circuit& c = *circuit_;
+  const std::size_t n = c.num_inputs();
+  const std::uint64_t blocks = n > 8 ? std::uint64_t{1} << (n - 8) : 1;
+  const WideWord mask =
+      lane_mask(std::size_t{1} << std::min<std::size_t>(n, 8));
+  std::vector<WideWord> good(c.num_nets());
+  for (std::uint64_t b = 0; b < blocks; ++b) {
+    for (std::size_t i = 0; i < n; ++i) {
+      good[c.inputs()[i]] = exhaustive_input(i, b);
+    }
+    eval_good(good.data());
+    visit(b, mask, good.data());
+  }
+}
+
+template <typename Fault, typename Visit>
+void WideFaultSimulator::exhaustive_detect(const Fault& f,
+                                           Visit&& visit) const {
+  const Circuit& c = *circuit_;
+  check_reference(f);
+  std::vector<WideWord> faulty(c.num_nets());
+  std::vector<std::uint8_t> mark(c.num_nets(), 0);
+  Seeds seeds;
+  exhaustive_blocks([&](std::uint64_t b, const WideWord& mask,
+                        const WideWord* good) {
+    seeds.stems.clear();
+    seeds.pins.clear();
+    seed(f, good, seeds);
+    eval_faulty(seeds, good, faulty.data(), mark);
+    WideWord lanes{};
+    for (const NetId po : c.outputs()) {
+      for (std::size_t j = 0; j < kWideWords; ++j) {
+        lanes.w[j] |= good[po].w[j] ^ faulty[po].w[j];
+      }
+    }
+    for (std::size_t j = 0; j < kWideWords; ++j) lanes.w[j] &= mask.w[j];
+    visit(b, lanes);
+  });
+}
+
+template <typename Fault>
+double WideFaultSimulator::detectability(const Fault& f) const {
+  check_inputs(*circuit_, kMaxExhaustiveInputs);
+  std::uint64_t detected = 0;
+  exhaustive_detect(f, [&](std::uint64_t, const WideWord& lanes) {
+    for (const Word w : lanes.w) detected += std::popcount(w);
+  });
+  return static_cast<double>(detected) /
+         static_cast<double>(std::uint64_t{1} << circuit_->num_inputs());
+}
+
+template <typename Fault>
+std::vector<bool> WideFaultSimulator::test_set(const Fault& f) const {
+  check_inputs(*circuit_, kMaxTestSetInputs);
+  std::vector<bool> tests(std::uint64_t{1} << circuit_->num_inputs(), false);
+  exhaustive_detect(f, [&](std::uint64_t block, const WideWord& lanes) {
+    for (std::size_t j = 0; j < kWideWords; ++j) {
+      for (Word w = lanes.w[j]; w != 0; w &= w - 1) {
+        tests[block * kWideLanes + j * 64 +
+              static_cast<std::uint64_t>(std::countr_zero(w))] = true;
+      }
+    }
+  });
+  return tests;
+}
+
+double WideFaultSimulator::exhaustive_detectability(
+    const StuckAtFault& f) const {
+  return detectability(f);
+}
+double WideFaultSimulator::exhaustive_detectability(
+    const BridgingFault& f) const {
+  return detectability(f);
+}
+double WideFaultSimulator::exhaustive_detectability(
+    const MultipleStuckAtFault& f) const {
+  return detectability(f);
+}
+
+std::vector<bool> WideFaultSimulator::exhaustive_test_set(
+    const StuckAtFault& f) const {
+  return test_set(f);
+}
+std::vector<bool> WideFaultSimulator::exhaustive_test_set(
+    const BridgingFault& f) const {
+  return test_set(f);
+}
+std::vector<bool> WideFaultSimulator::exhaustive_test_set(
+    const MultipleStuckAtFault& f) const {
+  return test_set(f);
+}
+
+double WideFaultSimulator::exhaustive_syndrome(NetId net) const {
+  check_inputs(*circuit_, kMaxExhaustiveInputs);
+  std::uint64_t ones = 0;
+  exhaustive_blocks([&](std::uint64_t, const WideWord& mask,
+                        const WideWord* good) {
+    for (std::size_t j = 0; j < kWideWords; ++j) {
+      ones += std::popcount(good[net].w[j] & mask.w[j]);
+    }
+  });
+  return static_cast<double>(ones) /
+         static_cast<double>(std::uint64_t{1} << circuit_->num_inputs());
+}
+
+std::vector<std::vector<bool>> WideFaultSimulator::po_values(
+    const std::vector<std::vector<bool>>& vectors,
+    const std::optional<StuckAtFault>& fault) const {
+  const Circuit& c = *circuit_;
+  const auto& pis = c.inputs();
+  for (const auto& vec : vectors) {
+    if (vec.size() != pis.size()) {
+      throw std::invalid_argument("po_values: vector width != #PIs");
+    }
+  }
+  if (fault) check_reference(*fault);
+  std::vector<WideWord> good(c.num_nets());
+  std::vector<WideWord> faulty(c.num_nets());
+  std::vector<std::uint8_t> mark(c.num_nets(), 0);
+  Seeds seeds;
+  std::vector<std::vector<bool>> out;
+  out.reserve(vectors.size());
+  for (std::size_t base = 0; base < vectors.size(); base += kWideLanes) {
+    const std::size_t lanes = std::min(kWideLanes, vectors.size() - base);
+    for (const NetId pi : pis) good[pi] = WideWord{};
+    for (std::size_t l = 0; l < lanes; ++l) {
+      for (std::size_t i = 0; i < pis.size(); ++i) {
+        if (vectors[base + l][i]) {
+          good[pis[i]].w[l / 64] |= Word{1} << (l % 64);
+        }
+      }
+    }
+    eval_good(good.data());
+    const WideWord* values = good.data();
+    if (fault) {
+      seeds.stems.clear();
+      seeds.pins.clear();
+      seed(*fault, values, seeds);
+      eval_faulty(seeds, values, faulty.data(), mark);
+      values = faulty.data();
+    }
+    for (std::size_t l = 0; l < lanes; ++l) {
+      std::vector<bool>& po = out.emplace_back(c.num_outputs());
+      for (std::size_t p = 0; p < po.size(); ++p) {
+        po[p] = (values[c.outputs()[p]].w[l / 64] >> (l % 64)) & 1u;
+      }
+    }
+  }
+  return out;
+}
+
 std::size_t WideFaultSimulator::Grade::detected() const {
   std::size_t n = 0;
   for (const std::uint64_t count : detection_counts) n += count > 0;

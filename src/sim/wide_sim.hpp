@@ -1,12 +1,14 @@
-// Levelized, wide bit-parallel stuck-at fault simulation.
+// Levelized, wide bit-parallel fault simulation.
 //
-// Where PatternSimulator re-evaluates the whole circuit once per fault per
-// 64-pattern block, this engine simulates 256 patterns per block (four
-// 64-bit words, plain loops the compiler auto-vectorizes) and grades the
-// faults one fanout-free region (FFR) at a time. Each good-circuit block
-// is evaluated once over a flattened levelized schedule. An FFR is a tree
-// of single-fanout nets that meets the rest of the circuit only at its
-// root (a net whose fanout count is not 1, or a PO).
+// The engine simulates 256 patterns per block (four 64-bit words, plain
+// loops the compiler auto-vectorizes) over a flattened levelized
+// schedule, and has two uses.
+//
+// Test-set grading of stuck-at faults evaluates each good-circuit block
+// once and grades the faults one fanout-free region (FFR) at a time,
+// instead of re-evaluating the whole faulty circuit per fault per block.
+// An FFR is a tree of single-fanout nets that meets the rest of the
+// circuit only at its root (a net whose fanout count is not 1, or a PO).
 //
 // Grading a block has two phases. Phase A gives every region root (stem)
 // an observability word: the lanes on which flipping the root flips some
@@ -27,19 +29,37 @@
 // to sit in front of exact DP (see analysis/hybrid.hpp). Blocks are
 // independent in phase A and regions in phase B, so WideSimOptions::jobs
 // threads share them with bit-identical results.
+//
+// The exhaustive reference is the ground truth Difference Propagation is
+// checked against (the paper's "exhaustive simulation" baseline): for
+// every block of the 2^n input vectors it evaluates the good circuit,
+// then re-evaluates the whole faulty circuit forward with the fault's
+// seeds injected, and compares the POs. Every fault type is injected the
+// one way: as stems forced to a value and gate fanin pins overridden. It
+// reads no region, post-dominator or observability, so it shares nothing
+// with the grader above, or with DP, but the gate evaluator.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
+#include "fault/bridging.hpp"
+#include "fault/multiple.hpp"
 #include "fault/stuck_at.hpp"
+#include "netlist/circuit.hpp"
 #include "netlist/regions.hpp"
-#include "sim/pattern_sim.hpp"
 
 namespace dp::sim {
 
+using fault::BridgingFault;
+using fault::MultipleStuckAtFault;
 using fault::StuckAtFault;
+using netlist::Circuit;
+using netlist::NetId;
+
+using Word = std::uint64_t;
 
 inline constexpr std::size_t kWideWords = 4;
 /// Patterns per simulation block.
@@ -122,6 +142,36 @@ class WideFaultSimulator {
   std::vector<std::vector<bool>> random_patterns(std::size_t num_patterns,
                                                  std::uint64_t seed) const;
 
+  // ---- exhaustive reference (exact, 2^n sweep) ---------------------------
+  // Block b holds input vectors b*256 .. b*256+255; vector v gives PI i
+  // the bit (v >> i) & 1. A feedback bridge throws std::logic_error, and a
+  // fault naming a net, gate or pin the circuit lacks throws NetlistError.
+
+  /// Most inputs an exhaustive sweep accepts.
+  static constexpr std::size_t kMaxExhaustiveInputs = 26;
+  /// Most inputs exhaustive_test_set accepts (its bitmap has 2^n entries).
+  static constexpr std::size_t kMaxTestSetInputs = 24;
+
+  double exhaustive_detectability(const StuckAtFault& f) const;
+  double exhaustive_detectability(const BridgingFault& f) const;
+  double exhaustive_detectability(const MultipleStuckAtFault& f) const;
+
+  /// Complete test set as a bitmap over input vectors (index = packed PI
+  /// assignment, PI 0 = LSB).
+  std::vector<bool> exhaustive_test_set(const StuckAtFault& f) const;
+  std::vector<bool> exhaustive_test_set(const BridgingFault& f) const;
+  std::vector<bool> exhaustive_test_set(const MultipleStuckAtFault& f) const;
+
+  /// Exact signal probability of a net: fraction of inputs setting it to 1.
+  double exhaustive_syndrome(NetId net) const;
+
+  /// The PO values (indexed by PO position) under each of `vectors`
+  /// (indexed by PI position): of the good circuit, or with `fault`
+  /// injected.
+  std::vector<std::vector<bool>> po_values(
+      const std::vector<std::vector<bool>>& vectors,
+      const std::optional<StuckAtFault>& fault = std::nullopt) const;
+
  private:
   /// One flattened schedule entry: a non-PI net and its fanin slice.
   struct GateRef {
@@ -197,6 +247,65 @@ class WideFaultSimulator {
   /// Evaluates one schedule entry; `fanin_value(k)` supplies fanin k.
   template <typename FaninValue>
   static WideWord eval_entry(const GateRef& g, FaninValue&& fanin_value);
+
+  /// A fault as the values it forces in one block: stems forced to a
+  /// word, and fanin pins of gates overridden. The one injection form of
+  /// the exhaustive reference.
+  struct Seeds {
+    struct Stem {
+      NetId net;
+      WideWord value;
+    };
+    struct Pin {
+      NetId gate;
+      std::uint32_t pin;
+      WideWord value;
+    };
+    std::vector<Stem> stems;
+    std::vector<Pin> pins;
+  };
+
+  /// Validates a fault for the reference (check_fault for each stuck-at
+  /// line; a bridge's wires exist and neither reaches the other).
+  void check_reference(const StuckAtFault& f) const { check_fault(f); }
+  void check_reference(const MultipleStuckAtFault& f) const;
+  void check_reference(const BridgingFault& f) const;
+
+  /// Appends the fault's seeds for the block whose good values are `good`:
+  /// a stuck-at stem is one forced stem and a stuck-at branch one pin
+  /// override, a multiple fault the list of its lines', and a bridge both
+  /// wires forced to AND/OR of their good values. (Neither wire of a
+  /// non-feedback bridge reaches the other, so neither driven value can
+  /// change.)
+  void seed(const StuckAtFault& f, const WideWord* good, Seeds& s) const;
+  void seed(const MultipleStuckAtFault& f, const WideWord* good,
+            Seeds& s) const;
+  void seed(const BridgingFault& f, const WideWord* good, Seeds& s) const;
+
+  /// Evaluates every gate of `values`, whose PI slots are loaded.
+  void eval_good(WideWord* values) const;
+
+  /// Re-evaluates the whole circuit with `s` injected, from the PI values
+  /// of `good`, into `faulty`. `mark` is per-net scratch, all zero on
+  /// entry and on exit.
+  void eval_faulty(const Seeds& s, const WideWord* good, WideWord* faulty,
+                   std::vector<std::uint8_t>& mark) const;
+
+  /// Calls visit(block, mask, good) for every block of the 2^n sweep,
+  /// with `mask` its valid lanes and `good` its good values (indexed by
+  /// net).
+  template <typename Visit>
+  void exhaustive_blocks(Visit&& visit) const;
+
+  /// Calls visit(block, lanes) for every block of the 2^n sweep, with
+  /// `lanes` the valid lanes on which `f` flips some PO.
+  template <typename Fault, typename Visit>
+  void exhaustive_detect(const Fault& f, Visit&& visit) const;
+
+  template <typename Fault>
+  double detectability(const Fault& f) const;
+  template <typename Fault>
+  std::vector<bool> test_set(const Fault& f) const;
 
   template <typename LoadBlock>
   Grade run(const std::vector<StuckAtFault>& faults, std::size_t num_patterns,

@@ -17,7 +17,6 @@
 #include "dp/symbolic_sim.hpp"
 #include "fault/multiple.hpp"
 #include "netlist/structure.hpp"
-#include "sim/fault_sim.hpp"
 #include "sim/wide_sim.hpp"
 #include "store/artifact_store.hpp"
 
@@ -107,7 +106,7 @@ DpView make_view(const core::FaultAnalysis& a, bool* mutate_pending,
 template <typename Fault>
 void check_fault(const Fault& f, bool* mutate_pending, const FuzzCase& fc,
                  const core::DifferencePropagator& dp,
-                 const sim::FaultSimulator& fs, Mutation mutate,
+                 const sim::WideFaultSimulator& wide, Mutation mutate,
                  Recorder& rec, OracleResult& result,
                  core::FaultAnalysis& serial_out) {
   const std::string what = describe(f, fc.circuit);
@@ -115,11 +114,11 @@ void check_fault(const Fault& f, bool* mutate_pending, const FuzzCase& fc,
   const std::size_t n = fc.circuit.num_inputs();
   const DpView view = make_view(serial_out, mutate_pending, mutate, n);
 
-  const double sim_det = fs.exhaustive_detectability(f);
+  const double sim_det = wide.exhaustive_detectability(f);
   rec.expect_eq("dp_vs_sim.detectability", what, sim_det, view.detectability);
   rec.expect_eq("dp_vs_sim.detectable", what, sim_det > 0.0, view.detectable);
 
-  const auto bitmap = fs.exhaustive_test_set(f);
+  const auto bitmap = wide.exhaustive_test_set(f);
   for (std::uint64_t v = 0; v < bitmap.size(); ++v) {
     std::vector<bool> point(n);
     for (std::size_t i = 0; i < n; ++i) point[i] = (v >> i) & 1;
@@ -292,7 +291,7 @@ OracleResult run_oracles(const FuzzCase& fc, const OracleConfig& config) {
         core::Observabilities::wires_of(fc.bridges);
     const core::Observabilities layer(shared, structure, wires);
     const core::AdoptedPropagator bridged(layer, structure);
-    const sim::FaultSimulator fs(fc.circuit);
+    const sim::WideFaultSimulator wide(fc.circuit);
     const std::size_t n = fc.circuit.num_inputs();
 
     // ---- syndromes (every net, exact) ----------------------------------
@@ -306,7 +305,7 @@ OracleResult run_oracles(const FuzzCase& fc, const OracleConfig& config) {
         dp_syn += std::ldexp(1.0, -static_cast<int>(n));
       }
       rec.expect_eq("dp_vs_sim.syndrome", fc.circuit.net_name(id),
-                    fs.exhaustive_syndrome(id), dp_syn);
+                    wide.exhaustive_syndrome(id), dp_syn);
     }
 
     // ---- serial DP vs exhaustive simulation ----------------------------
@@ -315,11 +314,11 @@ OracleResult run_oracles(const FuzzCase& fc, const OracleConfig& config) {
     bool mutate_pending = config.mutate == Mutation::InflateDetectability ||
                           config.mutate == Mutation::DropTestVector;
     for (std::size_t i = 0; i < fc.sa_faults.size(); ++i) {
-      check_fault(fc.sa_faults[i], &mutate_pending, fc, dp, fs,
+      check_fault(fc.sa_faults[i], &mutate_pending, fc, dp, wide,
                   config.mutate, rec, result, serial_sa[i]);
     }
     for (std::size_t i = 0; i < fc.bridges.size(); ++i) {
-      check_fault(fc.bridges[i], &mutate_pending, fc, bridged.propagator, fs,
+      check_fault(fc.bridges[i], &mutate_pending, fc, bridged.propagator, wide,
                   config.mutate, rec, result, serial_br[i]);
     }
     const core::SymbolicFaultSimulator symbolic(bridged.good, structure);
@@ -339,7 +338,7 @@ OracleResult run_oracles(const FuzzCase& fc, const OracleConfig& config) {
       core::FaultAnalysis analysis;
       for (const fault::MultipleStuckAtFault& mf :
            fault::sample_multiple_faults(fc.circuit, multiplicity, 2, seed)) {
-        check_fault(mf, &mutate_pending, fc, dp, fs, config.mutate, rec,
+        check_fault(mf, &mutate_pending, fc, dp, wide, config.mutate, rec,
                     result, analysis);
       }
     }
@@ -380,7 +379,6 @@ OracleResult run_oracles(const FuzzCase& fc, const OracleConfig& config) {
       }
       // The prefilter graded on config.jobs threads; a serial grade of the
       // same stream must repeat its counts exactly.
-      const sim::WideFaultSimulator wide(fc.circuit);
       const auto serial_grade = wide.grade_random(
           fc.sa_faults, hybrid_options.prefilter_patterns,
           hybrid_options.prefilter_seed);
@@ -428,7 +426,8 @@ OracleResult run_oracles(const FuzzCase& fc, const OracleConfig& config) {
       exhaustive.jobs = config.jobs;
       const auto all = wide.grade_vectors(fc.sa_faults, vectors, exhaustive);
       for (std::size_t i = 0; i < fc.sa_faults.size(); ++i) {
-        const std::vector<bool> tests = fs.exhaustive_test_set(fc.sa_faults[i]);
+        const std::vector<bool> tests =
+            wide.exhaustive_test_set(fc.sa_faults[i]);
         const auto first = std::find(tests.begin(), tests.end(), true);
         const std::string what = describe(fc.sa_faults[i], fc.circuit);
         rec.expect_eq("hybrid.exhaustive_count", what,
@@ -491,7 +490,6 @@ OracleResult run_oracles(const FuzzCase& fc, const OracleConfig& config) {
         counts[0] += 1;
       }
 
-      const sim::WideFaultSimulator wide(fc.circuit);
       sim::WideFaultSimulator::Options wopt;
       wopt.drop_detected = false;
       const auto grade = wide.grade_vectors(fc.sa_faults, vectors, wopt);

@@ -3,8 +3,11 @@
 // For one FuzzCase, every engine in the repo is run against every other
 // engine that must agree with it bit-for-bit:
 //
-//   dp_vs_sim    serial DifferencePropagator vs the exhaustive 64-way
-//                fault simulator: syndromes per net, detectability /
+//   dp_vs_sim    serial DifferencePropagator vs the wide fault
+//                simulator's exhaustive reference (a forward re-evaluation
+//                of the faulty circuit per 256-vector block, sharing no
+//                region or observability structure with DP or the
+//                grader): syndromes per net, detectability /
 //                detectable flag per fault, and full complete-test-set
 //                membership over all 2^n input vectors -- for the case's
 //                stuck-at and bridging faults plus two 2-line and two

@@ -20,7 +20,7 @@
 #include "netlist/generators.hpp"
 #include "netlist/layout.hpp"
 #include "netlist/regions.hpp"
-#include "sim/fault_sim.hpp"
+#include "sim/wide_sim.hpp"
 
 namespace dp::core {
 namespace {
@@ -105,7 +105,7 @@ struct Rig {
   const GoodFunctions& good;
   const DifferencePropagator& dp;
   SymbolicFaultSimulator symbolic;
-  sim::FaultSimulator fs;
+  sim::WideFaultSimulator fs;
 };
 
 TEST(BridgeObservabilityTest, WireThatIsAPoWithFanout) {

@@ -6,7 +6,7 @@
 #include "analysis/diagnosis.hpp"
 #include "netlist/generators.hpp"
 #include "netlist/structure.hpp"
-#include "sim/fault_sim.hpp"
+#include "sim/wide_sim.hpp"
 
 namespace dp::analysis {
 namespace {
@@ -26,21 +26,13 @@ struct Rig {
   /// Observed failing-PO signatures of `f` on `vectors`, via simulation.
   std::vector<PoSignature> observe(const StuckAtFault& f,
                                    const std::vector<std::vector<bool>>& vs) {
+    const auto good_pos = fs.po_values(vs);
+    const auto bad_pos = fs.po_values(vs, f);
     std::vector<PoSignature> out;
-    for (const auto& v : vs) {
-      std::vector<sim::Word> goodv(circuit.num_nets(), 0);
-      std::vector<sim::Word> badv(circuit.num_nets(), 0);
-      for (std::size_t i = 0; i < v.size(); ++i) {
-        goodv[circuit.inputs()[i]] = badv[circuit.inputs()[i]] =
-            v[i] ? ~sim::Word{0} : 0;
-      }
-      fs.good_values(goodv);
-      fs.faulty_values(badv, f);
+    for (std::size_t k = 0; k < vs.size(); ++k) {
       PoSignature sig = 0;
       for (std::size_t p = 0; p < circuit.num_outputs(); ++p) {
-        if ((goodv[circuit.outputs()[p]] ^ badv[circuit.outputs()[p]]) & 1) {
-          sig |= PoSignature{1} << p;
-        }
+        if (good_pos[k][p] != bad_pos[k][p]) sig |= PoSignature{1} << p;
       }
       out.push_back(sig);
     }
@@ -60,7 +52,7 @@ struct Rig {
   bdd::Manager manager;
   core::GoodFunctions good;
   core::DifferencePropagator engine;
-  sim::FaultSimulator fs;
+  sim::WideFaultSimulator fs;
 };
 
 std::vector<std::vector<bool>> exhaustive_vectors(std::size_t n) {

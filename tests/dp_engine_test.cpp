@@ -9,7 +9,7 @@
 #include "dp/engine.hpp"
 #include "dp/observabilities.hpp"
 #include "netlist/generators.hpp"
-#include "sim/fault_sim.hpp"
+#include "sim/wide_sim.hpp"
 
 namespace dp::core {
 namespace {
@@ -41,7 +41,7 @@ struct Rig {
   AdoptedPropagator stack;
   const GoodFunctions& good;
   const DifferencePropagator& dp;
-  sim::FaultSimulator fs;
+  sim::WideFaultSimulator fs;
 
   /// Compares DP's symbolic test set with the simulator's bitmap.
   template <typename Fault>

@@ -57,7 +57,9 @@ TEST_P(SuiteInvariantsTest, BridgingProfileInvariants) {
       // fault, but the flag must be consistent with the bound: if the
       // wires never disagree the bridge cannot be stuck-at-like unless
       // both wires are constants themselves.
-      if (f.upper_bound == 0.0) EXPECT_EQ(f.detectability, 0.0);
+      if (f.upper_bound == 0.0) {
+        EXPECT_EQ(f.detectability, 0.0);
+      }
     }
   }
 }

@@ -6,7 +6,7 @@
 #include "fault/multiple.hpp"
 #include "netlist/generators.hpp"
 #include "netlist/structure.hpp"
-#include "sim/fault_sim.hpp"
+#include "sim/wide_sim.hpp"
 
 namespace dp {
 namespace {
@@ -51,7 +51,7 @@ TEST_P(MultipleFaultDpTest, DpMatchesExhaustiveSimulation) {
   bdd::Manager mgr(0);
   core::GoodFunctions good(mgr, c);
   core::DifferencePropagator dp(good, st);
-  sim::FaultSimulator fs(c);
+  const sim::WideFaultSimulator fs(c);
 
   for (std::size_t multiplicity : {2u, 3u}) {
     const auto faults =

@@ -12,14 +12,13 @@
 #include "analysis/ndetect.hpp"
 #include "fault/stuck_at.hpp"
 #include "netlist/generators.hpp"
-#include "sim/fault_sim.hpp"
 #include "sim/wide_sim.hpp"
 
 namespace dp {
 namespace {
 
 /// All 2^n input vectors, index = packed PI assignment (PI 0 = LSB) --
-/// the same packing FaultSimulator::exhaustive_test_set uses.
+/// the same packing WideFaultSimulator::exhaustive_test_set uses.
 std::vector<std::vector<bool>> all_vectors(std::size_t num_inputs) {
   std::vector<std::vector<bool>> out;
   const std::uint64_t limit = 1ull << num_inputs;
@@ -80,7 +79,7 @@ void expect_counts_match_brute_force(const netlist::Circuit& circuit,
   const auto faults = fault::collapse_checkpoint_faults(circuit);
   analysis::NDetectAnalyzer analyzer(circuit, faults);
   const auto counts = analyzer.detection_counts(vectors);
-  const sim::FaultSimulator fs(circuit);
+  const sim::WideFaultSimulator fs(circuit);
   ASSERT_EQ(counts.size(), faults.size());
   for (std::size_t i = 0; i < faults.size(); ++i) {
     const auto bitmap = fs.exhaustive_test_set(faults[i]);
@@ -137,7 +136,7 @@ TEST(NDetectTest, TopUpReachesQuotaForEveryDetectableFault) {
       std::vector<std::vector<bool>> vectors;
       analyzer.top_up(vectors, n);
       const auto counts = analyzer.detection_counts(vectors);
-      const sim::FaultSimulator fs(c);
+      const sim::WideFaultSimulator fs(c);
       for (std::size_t i = 0; i < faults.size(); ++i) {
         // >= not ==: a vector minted for one fault legitimately detects
         // others too (that sharing is why greedy top-up stays compact).

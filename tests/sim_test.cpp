@@ -1,5 +1,6 @@
-// Simulator tests: lane packing, stuck-at and bridging injection semantics,
-// exhaustive sweeps, vector grading, ragged-block lane masking.
+// Simulator tests: the gate evaluator, stuck-at, bridging and multiple
+// fault injection in the exhaustive reference, exhaustive sweeps, vector
+// grading, ragged-block lane masking.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +14,6 @@
 #include "netlist/generators.hpp"
 #include "netlist/structure.hpp"
 #include "obs/span.hpp"
-#include "sim/fault_sim.hpp"
 #include "sim/wide_sim.hpp"
 
 namespace dp::sim {
@@ -25,116 +25,215 @@ using netlist::Circuit;
 using netlist::GateType;
 using netlist::NetId;
 
-/// Whether vector `v` detects `f`, by FaultSimulator's one-block
-/// injection: an engine independent of WideFaultSimulator's grading.
-bool detects(const FaultSimulator& fs, const StuckAtFault& f,
-             const std::vector<bool>& v) {
-  const Circuit& c = fs.circuit();
-  std::vector<Word> good(c.num_nets(), 0), bad(c.num_nets(), 0);
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    good[c.inputs()[i]] = bad[c.inputs()[i]] = v[i] ? ~Word{0} : 0;
+/// Every input vector of `c`; vector v gives PI i the bit (v >> i) & 1,
+/// the index order of WideFaultSimulator::exhaustive_test_set.
+std::vector<std::vector<bool>> all_vectors(const Circuit& c) {
+  const std::size_t n = c.num_inputs();
+  std::vector<std::vector<bool>> vectors(std::size_t{1} << n,
+                                         std::vector<bool>(n));
+  for (std::size_t v = 0; v < vectors.size(); ++v) {
+    for (std::size_t i = 0; i < n; ++i) vectors[v][i] = (v >> i) & 1;
   }
-  fs.good_values(good);
-  fs.faulty_values(bad, f);
-  return fs.detect_lanes(good, bad) & 1;
+  return vectors;
+}
+
+/// Per vector: whether it detects `f`, by the exhaustive reference's
+/// forward re-evaluation of the faulty circuit -- an injection path
+/// independent of the region grading.
+std::vector<bool> detects(const WideFaultSimulator& wide,
+                          const StuckAtFault& f,
+                          const std::vector<std::vector<bool>>& vectors) {
+  const auto good = wide.po_values(vectors);
+  const auto bad = wide.po_values(vectors, f);
+  std::vector<bool> out(vectors.size());
+  for (std::size_t k = 0; k < vectors.size(); ++k) out[k] = good[k] != bad[k];
+  return out;
+}
+
+/// One PO per input: PO i buffers PI i.
+Circuit make_buffers(std::size_t n) {
+  Circuit c("buffers" + std::to_string(n));
+  for (std::size_t i = 0; i < n; ++i) {
+    const NetId pi = c.add_input("x" + std::to_string(i));
+    c.mark_output(c.add_gate(GateType::Buf, {pi}, "o" + std::to_string(i)));
+  }
+  c.finalize();
+  return c;
 }
 
 TEST(PatternSimTest, ExhaustiveInputWordsEnumerateAllVectors) {
-  // Block 0, 6 PIs: lane L must encode vector number L.
-  for (std::size_t pi = 0; pi < 6; ++pi) {
-    const Word w = PatternSimulator::exhaustive_input_word(pi, 0);
-    for (std::uint64_t lane = 0; lane < 64; ++lane) {
-      EXPECT_EQ((w >> lane) & 1, (lane >> pi) & 1);
+  // Ten PIs span every packing regime: bits 0..5 of the vector number
+  // vary within a word, bits 6..7 across a block's words and bits 8..9
+  // across blocks. A stuck-at-0 on PI i is detected exactly by the
+  // vectors with bit i set, so its test set spells out the packing.
+  const Circuit c = make_buffers(10);
+  const WideFaultSimulator wide(c);
+  for (std::size_t i = 0; i < c.num_inputs(); ++i) {
+    const auto tests =
+        wide.exhaustive_test_set({c.inputs()[i], std::nullopt, false});
+    ASSERT_EQ(tests.size(), 1024u);
+    for (std::size_t v = 0; v < tests.size(); ++v) {
+      ASSERT_EQ(tests[v], ((v >> i) & 1) != 0)
+          << "PI " << i << " vector " << v;
     }
+    EXPECT_DOUBLE_EQ(wide.exhaustive_syndrome(c.inputs()[i]), 0.5);
   }
-  // PI >= 6 is constant per block, driven by the block number.
-  EXPECT_EQ(PatternSimulator::exhaustive_input_word(6, 0), 0u);
-  EXPECT_EQ(PatternSimulator::exhaustive_input_word(6, 1), ~Word{0});
-  EXPECT_EQ(PatternSimulator::exhaustive_input_word(7, 2), ~Word{0});
-  EXPECT_EQ(PatternSimulator::exhaustive_input_word(7, 1), 0u);
 }
 
 TEST(PatternSimTest, BlockMaskCoversSmallCircuits) {
-  EXPECT_EQ(PatternSimulator::block_mask(0, 3), 0xffu);
-  EXPECT_EQ(PatternSimulator::block_mask(0, 6), ~Word{0});
-  EXPECT_EQ(PatternSimulator::block_mask(5, 20), ~Word{0});
+  // Fewer than 8 inputs leave a partial 256-lane block whose upper lanes
+  // replicate vectors; a buffered PI is detected by exactly half the
+  // vectors at every width, a full block and two blocks included.
+  for (std::size_t n = 1; n <= 9; ++n) {
+    const Circuit c = make_buffers(n);
+    const WideFaultSimulator wide(c);
+    const StuckAtFault f{c.inputs()[n - 1], std::nullopt, true};
+    EXPECT_DOUBLE_EQ(wide.exhaustive_detectability(f), 0.5) << "n = " << n;
+    EXPECT_DOUBLE_EQ(wide.exhaustive_syndrome(c.outputs()[0]), 0.5)
+        << "n = " << n;
+    EXPECT_EQ(wide.exhaustive_test_set(f).size(), std::size_t{1} << n);
+  }
+}
+
+/// The value of an n-input gate of type `t` on `ins`.
+bool truth(GateType t, const std::vector<bool>& ins) {
+  bool and_v = true, or_v = false, xor_v = false;
+  for (const bool b : ins) {
+    and_v = and_v && b;
+    or_v = or_v || b;
+    xor_v = xor_v != b;
+  }
+  switch (t) {
+    case GateType::Buf: return ins[0];
+    case GateType::Not: return !ins[0];
+    case GateType::And: return and_v;
+    case GateType::Nand: return !and_v;
+    case GateType::Or: return or_v;
+    case GateType::Nor: return !or_v;
+    case GateType::Xor: return xor_v;
+    case GateType::Xnor: return !xor_v;
+    case GateType::Const0: return false;
+    case GateType::Const1: return true;
+    default: ADD_FAILURE() << "no truth table"; return false;
+  }
 }
 
 TEST(PatternSimTest, GateEvaluationMatchesTruthTables) {
+  // The grader and the exhaustive reference share one gate evaluator;
+  // check it directly: every gate type, 1-3 fanins, and the same net on
+  // two pins, over every input vector.
   Circuit c("gates");
-  NetId a = c.add_input("a");
-  NetId b = c.add_input("b");
-  std::vector<std::pair<GateType, Word>> expect = {
-      {GateType::And, 0x8}, {GateType::Nand, 0x7}, {GateType::Or, 0xe},
-      {GateType::Nor, 0x1}, {GateType::Xor, 0x6},  {GateType::Xnor, 0x9}};
-  std::vector<NetId> outs;
-  for (auto& [t, tt] : expect) {
-    outs.push_back(c.add_gate(t, {a, b}, std::string(netlist::to_string(t))));
-    c.mark_output(outs.back());
+  const NetId a = c.add_input("a");
+  const NetId b = c.add_input("b");
+  const NetId d = c.add_input("d");
+  const std::vector<std::vector<NetId>> pin_lists = {
+      {a}, {a, b}, {a, b, d}, {a, a}, {a, a, b}, {b, a, a}};
+  // (type, pins) per PO, in PO order.
+  std::vector<std::pair<GateType, std::vector<NetId>>> gates;
+  for (const GateType t : {GateType::Buf, GateType::Not}) {
+    gates.push_back({t, {a}});
   }
+  for (const GateType t : {GateType::And, GateType::Nand, GateType::Or,
+                           GateType::Nor, GateType::Xor, GateType::Xnor}) {
+    for (const auto& pins : pin_lists) gates.push_back({t, pins});
+  }
+  for (const auto& [t, pins] : gates) {
+    c.mark_output(c.add_gate(t, pins, "g" + std::to_string(c.num_nets())));
+  }
+  gates.push_back({GateType::Const0, {}});
+  c.mark_output(c.add_const(false, "k0"));
+  gates.push_back({GateType::Const1, {}});
+  c.mark_output(c.add_const(true, "k1"));
   c.finalize();
-  PatternSimulator ps(c);
-  std::vector<Word> values(c.num_nets());
-  values[a] = PatternSimulator::exhaustive_input_word(0, 0);
-  values[b] = PatternSimulator::exhaustive_input_word(1, 0);
-  ps.eval(values);
-  for (std::size_t i = 0; i < expect.size(); ++i) {
-    EXPECT_EQ(values[outs[i]] & 0xf, expect[i].second)
-        << netlist::to_string(expect[i].first);
+
+  const WideFaultSimulator wide(c);
+  const auto vectors = all_vectors(c);
+  const auto pos = wide.po_values(vectors);
+  for (std::size_t v = 0; v < vectors.size(); ++v) {
+    for (std::size_t p = 0; p < gates.size(); ++p) {
+      std::vector<bool> ins;
+      for (const NetId pin : gates[p].second) {
+        ins.push_back(vectors[v][pin == a ? 0 : pin == b ? 1 : 2]);
+      }
+      EXPECT_EQ(pos[v][p], truth(gates[p].first, ins))
+          << netlist::to_string(gates[p].first) << " with "
+          << gates[p].second.size() << " pins, vector " << v;
+    }
   }
+}
+
+/// a, b -> s = AND(a, b), a PO, also fanning out to POs g = NOT(s) and
+/// h = BUF(s).
+Circuit make_stem() {
+  Circuit c("stem");
+  const NetId a = c.add_input("a");
+  const NetId b = c.add_input("b");
+  const NetId s = c.add_gate(GateType::And, {a, b}, "s");
+  c.mark_output(s);
+  c.mark_output(c.add_gate(GateType::Not, {s}, "g"));
+  c.mark_output(c.add_gate(GateType::Buf, {s}, "h"));
+  c.finalize();
+  return c;
 }
 
 TEST(FaultSimTest, StemStuckAtForcesNet) {
-  Circuit c = netlist::make_c17();
-  FaultSimulator fs(c);
-  const NetId n16 = *c.find_net("16");
-  StuckAtFault f{n16, std::nullopt, true};
-  std::vector<Word> values(c.num_nets());
-  for (std::size_t i = 0; i < c.num_inputs(); ++i) {
-    values[c.inputs()[i]] = PatternSimulator::exhaustive_input_word(i, 0);
+  const Circuit c = make_stem();
+  const WideFaultSimulator wide(c);
+  const StuckAtFault f{*c.find_net("s"), std::nullopt, true};
+  // Every branch of the stem sees the forced 1.
+  for (const auto& pos : wide.po_values(all_vectors(c), f)) {
+    EXPECT_EQ(pos, (std::vector<bool>{true, false, true}));
   }
-  fs.faulty_values(values, f);
-  EXPECT_EQ(values[n16], ~Word{0});
 }
 
 TEST(FaultSimTest, BranchStuckAtLeavesStemClean) {
-  Circuit c = netlist::make_c17();
-  FaultSimulator fs(c);
-  const NetId n11 = *c.find_net("11");
-  const NetId n16 = *c.find_net("16");
-  // Branch 11->16 stuck at 1: net 11 keeps its good value, gate 16 sees 1.
-  StuckAtFault f{n11, netlist::PinRef{n16, 1}, true};
-  std::vector<Word> good(c.num_nets()), bad(c.num_nets());
-  for (std::size_t i = 0; i < c.num_inputs(); ++i) {
-    good[c.inputs()[i]] = bad[c.inputs()[i]] =
-        PatternSimulator::exhaustive_input_word(i, 0);
+  const Circuit c = make_stem();
+  const WideFaultSimulator wide(c);
+  const NetId s = *c.find_net("s");
+  const NetId g = *c.find_net("g");
+  // Branch s->g stuck at 1: s and the other branch keep their good
+  // values, and g = NOT(1).
+  const StuckAtFault f{s, netlist::PinRef{g, 0}, true};
+  const auto vectors = all_vectors(c);
+  const auto good = wide.po_values(vectors);
+  const auto bad = wide.po_values(vectors, f);
+  for (std::size_t v = 0; v < vectors.size(); ++v) {
+    EXPECT_EQ(bad[v][0], good[v][0]) << v;  // stem unaffected
+    EXPECT_EQ(bad[v][2], good[v][2]) << v;  // other branch unaffected
+    EXPECT_FALSE(bad[v][1]) << v;
   }
-  fs.good_values(good);
-  fs.faulty_values(bad, f);
-  EXPECT_EQ(bad[n11], good[n11]);  // stem unaffected
-  // Gate 19 also reads net 11 and must be unaffected.
-  EXPECT_EQ(bad[*c.find_net("19")], good[*c.find_net("19")]);
-  // Gate 16 = NAND(2, forced 1) == NOT(2).
-  const Word i2 = good[*c.find_net("2")];
-  EXPECT_EQ(bad[n16], ~i2);
 }
 
 TEST(FaultSimTest, AndBridgeWiresBothNets) {
-  Circuit c = netlist::make_c17();
-  FaultSimulator fs(c);
-  const NetId n10 = *c.find_net("10");
-  const NetId n19 = *c.find_net("19");
-  BridgingFault f{std::min(n10, n19), std::max(n10, n19),
-                  fault::BridgeType::And};
-  std::vector<Word> good(c.num_nets()), bad(c.num_nets());
-  for (std::size_t i = 0; i < c.num_inputs(); ++i) {
-    good[c.inputs()[i]] = bad[c.inputs()[i]] =
-        PatternSimulator::exhaustive_input_word(i, 0);
+  // x = NAND(a, b) and y = NOR(b, e) are POs, and z = NOT(x) consumes
+  // one of them: under an AND bridge both POs read x & y and z reads
+  // NOT(x & y).
+  Circuit c("bridge");
+  const NetId a = c.add_input("a");
+  const NetId b = c.add_input("b");
+  const NetId e = c.add_input("e");
+  const NetId x = c.add_gate(GateType::Nand, {a, b}, "x");
+  const NetId y = c.add_gate(GateType::Nor, {b, e}, "y");
+  c.mark_output(x);
+  c.mark_output(y);
+  c.mark_output(c.add_gate(GateType::Not, {x}, "z"));
+  c.finalize();
+  const WideFaultSimulator wide(c);
+  const auto vectors = all_vectors(c);
+  const auto good = wide.po_values(vectors);
+  const BridgingFault f{x, y, fault::BridgeType::And};
+  std::size_t detecting = 0;
+  for (std::size_t v = 0; v < vectors.size(); ++v) {
+    const bool wired = good[v][0] && good[v][1];
+    const std::vector<bool> expect = {wired, wired, !wired};
+    detecting += expect != good[v];
   }
-  fs.good_values(good);
-  fs.faulty_values(bad, f);
-  EXPECT_EQ(bad[n10], good[n10] & good[n19]);
-  EXPECT_EQ(bad[n19], good[n10] & good[n19]);
+  const auto tests = wide.exhaustive_test_set(f);
+  EXPECT_EQ(static_cast<std::size_t>(std::count(tests.begin(), tests.end(),
+                                                true)),
+            detecting);
+  EXPECT_DOUBLE_EQ(wide.exhaustive_detectability(f),
+                   static_cast<double>(detecting) / 8.0);
 }
 
 TEST(FaultSimTest, BridgeConsumersSeeWiredValue) {
@@ -148,15 +247,29 @@ TEST(FaultSimTest, BridgeConsumersSeeWiredValue) {
   c.mark_output(g);
   c.mark_output(h);
   c.finalize();
-  FaultSimulator fs(c);
-  BridgingFault f{a, b, fault::BridgeType::Or};
-  std::vector<Word> values(c.num_nets());
-  values[a] = 0b0011;  // lanes: a = 1 on lanes 0,1
-  values[b] = 0b0101;
-  fs.faulty_values(values, f);
-  const Word wired = 0b0111;
-  EXPECT_EQ(values[g] & 0xf, static_cast<Word>(~wired) & 0xf);
-  EXPECT_EQ(values[h] & 0xf, static_cast<Word>(~wired) & 0xf);
+  const WideFaultSimulator wide(c);
+  const BridgingFault f{a, b, fault::BridgeType::Or};
+  // Detected exactly where a != b: there the wired 1 flips one output.
+  EXPECT_EQ(wide.exhaustive_test_set(f),
+            (std::vector<bool>{false, true, true, false}));
+}
+
+TEST(FaultSimTest, FeedbackBridgeIsRejected) {
+  // b = NOT(a): a reaches b, so wiring them makes a loop the reference
+  // cannot evaluate forward.
+  Circuit c("feedback");
+  const NetId a = c.add_input("a");
+  const NetId n = c.add_gate(GateType::Not, {a}, "n");
+  const NetId o = c.add_gate(GateType::Buf, {n}, "o");
+  c.mark_output(o);
+  c.finalize();
+  const WideFaultSimulator wide(c);
+  for (const BridgingFault& f : {BridgingFault{a, o, fault::BridgeType::And},
+                                 BridgingFault{o, a, fault::BridgeType::Or},
+                                 BridgingFault{n, o, fault::BridgeType::Or}}) {
+    EXPECT_THROW((void)wide.exhaustive_detectability(f), std::logic_error);
+    EXPECT_THROW((void)wide.exhaustive_test_set(f), std::logic_error);
+  }
 }
 
 TEST(FaultSimTest, ExhaustiveDetectabilityKnownValues) {
@@ -164,42 +277,48 @@ TEST(FaultSimTest, ExhaustiveDetectabilityKnownValues) {
   // a is XORed into sum: every vector flips sum when a = 1 -> all 4
   // vectors with a = 1 detect via sum. Detectability = 1/2.
   Circuit c = netlist::make_full_adder();
-  FaultSimulator fs(c);
+  const WideFaultSimulator wide(c);
   StuckAtFault f{c.inputs()[0], std::nullopt, false};
-  EXPECT_DOUBLE_EQ(fs.exhaustive_detectability(f), 0.5);
+  EXPECT_DOUBLE_EQ(wide.exhaustive_detectability(f), 0.5);
   // sa1 on "a": detected whenever a = 0 -> also 1/2.
   StuckAtFault f1{c.inputs()[0], std::nullopt, true};
-  EXPECT_DOUBLE_EQ(fs.exhaustive_detectability(f1), 0.5);
+  EXPECT_DOUBLE_EQ(wide.exhaustive_detectability(f1), 0.5);
 }
 
 TEST(FaultSimTest, ExhaustiveSyndromeKnownValues) {
   Circuit c = netlist::make_full_adder();
-  FaultSimulator fs(c);
+  const WideFaultSimulator wide(c);
   // sum = a ^ b ^ cin has syndrome 1/2; cout = majority has 1/2.
-  EXPECT_DOUBLE_EQ(fs.exhaustive_syndrome(*c.find_net("sum")), 0.5);
-  EXPECT_DOUBLE_EQ(fs.exhaustive_syndrome(*c.find_net("cout")), 0.5);
+  EXPECT_DOUBLE_EQ(wide.exhaustive_syndrome(*c.find_net("sum")), 0.5);
+  EXPECT_DOUBLE_EQ(wide.exhaustive_syndrome(*c.find_net("cout")), 0.5);
   // ab = a & b has syndrome 1/4.
-  EXPECT_DOUBLE_EQ(fs.exhaustive_syndrome(*c.find_net("ab")), 0.25);
+  EXPECT_DOUBLE_EQ(wide.exhaustive_syndrome(*c.find_net("ab")), 0.25);
 }
 
 TEST(FaultSimTest, ExhaustiveTestSetMatchesDetectability) {
   Circuit c = netlist::make_c17();
-  FaultSimulator fs(c);
+  const WideFaultSimulator wide(c);
   for (const auto& f : fault::checkpoint_faults(c)) {
-    const auto tests = fs.exhaustive_test_set(f);
+    const auto tests = wide.exhaustive_test_set(f);
     std::size_t count = 0;
     for (bool t : tests) count += t;
     EXPECT_DOUBLE_EQ(static_cast<double>(count) / 32.0,
-                     fs.exhaustive_detectability(f))
+                     wide.exhaustive_detectability(f))
         << describe(f, c);
   }
 }
 
 TEST(FaultSimTest, InputLimitEnforced) {
   Circuit c = netlist::make_c499_analog();  // 41 PIs
-  FaultSimulator fs(c);
+  const WideFaultSimulator wide(c);
   StuckAtFault f{c.inputs()[0], std::nullopt, false};
-  EXPECT_THROW((void)fs.exhaustive_detectability(f), std::invalid_argument);
+  EXPECT_THROW((void)wide.exhaustive_detectability(f), std::invalid_argument);
+  EXPECT_THROW((void)wide.exhaustive_syndrome(f.net), std::invalid_argument);
+  // The test-set bitmap stops at 24 inputs, below the sweep limit.
+  const Circuit buffers = make_buffers(25);
+  const StuckAtFault pi0{buffers.inputs()[0], std::nullopt, false};
+  EXPECT_THROW((void)WideFaultSimulator(buffers).exhaustive_test_set(pi0),
+               std::invalid_argument);
 }
 
 TEST(FaultSimTest, RandomGradingDetectsEverythingOnC17) {
@@ -222,13 +341,7 @@ TEST(FaultSimTest, VectorGradingCountsDetections) {
   EXPECT_GT(cov1.detected(), 0u);
   EXPECT_LT(cov1.detected(), cov1.total);
   // Exhaustive vector list detects everything.
-  std::vector<std::vector<bool>> all;
-  for (std::uint64_t v = 0; v < 32; ++v) {
-    std::vector<bool> in(5);
-    for (int i = 0; i < 5; ++i) in[i] = (v >> i) & 1;
-    all.push_back(in);
-  }
-  const auto cov = wide.grade_vectors(faults, all);
+  const auto cov = wide.grade_vectors(faults, all_vectors(c));
   EXPECT_EQ(cov.detected(), cov.total);
   // Width mismatch rejected.
   EXPECT_THROW(wide.grade_vectors(faults, {std::vector<bool>(3, false)}),
@@ -236,42 +349,37 @@ TEST(FaultSimTest, VectorGradingCountsDetections) {
 }
 
 // ---- ragged-block lane masking ------------------------------------------
-// Pattern counts that are not a multiple of 64 leave a partial word whose
-// upper lanes hold garbage (replicated vectors in the exhaustive sweeps,
-// zero-filled inputs in the graders). These tests pin the masking contract.
+// Pattern counts that are not a multiple of 256 leave a partial block
+// whose upper lanes hold garbage (replicated vectors in the exhaustive
+// sweeps, zero-filled inputs in the graders). These tests pin the masking
+// contract.
 
 TEST(FaultSimRaggedTest, BlockMaskPopcountsSumToVectorCount) {
-  for (std::size_t n = 1; n <= 8; ++n) {
-    const std::uint64_t blocks = n > 6 ? (1ull << (n - 6)) : 1;
-    std::uint64_t lanes = 0;
-    for (std::uint64_t b = 0; b < blocks; ++b) {
-      lanes += static_cast<std::uint64_t>(
-          std::popcount(PatternSimulator::block_mask(b, n)));
+  // An n-input XOR is 1 on exactly half the vectors, so its PO stuck-at-0
+  // is detected 2^(n-1) times: any unmasked or double-counted lane shows.
+  for (std::size_t n = 1; n <= 10; ++n) {
+    Circuit c("xor" + std::to_string(n));
+    std::vector<NetId> pis;
+    for (std::size_t i = 0; i < n; ++i) {
+      pis.push_back(c.add_input("x" + std::to_string(i)));
     }
-    EXPECT_EQ(lanes, 1ull << n) << "n = " << n;
+    const NetId o = c.add_gate(GateType::Xor, pis, "o");
+    c.mark_output(o);
+    c.finalize();
+    const WideFaultSimulator wide(c);
+    const auto tests = wide.exhaustive_test_set({o, std::nullopt, false});
+    ASSERT_EQ(tests.size(), std::size_t{1} << n);
+    EXPECT_EQ(static_cast<std::size_t>(
+                  std::count(tests.begin(), tests.end(), true)),
+              tests.size() / 2)
+        << "n = " << n;
   }
 }
 
-TEST(FaultSimRaggedTest, DetectLanesIsUnmaskedByContract) {
-  // detect_lanes reports the raw XOR of the PO words; the *callers* apply
-  // block_mask (or the graders' tail masks). Garbage lanes must show
-  // through here, otherwise the masked sweeps would be double-masking.
-  Circuit c("buf");
-  NetId a = c.add_input("a");
-  NetId o = c.add_gate(GateType::Buf, {a}, "o");
-  c.mark_output(o);
-  c.finalize();
-  FaultSimulator fs(c);
-  std::vector<Word> good(c.num_nets(), 0), faulty(c.num_nets(), 0);
-  good[o] = 0xf0f0f0f0f0f0f0f0ull;
-  faulty[o] = 0x00f0f0f0f0f0f0f0ull;
-  EXPECT_EQ(fs.detect_lanes(good, faulty), 0xf000000000000000ull);
-}
-
 TEST(FaultSimRaggedTest, PartialBlockSweepsIgnoreGarbageLanes) {
-  // 3 inputs: only 8 of the 64 lanes are valid, and lanes 8..63 replicate
-  // vectors 0..7 under the striped input words. An unmasked sweep would
-  // count each detection 8x (detectability 1.0 instead of 1/8).
+  // 3 inputs: only 8 of the 256 lanes are valid, and lanes 8..255
+  // replicate vectors 0..7 under the striped input words. An unmasked
+  // sweep would count each detection 32x (detectability 4.0, not 1/8).
   Circuit c("and3");
   NetId a = c.add_input("a");
   NetId b = c.add_input("b");
@@ -279,12 +387,12 @@ TEST(FaultSimRaggedTest, PartialBlockSweepsIgnoreGarbageLanes) {
   NetId o = c.add_gate(GateType::And, {a, b, d}, "o");
   c.mark_output(o);
   c.finalize();
-  FaultSimulator fs(c);
+  const WideFaultSimulator wide(c);
   StuckAtFault f{o, std::nullopt, false};  // sa0: detected only by 111
-  EXPECT_DOUBLE_EQ(fs.exhaustive_detectability(f), 1.0 / 8.0);
-  EXPECT_DOUBLE_EQ(fs.exhaustive_syndrome(o), 1.0 / 8.0);
-  const auto tests = fs.exhaustive_test_set(f);
-  ASSERT_EQ(tests.size(), 8u);  // 2^n entries, not 64
+  EXPECT_DOUBLE_EQ(wide.exhaustive_detectability(f), 1.0 / 8.0);
+  EXPECT_DOUBLE_EQ(wide.exhaustive_syndrome(o), 1.0 / 8.0);
+  const auto tests = wide.exhaustive_test_set(f);
+  ASSERT_EQ(tests.size(), 8u);  // 2^n entries, not 256
   for (std::size_t v = 0; v < tests.size(); ++v) {
     EXPECT_EQ(tests[v], v == 7u) << "vector " << v;
   }
@@ -365,13 +473,13 @@ TEST(WideSimTest, RandomGradingMatchesVectorGradingAtRaggedCounts) {
 TEST(WideSimTest, ExactCountsMatchSerialRecountAcrossEngines) {
   // Cross-engine identity for the n-detect contract: with fault dropping
   // off, the wide engine's per-fault detection_counts and first_detection
-  // must equal a naive serial recount (one FaultSimulator injection per
-  // pattern per fault) at counts straddling every lane-masking boundary.
+  // must equal a naive recount (the exhaustive reference's forward
+  // re-evaluation of each pattern for each fault) at counts straddling
+  // every lane-masking boundary.
   // The n-detect analytics layer leans on exactly this equality when it
   // cross-checks BDD satcounts against simulator recounts.
   const Circuit c = netlist::make_c17();
   const WideFaultSimulator wide(c);
-  FaultSimulator fs(c);
   const auto faults = fault::checkpoint_faults(c);
   const std::uint64_t seed = 0xc0de;
   WideSimOptions keep;
@@ -383,10 +491,11 @@ TEST(WideSimTest, ExactCountsMatchSerialRecountAcrossEngines) {
     ASSERT_EQ(stream.size(), n);
     const auto grade = wide.grade_vectors(faults, stream, keep);
     for (std::size_t i = 0; i < faults.size(); ++i) {
+      const std::vector<bool> hits = detects(wide, faults[i], stream);
       std::uint64_t count = 0;
       std::uint64_t first = WideFaultSimulator::kNotDetected;
       for (std::size_t p = 0; p < n; ++p) {
-        if (detects(fs, faults[i], stream[p])) {
+        if (hits[p]) {
           if (count == 0) first = p;
           ++count;
         }
@@ -404,16 +513,16 @@ TEST(WideSimTest, FirstDetectionIsEarliestDetectingPattern) {
   // reconstructed vector on its own and record the first detecting index.
   const Circuit c = netlist::make_c17();
   const WideFaultSimulator wide(c);
-  FaultSimulator fs(c);
   const auto faults = fault::checkpoint_faults(c);
   const std::size_t n = 40;
   const std::uint64_t seed = 99;
   const auto stream = wide.random_patterns(n, seed);
   const auto grade = wide.grade_random(faults, n, seed);
   for (std::size_t i = 0; i < faults.size(); ++i) {
+    const std::vector<bool> hits = detects(wide, faults[i], stream);
     std::uint64_t expected = WideFaultSimulator::kNotDetected;
     for (std::size_t p = 0; p < n; ++p) {
-      if (detects(fs, faults[i], stream[p])) {
+      if (hits[p]) {
         expected = p;
         break;
       }
@@ -636,9 +745,10 @@ TEST(WideSimTest, BranchFaultOnZeroFaninGateThrows) {
   const WideFaultSimulator wide(c);
   const std::vector<StuckAtFault> bad = {{a, netlist::PinRef{a, 0}, true}};
   EXPECT_THROW(wide.grade_random(bad, 64, 1), netlist::NetlistError);
-  FaultSimulator fs(c);
-  std::vector<Word> values(c.num_nets());
-  EXPECT_THROW(fs.faulty_values(values, bad[0]), netlist::NetlistError);
+  EXPECT_THROW((void)wide.exhaustive_detectability(bad[0]),
+               netlist::NetlistError);
+  EXPECT_THROW((void)wide.po_values({{true, true}}, bad[0]),
+               netlist::NetlistError);
 
   // Nor may a fault name a net past the circuit (an out-of-bounds read)
   // or a branch whose pin another net drives (which would grade that
@@ -652,21 +762,10 @@ TEST(WideSimTest, BranchFaultOnZeroFaninGateThrows) {
     EXPECT_THROW(wide.grade_random({f}, 64, 1), netlist::NetlistError);
     EXPECT_THROW(wide.grade_vectors({f}, {{true, true}}),
                  netlist::NetlistError);
+    EXPECT_THROW((void)wide.exhaustive_test_set(f), netlist::NetlistError);
   }
   const StuckAtFault branch_b{b, netlist::PinRef{o, 1}, false};
   EXPECT_EQ(wide.grade_vectors({branch_b}, {{true, true}}).detected(), 1u);
-}
-
-/// Every input vector of `c`; vector v gives PI i the bit (v >> i) & 1,
-/// the index order of FaultSimulator::exhaustive_test_set.
-std::vector<std::vector<bool>> all_vectors(const Circuit& c) {
-  const std::size_t n = c.num_inputs();
-  std::vector<std::vector<bool>> vectors(std::size_t{1} << n,
-                                         std::vector<bool>(n));
-  for (std::size_t v = 0; v < vectors.size(); ++v) {
-    for (std::size_t i = 0; i < n; ++i) vectors[v][i] = (v >> i) & 1;
-  }
-  return vectors;
 }
 
 /// Both polarities on every stem, and on every branch of a net that
@@ -687,17 +786,16 @@ std::vector<StuckAtFault> every_line_fault(const Circuit& c) {
 }
 
 /// Grades `faults` over all 2^n vectors and checks every count and first
-/// detection against the fault's exhaustive test set, which the 64-lane
-/// engine computes by resimulating the whole faulty circuit.
+/// detection against the fault's exhaustive test set, which the reference
+/// computes by re-evaluating the whole faulty circuit.
 void expect_exhaustive_grade(const Circuit& c,
                              const std::vector<StuckAtFault>& faults,
                              const std::string& what) {
   const WideFaultSimulator wide(c);
-  const FaultSimulator fs(c);
   std::vector<std::uint64_t> counts;
   std::vector<std::uint64_t> first;
   for (const StuckAtFault& f : faults) {
-    const std::vector<bool> tests = fs.exhaustive_test_set(f);
+    const std::vector<bool> tests = wide.exhaustive_test_set(f);
     counts.push_back(static_cast<std::uint64_t>(
         std::count(tests.begin(), tests.end(), true)));
     const auto hit = std::find(tests.begin(), tests.end(), true);
@@ -732,9 +830,10 @@ void expect_exhaustive_grades(const Circuit& c, const std::string& what) {
 }
 
 TEST(WideSimTest, ExhaustiveGradeMatchesTestSetsOnRandomCircuits) {
-  // Region grading against an engine that shares none of its math: every
-  // shape of random circuit, graded over all 2^n vectors, must reproduce
-  // each fault's exhaustive test-set size and lowest member.
+  // Region grading against the exhaustive reference, which shares only
+  // the gate evaluator with it: every shape of random circuit, graded over
+  // all 2^n vectors, must reproduce each fault's exhaustive test-set size
+  // and lowest member.
   for (const netlist::CircuitShape shape : netlist::all_circuit_shapes()) {
     for (const int inputs : {5, 9, 12}) {
       const std::uint64_t seed = 1000 + static_cast<std::uint64_t>(inputs);
@@ -906,57 +1005,6 @@ TEST(WideSimTest, ExhaustiveGradeMatchesTestSetsOnEdgeCases) {
     }
     expect_exhaustive_grade(c, faults, "buffer chain");
   }
-}
-
-TEST(FaultSimTest, BridgeOrderIsDeterministicAndReusable) {
-  // The 2^n bridge sweeps now compute the affected topological order once
-  // per fault and reuse it across blocks; repeated queries must agree
-  // with each other, and grading through the cached order must match the
-  // per-call recompute path (the 3-arg faulty_values overload).
-  const Circuit c = netlist::make_c17();
-  const netlist::Structure structure(c);
-  FaultSimulator fs(c);
-  PatternSimulator ps(c);
-  std::vector<Word> base(c.num_nets());
-  for (std::size_t i = 0; i < c.inputs().size(); ++i) {
-    base[c.inputs()[i]] = PatternSimulator::exhaustive_input_word(i, 0);
-  }
-  ps.eval(base);
-  auto bridges = fault::enumerate_nfbfs(c, structure, fault::BridgeType::And);
-  ASSERT_FALSE(bridges.empty());
-  bridges.resize(std::min<std::size_t>(4, bridges.size()));
-  for (const BridgingFault& f : bridges) {
-    const auto order1 = fs.bridge_order(f);
-    const auto order2 = fs.bridge_order(f);
-    EXPECT_EQ(order1, order2);
-    std::vector<Word> via_cached = base;
-    fs.faulty_values(via_cached, f, order1);
-    std::vector<Word> via_fresh = base;
-    fs.faulty_values(via_fresh, f);
-    EXPECT_EQ(via_cached, via_fresh);
-  }
-}
-
-TEST(PatternSimTest, EvalGateWithOverridesGuardsAndOverrides) {
-  // The override evaluator is the single branch-injection path; it must
-  // reject gates with no fanin pins and honour the override on the
-  // addressed pin only.
-  Circuit c("ov");
-  NetId a = c.add_input("a");
-  NetId b = c.add_input("b");
-  NetId o = c.add_gate(GateType::And, {a, b}, "o");
-  c.mark_output(o);
-  c.finalize();
-  PatternSimulator ps(c);
-  std::vector<Word> values(c.num_nets());
-  values[a] = ~Word{0};
-  values[b] = 0;
-  const PatternSimulator::PinOverride force_b1{1, ~Word{0}};
-  EXPECT_EQ(ps.eval_gate_with_overrides(o, values, &force_b1, 1), ~Word{0});
-  const PatternSimulator::PinOverride force_a0{0, Word{0}};
-  EXPECT_EQ(ps.eval_gate_with_overrides(o, values, &force_a0, 1), Word{0});
-  EXPECT_THROW(ps.eval_gate_with_overrides(a, values, &force_b1, 1),
-               netlist::NetlistError);
 }
 
 }  // namespace

@@ -19,19 +19,20 @@ TEST(MultiplierStressTest, ParametricMultiplierIsCorrect) {
     netlist::Circuit c = netlist::make_multiplier(bits);
     ASSERT_EQ(c.num_inputs(), static_cast<std::size_t>(2 * bits));
     ASSERT_EQ(c.num_outputs(), static_cast<std::size_t>(2 * bits));
-    sim::PatternSimulator ps(c);
-    const std::uint64_t limit = 1ull << (2 * bits);
-    for (std::uint64_t v = 0; v < limit; ++v) {
-      std::vector<sim::Word> values(c.num_nets(), 0);
+    std::vector<std::vector<bool>> vectors(std::size_t{1} << (2 * bits),
+                                           std::vector<bool>(2 * bits));
+    for (std::uint64_t v = 0; v < vectors.size(); ++v) {
       for (std::size_t i = 0; i < c.num_inputs(); ++i) {
-        values[c.inputs()[i]] = ((v >> i) & 1) ? ~sim::Word{0} : 0;
+        vectors[v][i] = (v >> i) & 1;
       }
-      ps.eval(values);
+    }
+    const auto products = sim::WideFaultSimulator(c).po_values(vectors);
+    for (std::uint64_t v = 0; v < vectors.size(); ++v) {
       const std::uint64_t a = v & ((1ull << bits) - 1);
       const std::uint64_t b = v >> bits;
       std::uint64_t got = 0;
       for (std::size_t i = 0; i < c.num_outputs(); ++i) {
-        got |= (values[c.outputs()[i]] & 1) << i;
+        got |= std::uint64_t{products[v][i]} << i;
       }
       ASSERT_EQ(got, a * b) << bits << "-bit " << a << "*" << b;
     }
