@@ -34,10 +34,9 @@ RunResult classify(const netlist::Circuit& c,
   netlist::Structure st(c);
   core::GoodFunctionOptions opt;
   opt.cut_threshold = cut_threshold;
-  const core::Observabilities layer(
-      std::make_shared<const core::SharedGoodFunctions>(c, opt), st,
-      core::Observabilities::wires_of(faults));
-  const core::AdoptedPropagator dp(layer, st);
+  const core::SharedGoodFunctions layered(core::SharedGoodFunctions(c, opt),
+                                          st, core::bridge_wires(faults));
+  const core::AdoptedPropagator dp(layered, st);
   RunResult r;
   r.good_nodes = dp.good.total_nodes();
   r.cuts = dp.good.cut_nets().size();

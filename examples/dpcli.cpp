@@ -430,14 +430,13 @@ int cmd_bf(const netlist::Circuit& c, const Flags& flags,
     std::vector<netlist::NetId> wires;
     for (fault::BridgeType type :
          {fault::BridgeType::And, fault::BridgeType::Or}) {
-      const std::vector<netlist::NetId> w = core::Observabilities::wires_of(
+      const std::vector<netlist::NetId> w = core::bridge_wires(
           fault::nfbf_fault_set(c, structure, layout, type, opt.sampling));
       wires.insert(wires.end(), w.begin(), w.end());
     }
-    opt.observabilities = std::make_shared<const core::Observabilities>(
-        std::make_shared<const core::SharedGoodFunctions>(c), structure,
-        wires, flags.jobs);
-    opt.observabilities->stats().export_metrics(tel.metrics());
+    opt.shared_good = std::make_shared<const core::SharedGoodFunctions>(
+        core::SharedGoodFunctions(c), structure, wires, flags.jobs);
+    opt.shared_good->observe_stats().export_metrics(tel.metrics());
   }
   analysis::TextTable t({"type", "enumerated NFBFs", "faults", "detectable",
                          "mean det", "stuck-at-like"});

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "cli_common.hpp"
+#include "sim/wide_sim.hpp"
 #include "verify/fuzzer.hpp"
 
 namespace {
@@ -69,8 +70,17 @@ int main(int argc, char** argv) {
     } else if (a == "--max-gates") {
       config.cases.max_gates = static_cast<int>(parse_count(a, take_value(i)));
     } else if (a == "--max-inputs") {
-      config.cases.max_inputs =
-          static_cast<int>(parse_count(a, take_value(i)));
+      // The dp_vs_sim arm checks DP's test set against a bitmap over
+      // every input vector, which stops at this many inputs.
+      constexpr std::size_t kMaxInputs =
+          dp::sim::WideFaultSimulator::kMaxTestSetInputs;
+      const std::size_t n = parse_count(a, take_value(i));
+      if (n > kMaxInputs) {
+        std::cerr << "error: --max-inputs <= " << kMaxInputs
+                  << " required\n";
+        return usage();
+      }
+      config.cases.max_inputs = static_cast<int>(n);
     } else if (a == "--jobs") {
       config.oracle.jobs = parse_count(a, take_value(i));
     } else if (a == "--max-failures") {

@@ -60,14 +60,13 @@ int main(int argc, char** argv) {
 
   // 4. A bridging fault between two internal wires. A bridge is analyzed
   // from stem observabilities that every bridge of a circuit shares; they
-  // are built once into a frozen layer, which the propagator reads
-  // through a manager that adopts it.
+  // are built once into a layer of the frozen universe, which the
+  // propagator reads through a manager that adopts it.
   fault::BridgingFault bf{*c17.find_net("10"), *c17.find_net("19"),
                           fault::BridgeType::And};
-  const core::Observabilities layer(
-      std::make_shared<const core::SharedGoodFunctions>(c17), structure,
-      core::Observabilities::wires_of({bf}));
-  const core::AdoptedPropagator bridged(layer, structure);
+  const core::SharedGoodFunctions layered(core::SharedGoodFunctions(c17),
+                                          structure, core::bridge_wires({bf}));
+  const core::AdoptedPropagator bridged(layered, structure);
   core::FaultAnalysis b = bridged.propagator.analyze(bf);
   std::cout << "Fault " << describe(bf, c17) << ":\n";
   std::cout << "  detectability   : " << b.detectability << "\n";

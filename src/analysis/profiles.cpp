@@ -196,16 +196,15 @@ void run_sweep(const Circuit& circuit, const Structure& structure,
   popt.shared_good = options.shared_good;
   core::ParallelStats totals;
   if constexpr (std::is_same_v<Fault, fault::BridgingFault>) {
-    popt.observabilities = options.observabilities;
-    if (!popt.observabilities && completed < faults.size()) {
-      if (!popt.shared_good) {
-        popt.shared_good =
-            std::make_shared<const core::SharedGoodFunctions>(circuit);
-      }
-      popt.observabilities = std::make_shared<const core::Observabilities>(
-          popt.shared_good, structure,
-          core::Observabilities::wires_of(faults), options.jobs);
-      totals.observe = popt.observabilities->stats();
+    if (!(popt.shared_good && popt.shared_good->layered()) &&
+        completed < faults.size()) {
+      const auto plain =
+          popt.shared_good
+              ? popt.shared_good
+              : std::make_shared<const core::SharedGoodFunctions>(circuit);
+      popt.shared_good = std::make_shared<const core::SharedGoodFunctions>(
+          *plain, structure, core::bridge_wires(faults), options.jobs);
+      totals.observe = popt.shared_good->observe_stats();
     }
   }
   core::ParallelEngine engine(circuit, structure, popt);

@@ -98,15 +98,14 @@ struct AnalysisOptions {
   fault::SamplingOptions sampling;  ///< bridging-fault sampling policy
   PersistenceOptions persistence;   ///< artifact cache + checkpoint/resume
   /// Pre-built universe to adopt (serve::Service passes its resident
-  /// forest here); nullptr = build per sweep. Results are bit-identical
-  /// either way, so this does not enter the profile cache key.
+  /// universe here); nullptr = build per sweep. A bridge sweep reads the
+  /// universe's observability layer, which must then cover the sample's
+  /// wires (dpcli bf shares one across its AND and OR sweeps); over a
+  /// universe without one, a bridge sweep that runs builds a layer over
+  /// its sample and reports it in engine_stats.observe. Results are
+  /// bit-identical either way, so this does not enter the profile cache
+  /// key.
   std::shared_ptr<const core::SharedGoodFunctions> shared_good;
-  /// Stem observabilities to adopt for a bridge sweep (dpcli bf shares one
-  /// across its AND and OR sweeps, serve::Service keeps one per circuit);
-  /// it must cover the sample's wires. nullptr = a bridge sweep that runs
-  /// builds one over its sample and reports it in engine_stats.observe.
-  /// Not in the profile cache key either.
-  std::shared_ptr<const core::Observabilities> observabilities;
 };
 
 /// Builds the scalar record for one stuck-at DP result exactly as

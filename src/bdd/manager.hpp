@@ -39,7 +39,7 @@ class Manager : public obs::ProfileSource {
   /// the combined node space stays strongly reduced. The variable count
   /// and order are inherited from the forest. `max_nodes` is the budget
   /// for the COMBINED space (frozen prefix + private pool), so a
-  /// `bdd_node_limit` keeps meaning "total nodes in this analysis
+  /// universe's node budget keeps meaning "total nodes in this analysis
   /// universe" whether or not the universe is shared.
   explicit Manager(std::shared_ptr<const FrozenForest> frozen,
                    std::size_t max_nodes = 32u * 1024 * 1024);

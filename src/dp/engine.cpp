@@ -5,7 +5,6 @@
 #include <string>
 
 #include "dp/difference.hpp"
-#include "dp/observabilities.hpp"
 
 namespace dp::core {
 
@@ -13,20 +12,10 @@ using netlist::GateType;
 using netlist::NetId;
 using netlist::Regions;
 
-DifferencePropagator::DifferencePropagator(
-    const GoodFunctions& good, const netlist::Structure& structure,
-    Options options, const Observabilities* observabilities)
-    : good_(good),
-      structure_(structure),
-      options_(options),
-      observabilities_(observabilities) {
-  if (observabilities_ &&
-      good_.manager().frozen_forest() != observabilities_->forest()) {
-    throw bdd::BddError(
-        "DifferencePropagator: manager does not adopt the observability "
-        "layer's forest");
-  }
-}
+DifferencePropagator::DifferencePropagator(const GoodFunctions& good,
+                                           const netlist::Structure& structure,
+                                           Options options)
+    : good_(good), structure_(structure), options_(options) {}
 
 PropagationStats DifferencePropagator::propagate(
     const Seeds& seeds, std::vector<bdd::Bdd>& diff) const {
@@ -232,7 +221,7 @@ DifferencePropagator::BridgeFlips DifferencePropagator::flip(
     f.delta = to_root(wire, good_.at(wire) ^ out.wired, stats);
     if (f.delta.is_zero()) continue;
     const std::uint32_t region = structure_.regions().region_of(wire);
-    f.observed = observabilities_ ? observabilities_->find(region) : nullptr;
+    f.observed = good_.observed(region);
     if (!f.observed) {
       throw std::logic_error(
           "analyze: no observability layer covers the root of " +
@@ -351,13 +340,10 @@ constexpr std::size_t kWorkerGcFloor = 1u << 16;
 }  // namespace
 
 AdoptedPropagator::AdoptedPropagator(const SharedGoodFunctions& shared,
-                                     const netlist::Structure& structure,
-                                     const Observabilities* observabilities,
-                                     std::size_t max_nodes)
-    : manager(shared.forest(), max_nodes),
+                                     const netlist::Structure& structure)
+    : manager(shared.forest(), shared.max_nodes()),
       good(manager, structure.circuit(), shared),
-      propagator(good, structure, DifferencePropagator::Options{},
-                 observabilities) {
+      propagator(good, structure) {
   // A worker builds and drops BDDs per fault; with the default
   // (throughput-oriented) GC floor that churn is never collected, so its
   // memory footprint -- and its peak_live_nodes accounting -- would grow
@@ -365,9 +351,5 @@ AdoptedPropagator::AdoptedPropagator(const SharedGoodFunctions& shared,
   // unaffected (GC is invisible to canonical BDD semantics).
   manager.set_gc_floor(kWorkerGcFloor);
 }
-
-AdoptedPropagator::AdoptedPropagator(const Observabilities& layer,
-                                     const netlist::Structure& structure)
-    : AdoptedPropagator(*layer.good(), structure, &layer) {}
 
 }  // namespace dp::core

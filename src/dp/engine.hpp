@@ -25,8 +25,6 @@
 
 namespace dp::core {
 
-class Observabilities;
-
 /// Per-fault work. For stuck-at and multiple faults these count one
 /// selective-trace sweep: a pinned net's gate (a stem under fault) never
 /// needs its difference computed; it counts as skipped with selective
@@ -36,7 +34,7 @@ class Observabilities;
 /// roots, evaluated while a difference remains and skipped after it dies
 /// (with selective trace off, every step is evaluated). The chases that
 /// build stem observabilities are shared by every bridge, so no fault
-/// counts them: each is a dp.observe span of the Observabilities build.
+/// counts them: each is a dp.observe span of the layer build.
 struct PropagationStats {
   std::uint64_t gates_evaluated = 0;  ///< gates whose difference was computed
   std::uint64_t gates_skipped = 0;    ///< gates skipped (no input difference)
@@ -77,15 +75,14 @@ class DifferencePropagator {
     bool selective_trace = true;
   };
 
-  /// Bridges read their roots' observabilities from `observabilities`,
-  /// whose forest good's manager must adopt (ParallelEngine sets both up);
-  /// without a layer covering its wires a bridge throws std::logic_error.
+  /// Bridges read their roots' observabilities through good.observed():
+  /// `good` must be adopted from a layered universe whose layer covers
+  /// the bridge's wires, or the bridge throws std::logic_error.
   DifferencePropagator(const GoodFunctions& good,
                        const netlist::Structure& structure)
       : DifferencePropagator(good, structure, Options{}) {}
   DifferencePropagator(const GoodFunctions& good,
-                       const netlist::Structure& structure, Options options,
-                       const Observabilities* observabilities = nullptr);
+                       const netlist::Structure& structure, Options options);
 
   FaultAnalysis analyze(const fault::StuckAtFault& fault) const;
   /// A non-feedback bridge, as the OR of two one-wire flips observed
@@ -105,7 +102,7 @@ class DifferencePropagator {
   const GoodFunctions& good() const { return good_; }
 
  private:
-  friend class Observabilities;  // builds its layer with propagate()
+  friend class SharedGoodFunctions;  // its layer build calls propagate()
 
   /// One per-gate pin-difference override (branch-fault seeding).
   struct PinSeed {
@@ -132,7 +129,7 @@ class DifferencePropagator {
 
   /// One bridge wire's flip pushed to its region root (zero when the
   /// flip dies on the way), and the root's observability as layer edges
-  /// (Observabilities::find; null then).
+  /// (GoodFunctions::observed; null then).
   struct RootFlip {
     bdd::Bdd delta;
     const bdd::NodeIndex* observed = nullptr;
@@ -172,23 +169,17 @@ class DifferencePropagator {
   const GoodFunctions& good_;
   const netlist::Structure& structure_;
   Options options_;
-  const Observabilities* observabilities_;
 };
 
 /// A propagator with a private manager over a frozen universe: the
-/// manager adopts `shared`'s forest and the good functions are adopted
-/// from it, so building one does no BDD work. The manager collects at a
-/// small GC floor (64K nodes), so its footprint tracks its working set.
-/// Every ParallelEngine and Observabilities worker is one, and so is any
-/// single-threaded caller that analyzes bridges (through the layer's
-/// constructor).
+/// manager adopts `shared`'s forest, under `shared`'s node budget, and
+/// the good functions are adopted from it, so building one does no BDD
+/// work. The manager collects at a small GC floor (64K nodes), so its
+/// footprint tracks its working set. Every ParallelEngine and layer-build
+/// worker is one, and so is any single-threaded caller that analyzes
+/// bridges (over a layered universe). `shared` must outlive it.
 struct AdoptedPropagator {
   AdoptedPropagator(const SharedGoodFunctions& shared,
-                    const netlist::Structure& structure,
-                    const Observabilities* observabilities = nullptr,
-                    std::size_t max_nodes = 32u * 1024 * 1024);
-  /// Over `layer`'s forest, reading `layer` for bridges.
-  AdoptedPropagator(const Observabilities& layer,
                     const netlist::Structure& structure);
 
   bdd::Manager manager;

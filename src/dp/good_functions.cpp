@@ -95,7 +95,7 @@ GoodFunctions::GoodFunctions(bdd::Manager& manager, const Circuit& circuit,
 
 GoodFunctions::GoodFunctions(bdd::Manager& manager, const Circuit& circuit,
                              const SharedGoodFunctions& shared)
-    : manager_(manager), circuit_(circuit) {
+    : manager_(manager), circuit_(circuit), shared_(&shared) {
   if (!circuit.finalized()) {
     throw netlist::NetlistError("GoodFunctions: circuit must be finalized");
   }
@@ -123,9 +123,14 @@ std::size_t GoodFunctions::total_nodes() const {
   return total;
 }
 
+const bdd::NodeIndex* GoodFunctions::observed(std::uint32_t region) const {
+  return shared_ ? shared_->observed(region) : nullptr;
+}
+
 SharedGoodFunctions::SharedGoodFunctions(const Circuit& circuit,
                                          const GoodFunctionOptions& options,
-                                         std::size_t max_nodes) {
+                                         std::size_t max_nodes)
+    : max_nodes_(max_nodes) {
   const auto start = std::chrono::steady_clock::now();
   // The scaffold manager exists only for the build; freeze() packs the
   // reachable cone and everything else is dropped with the manager.
@@ -149,20 +154,12 @@ SharedGoodFunctions::SharedGoodFunctions(const Circuit& circuit,
           .count();
 }
 
-SharedGoodFunctions::SharedGoodFunctions(
-    const SharedGoodFunctions& source,
-    std::shared_ptr<const bdd::FrozenForest> forest,
-    std::vector<bdd::NodeIndex> roots)
-    : forest_(std::move(forest)),
-      roots_(std::move(roots)),
-      order_(source.order_),
-      cut_nets_(source.cut_nets_),
-      syndromes_(source.syndromes_),
-      num_vars_(source.num_vars_),
-      build_seconds_(source.build_seconds_) {
-  if (roots_.size() != source.roots_.size()) {
-    throw bdd::BddError("SharedGoodFunctions: re-pack lost a net's root");
+const bdd::NodeIndex* SharedGoodFunctions::observed(
+    std::uint32_t region) const {
+  if (region >= first_edge_.size() || first_edge_[region] == kNone) {
+    return nullptr;
   }
+  return &edges_[first_edge_[region]];
 }
 
 }  // namespace dp::core

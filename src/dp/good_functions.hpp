@@ -12,12 +12,18 @@
 //     the decomposition "may mask some functional interactions".
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "bdd/bdd.hpp"
 #include "bdd/frozen_forest.hpp"
+#include "dp/observabilities.hpp"
 #include "netlist/circuit.hpp"
+
+namespace dp::netlist {
+class Structure;
+}
 
 namespace dp::core {
 
@@ -46,7 +52,8 @@ class GoodFunctions {
   /// handles of `manager`, which must have been constructed over
   /// `shared.forest()`. No BDD work happens here -- this is the cheap
   /// per-worker path of the shared-kernel split. `circuit` must be the
-  /// circuit `shared` was built from (net count is checked).
+  /// circuit `shared` was built from (net count is checked), and `shared`
+  /// must outlive this object: observed() reads its layer.
   GoodFunctions(bdd::Manager& manager, const Circuit& circuit,
                 const SharedGoodFunctions& shared);
 
@@ -80,6 +87,10 @@ class GoodFunctions {
   /// Sum of BDD sizes over all nets (diagnostics / benchmarks).
   std::size_t total_nodes() const;
 
+  /// The adopted universe's SharedGoodFunctions::observed(region); nullptr
+  /// for functions built in place.
+  const bdd::NodeIndex* observed(std::uint32_t region) const;
+
  private:
   bdd::Manager& manager_;
   const Circuit& circuit_;
@@ -87,6 +98,7 @@ class GoodFunctions {
   std::vector<double> syndromes_;
   std::vector<std::size_t> order_;
   std::vector<NetId> cut_nets_;
+  const SharedGoodFunctions* shared_ = nullptr;  ///< when adopted
 };
 
 /// Evaluates a single gate's function from fanin BDDs (n-ary fold of the
@@ -101,16 +113,26 @@ bdd::Bdd build_gate_function(bdd::Manager& manager, netlist::GateType type,
 /// every reader either queries the forest directly or adopts it through
 /// a private Manager -- and holds no reference to the source circuit, so
 /// a serving cache can keep it alive past the request that built it.
+///
+/// A universe may also carry the stem observabilities O(r, .) that
+/// bridges read (DESIGN.md §18), packed into the same forest: it is then
+/// "layered", and a propagator whose manager adopts it analyzes bridges.
 class SharedGoodFunctions {
  public:
+  /// Managers that adopt this universe -- engine workers and the layer
+  /// build's workers alike -- hold at most `max_nodes` nodes each, as
+  /// does the build's own scaffold.
   explicit SharedGoodFunctions(const Circuit& circuit,
                                const GoodFunctionOptions& options = {},
                                std::size_t max_nodes = 32u * 1024 * 1024);
-  /// `source`'s functions re-packed into `forest`, a superset of them
-  /// (Observabilities packs its layer so): roots[net] in its numbering.
-  SharedGoodFunctions(const SharedGoodFunctions& source,
-                      std::shared_ptr<const bdd::FrozenForest> forest,
-                      std::vector<bdd::NodeIndex> roots);
+  /// The layer build (observabilities.cpp): `plain`'s functions plus
+  /// O(r, .) for the post-dominator closure of the region roots of
+  /// `wires`, chased on `jobs` threads (0 = hardware concurrency) by
+  /// managers that adopt `plain`. `structure` must be over the circuit
+  /// `plain` was built from; a layer `plain` carries is not kept.
+  SharedGoodFunctions(const SharedGoodFunctions& plain,
+                      const netlist::Structure& structure,
+                      const std::vector<NetId>& wires, std::size_t jobs = 1);
 
   const std::shared_ptr<const bdd::FrozenForest>& forest() const {
     return forest_;
@@ -124,9 +146,20 @@ class SharedGoodFunctions {
   /// Per net: its syndrome (GoodFunctions::syndrome).
   const std::vector<double>& syndromes() const { return syndromes_; }
   std::size_t frozen_nodes() const { return forest_->size(); }
-  /// Wall-clock cost of the one-time build+freeze (of `source`'s, for a
-  /// re-packed universe).
+  /// Node budget of every manager that adopts this universe.
+  std::size_t max_nodes() const { return max_nodes_; }
+  /// Wall-clock cost of the one-time build+freeze (of `plain`'s, for a
+  /// layered universe).
   double build_seconds() const { return build_seconds_; }
+
+  /// Whether this universe carries an observability layer.
+  bool layered() const { return !first_edge_.empty(); }
+  /// O(r, .) of region `region` as forest edges: one per PO, then their
+  /// OR (kFalseNode == zero). nullptr when the region is outside the
+  /// layer's closure, or the universe has no layer.
+  const bdd::NodeIndex* observed(std::uint32_t region) const;
+  /// What the layer build did; all zero without a layer.
+  const ObserveStats& observe_stats() const { return observe_; }
 
  private:
   std::shared_ptr<const bdd::FrozenForest> forest_;
@@ -135,7 +168,14 @@ class SharedGoodFunctions {
   std::vector<NetId> cut_nets_;
   std::vector<double> syndromes_;
   std::size_t num_vars_ = 0;
+  std::size_t max_nodes_ = 0;
   double build_seconds_ = 0.0;
+  /// Per region: its first edge in edges_, or kNone outside the closure;
+  /// empty without a layer.
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+  std::vector<std::uint32_t> first_edge_;
+  std::vector<bdd::NodeIndex> edges_;  ///< #POs + 1 per closure region
+  ObserveStats observe_;
 };
 
 }  // namespace dp::core

@@ -33,7 +33,7 @@ void ObserveStats::export_metrics(obs::MetricsRegistry& registry,
   registry.timer(prefix + ".observe").record(build_seconds);
 }
 
-std::vector<NetId> Observabilities::wires_of(
+std::vector<NetId> bridge_wires(
     const std::vector<fault::BridgingFault>& faults) {
   std::vector<NetId> wires;
   wires.reserve(2 * faults.size());
@@ -44,21 +44,27 @@ std::vector<NetId> Observabilities::wires_of(
   return wires;
 }
 
-std::vector<NetId> Observabilities::every_net(const netlist::Circuit& circuit) {
+std::vector<NetId> every_net(const netlist::Circuit& circuit) {
   std::vector<NetId> nets(circuit.num_nets());
   for (NetId id = 0; id < nets.size(); ++id) nets[id] = id;
   return nets;
 }
 
-Observabilities::Observabilities(std::shared_ptr<const SharedGoodFunctions> good,
-                                 const netlist::Structure& structure,
-                                 const std::vector<NetId>& wires,
-                                 std::size_t jobs, std::size_t max_nodes) {
+SharedGoodFunctions::SharedGoodFunctions(const SharedGoodFunctions& plain,
+                                         const netlist::Structure& structure,
+                                         const std::vector<NetId>& wires,
+                                         std::size_t jobs)
+    : order_(plain.order_),
+      cut_nets_(plain.cut_nets_),
+      syndromes_(plain.syndromes_),
+      num_vars_(plain.num_vars_),
+      max_nodes_(plain.max_nodes_),
+      build_seconds_(plain.build_seconds_) {
   const auto start = std::chrono::steady_clock::now();
   const netlist::Circuit& c = structure.circuit();
   const Regions& regions = structure.regions();
   const std::size_t num_regions = regions.num_regions();
-  num_outputs_ = c.num_outputs();
+  const std::size_t num_outputs = c.num_outputs();
 
   // The closure: every wire's region, and down each post-dominator chain
   // every region whose root a chase stops in.
@@ -83,7 +89,7 @@ Observabilities::Observabilities(std::shared_ptr<const SharedGoodFunctions> good
     if (!needed[r] || d == Regions::kUnobservable) continue;
     tree_of[r] = d == Regions::kSink ? r : tree_of[regions.region_of(d)];
     trees[tree_of[r]].push_back(r);
-    ++stats_.roots_chased;
+    ++observe_.roots_chased;
   }
   // Widest cone first: higher region indices root nearer the PIs.
   std::vector<std::uint32_t> order;
@@ -97,12 +103,11 @@ Observabilities::Observabilities(std::shared_ptr<const SharedGoodFunctions> good
     jobs = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
   jobs = std::clamp<std::size_t>(order.size(), 1, jobs);
-  build_span.attr("roots", stats_.roots_chased).attr("jobs", jobs);
+  build_span.attr("roots", observe_.roots_chased).attr("jobs", jobs);
 
   std::vector<std::unique_ptr<AdoptedPropagator>> workers;
   for (std::size_t i = 0; i < jobs; ++i) {
-    workers.push_back(std::make_unique<AdoptedPropagator>(
-        *good, structure, nullptr, max_nodes));
+    workers.push_back(std::make_unique<AdoptedPropagator>(plain, structure));
   }
 
   // O(r, .) per region, in the manager of the worker that ran r's tree.
@@ -122,7 +127,7 @@ Observabilities::Observabilities(std::shared_ptr<const SharedGoodFunctions> good
     const NetId root = regions.root(region);
     const NetId d = regions.ipdom(root);
     Observed& out = observed[region];
-    out.po.resize(num_outputs_);
+    out.po.resize(num_outputs);
     out.any = mgr.zero();
     DifferencePropagator::Seeds seeds;
     seeds.nets.push_back(DifferencePropagator::NetSeed{root, mgr.one()});
@@ -130,7 +135,7 @@ Observabilities::Observabilities(std::shared_ptr<const SharedGoodFunctions> good
     std::vector<bdd::Bdd> diff(c.num_nets());
     PropagationStats stats = dp.propagate(seeds, diff);
     if (d == Regions::kSink) {
-      for (std::size_t i = 0; i < num_outputs_; ++i) {
+      for (std::size_t i = 0; i < num_outputs; ++i) {
         const bdd::Bdd& o = diff[c.outputs()[i]];
         if (!o.valid()) continue;
         out.po[i] = o;
@@ -139,7 +144,7 @@ Observabilities::Observabilities(std::shared_ptr<const SharedGoodFunctions> good
     } else if (diff[d].valid()) {
       const bdd::Bdd through = dp.to_root(d, diff[d], stats);
       const Observed& next = observed[regions.region_of(d)];
-      for (std::size_t i = 0; i < num_outputs_; ++i) {
+      for (std::size_t i = 0; i < num_outputs; ++i) {
         if (!next.po[i].valid()) continue;
         bdd::Bdd o = through & next.po[i];
         if (!o.is_zero()) out.po[i] = std::move(o);
@@ -181,7 +186,7 @@ Observabilities::Observabilities(std::shared_ptr<const SharedGoodFunctions> good
   }
   if (error) std::rethrow_exception(error);
   for (const auto& w : workers) {
-    stats_.apply_calls += w->manager.stats().apply_calls;
+    observe_.apply_calls += w->manager.stats().apply_calls;
   }
 
   // Pack the good roots, then every closure region's edges in region
@@ -196,31 +201,22 @@ Observabilities::Observabilities(std::shared_ptr<const SharedGoodFunctions> good
     first_edge_[r] =
         static_cast<std::uint32_t>(roots.size() - c.num_nets());
     const Observed& o = observed[r];
-    for (std::size_t i = 0; i < num_outputs_; ++i) {
+    for (std::size_t i = 0; i < num_outputs; ++i) {
       roots.push_back(i < o.po.size() && o.po[i].valid() ? o.po[i] : zero);
     }
     roots.push_back(o.any.valid() ? o.any : zero);
   }
   std::vector<bdd::NodeIndex> packed;
-  std::shared_ptr<const bdd::FrozenForest> forest =
-      bdd::FrozenForest::pack(roots, &packed);
+  forest_ = bdd::FrozenForest::pack(roots, &packed);
   edges_.assign(packed.begin() + static_cast<std::ptrdiff_t>(c.num_nets()),
                 packed.end());
   packed.resize(c.num_nets());
-  good_ = std::make_shared<const SharedGoodFunctions>(*good, std::move(forest),
-                                                      std::move(packed));
-  stats_.frozen_nodes = good_->frozen_nodes();
-  stats_.build_seconds = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - start)
-                             .count();
-  build_span.attr("frozen_nodes", stats_.frozen_nodes);
-}
-
-const bdd::NodeIndex* Observabilities::find(std::uint32_t region) const {
-  if (region >= first_edge_.size() || first_edge_[region] == kNone) {
-    return nullptr;
-  }
-  return &edges_[first_edge_[region]];
+  roots_ = std::move(packed);
+  observe_.frozen_nodes = frozen_nodes();
+  observe_.build_seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+  build_span.attr("frozen_nodes", observe_.frozen_nodes);
 }
 
 }  // namespace dp::core

@@ -4,7 +4,9 @@
 // along its wire's fanout-free region to the region root R and observed
 // through O(R, p): the inputs on which flipping R flips PO p. Every bridge
 // over a circuit shares those factors, so they are built once, after the
-// good functions, and frozen:
+// good functions, and frozen into the universe itself: SharedGoodFunctions'
+// layer constructor (good_functions.hpp) turns a plain universe into a
+// layered one.
 //   * the roots needed are the post-dominator closure of the bridge
 //     wires' region roots;
 //   * a root post-dominated only by the sink behind the POs is chased to
@@ -12,24 +14,21 @@
 //     pushed along d's region path and ANDed with O(root of d, p), so it
 //     waits for the deeper root: the chases form a forest over regions.
 //     Each tree of that forest runs on one worker (a private manager over
-//     the good forest), trees in parallel, widest cone first;
+//     the plain universe), trees in parallel, widest cone first;
 //   * the results are packed with the good roots into one frozen forest
-//     (FrozenForest::pack). Propagators over a manager that adopts it
-//     read O(R, .) as frozen edges, so no sweep chases anything.
+//     (FrozenForest::pack). Propagators over a manager that adopts the
+//     layered universe read O(R, .) as frozen edges, so no sweep chases
+//     anything.
 // The packed forest numbers its slots by a walk of the roots in order, so
 // the layer is the same whatever the worker count.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "bdd/frozen_forest.hpp"
-#include "dp/good_functions.hpp"
 #include "fault/bridging.hpp"
-#include "netlist/structure.hpp"
+#include "netlist/circuit.hpp"
 #include "obs/metrics.hpp"
 
 namespace dp::core {
@@ -51,49 +50,11 @@ struct ObserveStats {
                       const std::string& prefix = "dp") const;
 };
 
-class Observabilities {
- public:
-  /// Builds O(r, .) for the post-dominator closure of the region roots of
-  /// `wires` over `good`'s universe, on `jobs` threads (0 = hardware
-  /// concurrency), each with a manager of at most `max_nodes` nodes.
-  /// `structure` must be over the circuit `good` was built from.
-  Observabilities(std::shared_ptr<const SharedGoodFunctions> good,
-                  const netlist::Structure& structure,
-                  const std::vector<netlist::NetId>& wires,
-                  std::size_t jobs = 1,
-                  std::size_t max_nodes = 32u * 1024 * 1024);
-
-  /// Both wires of every bridge in `faults`: the `wires` a sweep needs.
-  static std::vector<netlist::NetId> wires_of(
-      const std::vector<fault::BridgingFault>& faults);
-  /// Every net of `circuit`: a layer over every region root.
-  static std::vector<netlist::NetId> every_net(const netlist::Circuit& circuit);
-
-  /// The good universe re-packed into this layer's forest. A manager over
-  /// forest() adopts it (GoodFunctions' adopting constructor) and hands
-  /// its propagator this layer; ParallelEngine does both.
-  const std::shared_ptr<const SharedGoodFunctions>& good() const {
-    return good_;
-  }
-  const std::shared_ptr<const bdd::FrozenForest>& forest() const {
-    return good_->forest();
-  }
-
-  /// O(r, .) of region `region` as forest edges: one per PO, then their
-  /// OR (kFalseNode == zero). nullptr when the region is outside the
-  /// closure this layer was built for.
-  const bdd::NodeIndex* find(std::uint32_t region) const;
-
-  const ObserveStats& stats() const { return stats_; }
-
- private:
-  std::shared_ptr<const SharedGoodFunctions> good_;
-  std::size_t num_outputs_ = 0;
-  /// Per region: its first edge in edges_, or kNone outside the closure.
-  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
-  std::vector<std::uint32_t> first_edge_;
-  std::vector<bdd::NodeIndex> edges_;  ///< num_outputs_ + 1 per region
-  ObserveStats stats_;
-};
+/// Both wires of every bridge in `faults`: the wires a layer for a sweep
+/// over them needs.
+std::vector<netlist::NetId> bridge_wires(
+    const std::vector<fault::BridgingFault>& faults);
+/// Every net of `circuit`: a layer over every region root.
+std::vector<netlist::NetId> every_net(const netlist::Circuit& circuit);
 
 }  // namespace dp::core

@@ -293,16 +293,11 @@ ParallelEngine::ParallelEngine(const netlist::Circuit& circuit,
 
   // Build (or adopt) the good-function universe once; exceptions from the
   // build (e.g. OutOfNodes) propagate directly.
-  observabilities_ = options.observabilities;
-  std::shared_ptr<const SharedGoodFunctions> shared =
-      observabilities_ ? observabilities_->good() : options.shared_good;
+  shared_ = std::move(options.shared_good);
   {
     obs::ScopedSpan freeze_span(spans, "dp.shared_build", build_span.id());
-    if (!shared) {
-      shared = std::make_shared<SharedGoodFunctions>(
-          circuit, options.good, options.bdd_node_limit);
-    }
-    freeze_span.attr("frozen_nodes", shared->frozen_nodes());
+    if (!shared_) shared_ = std::make_shared<SharedGoodFunctions>(circuit);
+    freeze_span.attr("frozen_nodes", shared_->frozen_nodes());
   }
 
   // Every worker splices the forest in read-only and wraps its root
@@ -310,15 +305,14 @@ ParallelEngine::ParallelEngine(const netlist::Circuit& circuit,
   // budget, same variable order).
   stats_.jobs = jobs;
   stats_.workers.resize(jobs);
-  stats_.shared_build_seconds = shared->build_seconds();
-  stats_.frozen_nodes = shared->frozen_nodes();
+  stats_.shared_build_seconds = shared_->build_seconds();
+  stats_.frozen_nodes = shared_->frozen_nodes();
   workers_.reserve(jobs);
   for (std::size_t slot = 0; slot < jobs; ++slot) {
     obs::ScopedSpan span(spans, "dp.build_worker", build_span.id());
     span.attr("worker", slot);
-    auto w = std::make_unique<AdoptedPropagator>(
-        *shared, structure, observabilities_.get(), options.bdd_node_limit);
-    workers_.push_back(std::move(w));
+    workers_.push_back(
+        std::make_unique<AdoptedPropagator>(*shared_, structure));
   }
 }
 

@@ -66,7 +66,8 @@ struct WorkerStats {
   }
 };
 
-/// Aggregated engine-level stats for one analyze_all() sweep.
+/// Aggregated engine-level stats for one sweep (analyze_all() or
+/// analyze_each()).
 struct ParallelStats {
   std::size_t jobs = 0;
   std::size_t faults = 0;
@@ -77,8 +78,8 @@ struct ParallelStats {
   /// Size of the shared frozen forest.
   std::size_t frozen_nodes = 0;
   /// The observability layer built for this sweep, when the sweep built
-  /// its own (analyze_bridging with none adopted); zero otherwise, since
-  /// whoever builds a shared layer reports it once.
+  /// its own (analyze_bridging over a universe without one); zero
+  /// otherwise, since whoever builds a shared layer reports it once.
   ObserveStats observe;
   std::vector<WorkerStats> workers;
 
@@ -132,22 +133,16 @@ class ParallelEngine {
     /// Worker count; 0 = std::thread::hardware_concurrency(). With one
     /// worker the sweep runs inline on the calling thread (no pool).
     std::size_t jobs = 0;
-    std::size_t bdd_node_limit = 32u * 1024 * 1024;
-    /// Shared by every worker, so all managers agree on the variable
-    /// order and detectabilities are bit-identical to the serial path.
-    GoodFunctionOptions good;
-    /// Pre-built universe to adopt instead of building one (must match
-    /// `circuit` and `good`); used by serve::Service to share one forest
-    /// across requests. nullptr = the engine builds it.
+    /// The frozen universe every worker adopts, under its node budget,
+    /// so all managers agree on the variable order and detectabilities
+    /// are bit-identical to the serial path. A layered universe also
+    /// serves bridges; without a layer a bridge throws std::logic_error.
+    /// serve::Service shares one across requests. nullptr = the engine
+    /// builds SharedGoodFunctions(circuit).
     std::shared_ptr<const SharedGoodFunctions> shared_good;
-    /// Stem observabilities for bridge sweeps, built over the same
-    /// universe. Its forest holds the good functions too, so workers adopt
-    /// it in place of shared_good's. nullptr = stuck-at and multiple
-    /// faults only (a bridge then throws std::logic_error).
-    std::shared_ptr<const Observabilities> observabilities;
   };
 
-  /// Builds (or takes) the shared forest, then one Manager + adopted
+  /// Builds (or takes) the shared universe, then one Manager + adopted
   /// GoodFunctions + DifferencePropagator (default options, so selective
   /// trace is on) per worker. Throws BddError when
   /// options.shared_good does not match `circuit`. `circuit` and
@@ -188,7 +183,7 @@ class ParallelEngine {
                     const ResultSink& sink);
 
   std::size_t jobs() const { return workers_.size(); }
-  /// Stats of the most recent analyze_all() sweep.
+  /// Stats of the most recent sweep (analyze_all() or analyze_each()).
   const ParallelStats& stats() const { return stats_; }
 
  private:
@@ -198,7 +193,8 @@ class ParallelEngine {
   template <typename Fault>
   std::vector<FaultAnalysis> run_collect(const std::vector<Fault>& faults);
 
-  std::shared_ptr<const Observabilities> observabilities_;
+  /// The adopted universe: the workers' good functions read its layer.
+  std::shared_ptr<const SharedGoodFunctions> shared_;
   /// One private analysis stack per worker over the shared frozen forest:
   /// the forest is immutable and no other BDD state is shared between
   /// workers, so no locks are needed anywhere on the hot path.

@@ -191,13 +191,10 @@ Service::ResidentCounts Service::resident_counts() const {
     {
       std::lock_guard<std::mutex> forest_lock(r->forest_mutex);
       counts.forests += r->forest ? 1 : 0;
+      counts.observabilities += r->forest && r->forest->layered() ? 1 : 0;
     }
-    {
-      std::lock_guard<std::mutex> sets_lock(r->test_sets_mutex);
-      for (const auto& sets : r->test_sets) counts.test_sets += sets ? 1 : 0;
-    }
-    std::lock_guard<std::mutex> layer_lock(r->observabilities_mutex);
-    counts.observabilities += r->observabilities ? 1 : 0;
+    std::lock_guard<std::mutex> sets_lock(r->test_sets_mutex);
+    for (const auto& sets : r->test_sets) counts.test_sets += sets ? 1 : 0;
   }
   return counts;
 }
@@ -281,20 +278,33 @@ std::shared_ptr<Service::Resident> Service::resident_for(
 }
 
 std::shared_ptr<const core::SharedGoodFunctions> Service::forest_of(
-    Resident& r) {
-  // The second of two racing requests for a cold circuit blocks here
-  // until the first finishes freezing, then adopts that forest instead of
-  // building a duplicate universe.
+    Resident& r, bool layered, std::size_t jobs) {
+  // The second of two racing requests for a cold circuit (or a plain
+  // universe) blocks here until the first finishes building, then adopts
+  // that universe instead of building a duplicate.
   std::lock_guard<std::mutex> lock(r.forest_mutex);
   if (r.forest) {
     if (metrics_) metrics_->counter("serve.forest.reuses").add();
+  } else {
+    // Defaults mirror what handle_analyze's AnalysisOptions would make
+    // the engine build itself: default GoodFunctionOptions and node
+    // budget (neither is client-settable), so adoption preserves
+    // bit-identity.
+    r.forest = std::make_shared<const core::SharedGoodFunctions>(*r.circuit);
+    if (metrics_) metrics_->counter("serve.forest.builds").add();
+  }
+  if (!layered) return r.forest;
+  if (r.forest->layered()) {
+    if (metrics_) metrics_->counter("serve.observabilities.reuses").add();
     return r.forest;
   }
-  // Defaults mirror what handle_analyze's AnalysisOptions would make the
-  // engine build itself: default GoodFunctionOptions and node budget
-  // (neither is client-settable), so adoption preserves bit-identity.
-  r.forest = std::make_shared<const core::SharedGoodFunctions>(*r.circuit);
-  if (metrics_) metrics_->counter("serve.forest.builds").add();
+  obs::ScopedSpan span(obs::SpanCollector::current(),
+                       "serve.observabilities.build");
+  span.attr("circuit", r.circuit->name()).attr("jobs", jobs);
+  const netlist::Structure structure(*r.circuit);
+  r.forest = std::make_shared<const core::SharedGoodFunctions>(
+      *r.forest, structure, core::every_net(*r.circuit), jobs);
+  if (metrics_) metrics_->counter("serve.observabilities.builds").add();
   return r.forest;
 }
 
@@ -320,25 +330,6 @@ std::shared_ptr<const analysis::TestSets> Service::test_sets_of(
       options);
   if (metrics_) metrics_->counter("serve.ndetect.test_sets.builds").add();
   return sets;
-}
-
-std::shared_ptr<const core::Observabilities> Service::observabilities_of(
-    Resident& r, std::size_t jobs) {
-  // Lock order: observabilities, then (inside forest_of) the forest.
-  std::lock_guard<std::mutex> lock(r.observabilities_mutex);
-  if (r.observabilities) {
-    if (metrics_) metrics_->counter("serve.observabilities.reuses").add();
-    return r.observabilities;
-  }
-  obs::ScopedSpan span(obs::SpanCollector::current(),
-                       "serve.observabilities.build");
-  span.attr("circuit", r.circuit->name()).attr("jobs", jobs);
-  const netlist::Structure structure(*r.circuit);
-  r.observabilities = std::make_shared<const core::Observabilities>(
-      forest_of(r), structure, core::Observabilities::every_net(*r.circuit),
-      jobs);
-  if (metrics_) metrics_->counter("serve.observabilities.builds").add();
-  return r.observabilities;
 }
 
 std::string Service::handle(const JsonValue& request) noexcept {
@@ -422,12 +413,12 @@ std::string Service::handle_analyze(long long id, const JsonValue& request) {
       key, circuit->name(),
       [&] {
         // Cache miss: the sweep will run, so pin (or build) the resident
-        // frozen forest and hand it to the engine. Concurrent analyzes of
-        // the same circuit adopt the same immutable node pool.
-        a.shared_good = forest_of(*resident);
-        if (model == "bf.and" || model == "bf.or") {
-          a.observabilities = observabilities_of(*resident, a.jobs);
-        }
+        // universe, layered for a bridge sweep, and hand it to the engine.
+        // Concurrent analyzes of the same circuit adopt the same
+        // immutable node pool.
+        a.shared_good = forest_of(*resident,
+                                  model == "bf.and" || model == "bf.or",
+                                  a.jobs);
         obs::ScopedSpan span(obs::SpanCollector::current(),
                              "serve.analyze." + model);
         span.attr("circuit", circuit->name()).attr("jobs", a.jobs);
@@ -582,9 +573,8 @@ JsonValue Service::handle_evict(long long id, const JsonValue& request) {
     }
   }
   {
-    // Dropping an entry only unpins its circuit, forest, test sets and
-    // observability layer; an in-flight request keeps its references
-    // until it completes.
+    // Dropping an entry only unpins its circuit, universe and test sets;
+    // an in-flight request keeps its references until it completes.
     std::lock_guard<std::mutex> lock(residents_mutex_);
     std::erase_if(residents_, [&](const auto& entry) {
       return !which || entry.second->circuit->name() == which->as_string();

@@ -9,20 +9,22 @@
 // state and live in one resident entry per circuit:
 //   1. Circuits -- parsed netlists (built-in benchmarks or inline .bench
 //      text) are constructed once and shared by reference afterwards.
-//   2. Frozen state -- the circuit's immutable good-function universe
-//      (core::SharedGoodFunctions), built on first analyze or ndetect;
-//      its n-detect test sets per collapse flag (analysis::TestSets),
-//      built on first ndetect; and its stem observabilities over every
-//      region root (core::Observabilities), built on the first bridge
-//      analyze that misses the profile cache, never at warm-up. Later
-//      requests, concurrent ones included, adopt them read-only: an
-//      analyze that misses the profile cache still skips the entire
-//      good-function build, a bridge analyze with a fresh sample chases
-//      no observability, and an ndetect with a fresh vector set skips
-//      the DP sweep. Each part is built once, under its entry's own
-//      lock, so a build never stalls requests for other circuits. Held
-//      by shared_ptr, so an evict during an in-flight request only
-//      unpins the entry; the request keeps its references until done.
+//   2. Frozen state -- the circuit's one immutable universe
+//      (core::SharedGoodFunctions), built on first analyze or ndetect,
+//      and its n-detect test sets per collapse flag (analysis::TestSets),
+//      built on first ndetect. The first bridge analyze that misses the
+//      profile cache (never warm-up) replaces the universe with the
+//      layered one built over it: the same good functions plus the stem
+//      observabilities of every region root. Later requests of every
+//      kind, concurrent ones included, adopt the resident universe
+//      read-only: an analyze that misses the profile cache still skips
+//      the entire good-function build, a bridge analyze with a fresh
+//      sample chases no observability, and an ndetect with a fresh vector
+//      set skips the DP sweep. Each part is built at most once, under its
+//      entry's own lock, so a build never stalls requests for other
+//      circuits. Held by shared_ptr, so an evict during an in-flight
+//      request only unpins the entry; the request keeps its references
+//      until done.
 //   3. Profile cache -- a bounded in-memory LRU of analyze and ndetect
 //      payloads, each held as the JSON text it was serialized to once
 //      (shared_ptr<const std::string>), keyed exactly like the artifact
@@ -67,9 +69,6 @@
 namespace dp::analysis {
 class TestSets;
 }
-namespace dp::core {
-class Observabilities;
-}
 
 namespace dp::serve {
 
@@ -105,7 +104,8 @@ class Service {
     std::size_t circuits = 0;
     std::size_t forests = 0;
     std::size_t test_sets = 0;  ///< n-detect test sets, per collapse flag
-    std::size_t observabilities = 0;  ///< bridge observability layers
+    /// Resident universes that carry a bridge observability layer.
+    std::size_t observabilities = 0;
   };
   ResidentCounts resident_counts() const;
 
@@ -113,8 +113,9 @@ class Service {
   struct CacheEntry;
 
   /// One circuit's resident state. The circuit is fixed at creation; the
-  /// forest, the test sets and the observability layer are built on first
-  /// use, each under its own mutex, and never change afterwards.
+  /// universe and the test sets are built on first use, each under its
+  /// own mutex. Test sets never change afterwards; the universe changes
+  /// once at most, when the first bridge sweep layers it.
   struct Resident {
     std::shared_ptr<const netlist::Circuit> circuit;
     std::mutex forest_mutex;
@@ -122,28 +123,24 @@ class Service {
     std::mutex test_sets_mutex;
     /// Indexed by the collapse flag.
     std::shared_ptr<const analysis::TestSets> test_sets[2];
-    std::mutex observabilities_mutex;
-    std::shared_ptr<const core::Observabilities> observabilities;
   };
 
   /// The resident entry of the request's circuit ("circuit" name or
   /// inline "bench" text), parsing the netlist on first use.
   std::shared_ptr<Resident> resident_for(const obs::JsonValue& request);
 
-  /// The entry's good-function forest, built on first use; every later
-  /// request for the circuit adopts the same immutable forest.
-  std::shared_ptr<const core::SharedGoodFunctions> forest_of(Resident& r);
+  /// The entry's universe, built on first use; later requests for the
+  /// circuit adopt the same immutable one. With `layered`, a universe
+  /// without an observability layer is first replaced by the layered one
+  /// built over it (every region root, so any bridge sample is covered)
+  /// at `jobs` workers (the layer is jobs-invariant).
+  std::shared_ptr<const core::SharedGoodFunctions> forest_of(
+      Resident& r, bool layered = false, std::size_t jobs = 1);
 
   /// The entry's n-detect test sets for the collapse flag, built on first
   /// use over its forest at `jobs` workers (the sets are jobs-invariant).
   std::shared_ptr<const analysis::TestSets> test_sets_of(
       Resident& r, bool collapse, std::size_t jobs);
-
-  /// The entry's observability layer over every region root (any bridge
-  /// sample is covered), built on the first bridge sweep over its forest
-  /// at `jobs` workers (the layer is jobs-invariant).
-  std::shared_ptr<const core::Observabilities> observabilities_of(
-      Resident& r, std::size_t jobs);
 
   std::string handle_analyze(long long id, const obs::JsonValue& request);
   std::string handle_ndetect(long long id, const obs::JsonValue& request);

@@ -74,9 +74,11 @@ WideFaultSimulator::WideFaultSimulator(const Circuit& circuit)
   for (const NetId po : circuit.outputs()) is_output_[po] = 1;
 }
 
+// Inline: it is the per-gate body of every block loop, the grader's
+// good-circuit evaluation (eval_good) included.
 template <typename FaninValue>
-WideWord WideFaultSimulator::eval_entry(const GateRef& g,
-                                        FaninValue&& fanin_value) {
+inline WideWord WideFaultSimulator::eval_entry(const GateRef& g,
+                                               FaninValue&& fanin_value) {
   switch (g.type) {
     case GateType::Const0: return WideWord{};
     case GateType::Const1: {
@@ -401,12 +403,7 @@ WideFaultSimulator::Grade WideFaultSimulator::run(
     for (std::size_t b = 0; b < group_blocks; ++b) {
       WideWord* values = &good[b * num_nets];
       load_block(first_block + b, values);
-      for (const GateRef& gr : schedule_) {
-        values[gr.net] =
-            eval_entry(gr, [&](std::uint32_t k) -> const WideWord& {
-              return values[fanin_flat_[gr.fanin_begin + k]];
-            });
-      }
+      eval_good(values);
       const std::size_t remaining =
           num_patterns - (first_block + b) * kWideLanes;
       for (std::size_t j = 0; j < kWideWords; ++j) {
@@ -572,20 +569,7 @@ WideFaultSimulator::Grade WideFaultSimulator::grade_vectors(
   }
   return run(faults, vectors.size(), options,
              [&](std::uint64_t block, WideWord* values) {
-               const std::size_t base = block * kWideLanes;
-               const std::size_t lanes =
-                   std::min(kWideLanes, vectors.size() - base);
-               for (std::size_t i = 0; i < pis.size(); ++i) {
-                 values[pis[i]] = WideWord{};
-               }
-               for (std::size_t l = 0; l < lanes; ++l) {
-                 const auto& vec = vectors[base + l];
-                 for (std::size_t i = 0; i < pis.size(); ++i) {
-                   if (vec[i]) {
-                     values[pis[i]].w[l / 64] |= Word{1} << (l % 64);
-                   }
-                 }
-               }
+               load_vectors(vectors, block * kWideLanes, values);
              });
 }
 
@@ -714,6 +698,20 @@ void WideFaultSimulator::seed(const BridgingFault& f, const WideWord* good,
              wired, good[f.b]);
   s.stems.push_back({f.a, wired});
   s.stems.push_back({f.b, wired});
+}
+
+void WideFaultSimulator::load_vectors(
+    const std::vector<std::vector<bool>>& vectors, std::size_t base,
+    WideWord* values) const {
+  const auto& pis = circuit_->inputs();
+  const std::size_t lanes = std::min(kWideLanes, vectors.size() - base);
+  for (const NetId pi : pis) values[pi] = WideWord{};
+  for (std::size_t l = 0; l < lanes; ++l) {
+    const std::vector<bool>& vec = vectors[base + l];
+    for (std::size_t i = 0; i < pis.size(); ++i) {
+      if (vec[i]) values[pis[i]].w[l / 64] |= Word{1} << (l % 64);
+    }
+  }
 }
 
 void WideFaultSimulator::eval_good(WideWord* values) const {
@@ -882,14 +880,7 @@ std::vector<std::vector<bool>> WideFaultSimulator::po_values(
   out.reserve(vectors.size());
   for (std::size_t base = 0; base < vectors.size(); base += kWideLanes) {
     const std::size_t lanes = std::min(kWideLanes, vectors.size() - base);
-    for (const NetId pi : pis) good[pi] = WideWord{};
-    for (std::size_t l = 0; l < lanes; ++l) {
-      for (std::size_t i = 0; i < pis.size(); ++i) {
-        if (vectors[base + l][i]) {
-          good[pis[i]].w[l / 64] |= Word{1} << (l % 64);
-        }
-      }
-    }
+    load_vectors(vectors, base, good.data());
     eval_good(good.data());
     const WideWord* values = good.data();
     if (fault) {

@@ -282,6 +282,10 @@ class WideFaultSimulator {
             Seeds& s) const;
   void seed(const BridgingFault& f, const WideWord* good, Seeds& s) const;
 
+  /// Loads the PI slots of `values` with vectors[base ..] (at most one
+  /// block; lanes past the last vector are zero).
+  void load_vectors(const std::vector<std::vector<bool>>& vectors,
+                    std::size_t base, WideWord* values) const;
   /// Evaluates every gate of `values`, whose PI slots are loaded.
   void eval_good(WideWord* values) const;
 

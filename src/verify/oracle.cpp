@@ -114,11 +114,16 @@ void check_fault(const Fault& f, bool* mutate_pending, const FuzzCase& fc,
   const std::size_t n = fc.circuit.num_inputs();
   const DpView view = make_view(serial_out, mutate_pending, mutate, n);
 
-  const double sim_det = wide.exhaustive_detectability(f);
+  // One 2^n sweep: the detectability is the test set's size over 2^n, the
+  // same integer over the same power of two exhaustive_detectability()
+  // divides, so the same double.
+  const auto bitmap = wide.exhaustive_test_set(f);
+  const double sim_det =
+      static_cast<double>(std::count(bitmap.begin(), bitmap.end(), true)) /
+      static_cast<double>(bitmap.size());
   rec.expect_eq("dp_vs_sim.detectability", what, sim_det, view.detectability);
   rec.expect_eq("dp_vs_sim.detectable", what, sim_det > 0.0, view.detectable);
 
-  const auto bitmap = wide.exhaustive_test_set(f);
   for (std::uint64_t v = 0; v < bitmap.size(); ++v) {
     std::vector<bool> point(n);
     for (std::size_t i = 0; i < n; ++i) point[i] = (v >> i) & 1;
@@ -283,14 +288,12 @@ OracleResult run_oracles(const FuzzCase& fc, const OracleConfig& config) {
     const core::GoodFunctions good(manager, fc.circuit);
     const core::DifferencePropagator dp(good, structure);
     // Bridges read an observability layer over the case's wires, through
-    // a manager that adopts it; the parallel arm builds its own layer on
-    // config.jobs.
-    const auto shared =
-        std::make_shared<const core::SharedGoodFunctions>(fc.circuit);
-    const std::vector<netlist::NetId> wires =
-        core::Observabilities::wires_of(fc.bridges);
-    const core::Observabilities layer(shared, structure, wires);
-    const core::AdoptedPropagator bridged(layer, structure);
+    // a manager that adopts the layered universe; the parallel arm builds
+    // its own layer on config.jobs.
+    const core::SharedGoodFunctions plain(fc.circuit);
+    const std::vector<netlist::NetId> wires = core::bridge_wires(fc.bridges);
+    const core::SharedGoodFunctions layered(plain, structure, wires);
+    const core::AdoptedPropagator bridged(layered, structure);
     const sim::WideFaultSimulator wide(fc.circuit);
     const std::size_t n = fc.circuit.num_inputs();
 
@@ -347,9 +350,9 @@ OracleResult run_oracles(const FuzzCase& fc, const OracleConfig& config) {
     if (config.check_parallel) {
       core::ParallelEngine::Options par_options;
       par_options.jobs = config.jobs;
-      par_options.observabilities =
-          std::make_shared<const core::Observabilities>(shared, structure,
-                                                        wires, config.jobs);
+      par_options.shared_good =
+          std::make_shared<const core::SharedGoodFunctions>(
+              plain, structure, wires, config.jobs);
       core::ParallelEngine engine(fc.circuit, structure, par_options);
       const auto par_sa = engine.analyze_all(fc.sa_faults);
       for (std::size_t i = 0; i < fc.sa_faults.size(); ++i) {

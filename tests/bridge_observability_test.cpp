@@ -39,8 +39,7 @@ struct Rig {
   explicit Rig(Circuit&& c)
       : circuit(std::move(c)),
         structure(circuit),
-        layer(std::make_shared<const SharedGoodFunctions>(circuit), structure,
-              Observabilities::every_net(circuit)),
+        layer(SharedGoodFunctions(circuit), structure, every_net(circuit)),
         stack(layer, structure),
         good(stack.good),
         dp(stack.propagator),
@@ -100,7 +99,7 @@ struct Rig {
 
   Circuit circuit;
   Structure structure;
-  Observabilities layer;
+  SharedGoodFunctions layer;  ///< layered over every region root
   AdoptedPropagator stack;
   const GoodFunctions& good;
   const DifferencePropagator& dp;
@@ -190,13 +189,13 @@ TEST(BridgeObservabilityTest, ThreeNestedPostDominators) {
   // A layer over those wires chases s1, d1 and d2 each only to its
   // post-dominator and the PO's region root to the sink: four roots, the
   // closure of s1's region alone.
-  const auto good = std::make_shared<const SharedGoodFunctions>(rig.circuit);
-  const Observabilities layer(
+  const SharedGoodFunctions good(rig.circuit);
+  const SharedGoodFunctions layer(
       good, rig.structure,
       {rig.net("s1"), rig.net("i7"), rig.net("d1"), rig.net("i6")});
-  EXPECT_EQ(layer.stats().roots_chased, 4u);
-  const Observabilities s1_only(good, rig.structure, {rig.net("s1")});
-  EXPECT_EQ(s1_only.stats().roots_chased, 4u);
+  EXPECT_EQ(layer.observe_stats().roots_chased, 4u);
+  const SharedGoodFunctions s1_only(good, rig.structure, {rig.net("s1")});
+  EXPECT_EQ(s1_only.observe_stats().roots_chased, 4u);
   AdoptedPropagator narrow(s1_only, rig.structure);
   EXPECT_EQ(narrow.propagator
                 .analyze(BridgingFault{rig.net("s1"), rig.net("i7"),
@@ -204,8 +203,8 @@ TEST(BridgeObservabilityTest, ThreeNestedPostDominators) {
                 .test_set.sat_count(8),
             rig.check("s1", "i7").test_set.sat_count(8));
   // A wire outside a layer's closure is refused, not chased.
-  const Observabilities none(good, rig.structure, {});
-  EXPECT_EQ(none.stats().roots_chased, 0u);
+  const SharedGoodFunctions none(good, rig.structure, {});
+  EXPECT_EQ(none.observe_stats().roots_chased, 0u);
   AdoptedPropagator blind(none, rig.structure);
   EXPECT_THROW((void)blind.propagator.analyze(BridgingFault{
                    rig.net("s1"), rig.net("i7"), BridgeType::And}),
@@ -256,7 +255,7 @@ TEST(BridgeObservabilityTest, RegionPathThatKillsTheDifference) {
 
   // Without selective trace every region step is evaluated.
   DifferencePropagator full(rig.good, rig.structure,
-                            {/*selective_trace=*/false}, &rig.layer);
+                            {/*selective_trace=*/false});
   const FaultAnalysis all =
       full.analyze(BridgingFault{rig.net("a"), rig.net("b"), BridgeType::And});
   EXPECT_EQ(all.stats.gates_evaluated, 4u);
@@ -340,22 +339,22 @@ TEST(BridgeObservabilityTest, ObserveSpansMatchDistinctRootsAtAnyJobs) {
   const Structure structure(circuit);
   const std::vector<BridgingFault> faults =
       fault::enumerate_nfbfs(circuit, structure, BridgeType::Or);
-  const std::vector<NetId> wires = Observabilities::wires_of(faults);
+  const std::vector<NetId> wires = bridge_wires(faults);
   const std::size_t roots = distinct_roots(structure, wires);
   ASSERT_GT(roots, 0u);
-  const auto good = std::make_shared<const SharedGoodFunctions>(circuit);
+  const SharedGoodFunctions good(circuit);
 
   std::size_t frozen_at_one_job = 0;
   for (const std::size_t jobs : {1u, 2u, 4u}) {
     obs::SpanCollector spans;
     obs::SpanCollector::install(&spans);
-    const auto layer =
-        std::make_shared<const Observabilities>(good, structure, wires, jobs);
+    const auto layer = std::make_shared<const SharedGoodFunctions>(
+        good, structure, wires, jobs);
     // Every chase happens in the build, once per distinct root ...
     EXPECT_EQ(count_spans(spans, "dp.observe"), roots) << "jobs " << jobs;
     ParallelEngine::Options opt;
     opt.jobs = jobs;
-    opt.observabilities = layer;
+    opt.shared_good = layer;
     ParallelEngine engine(circuit, structure, opt);
     (void)engine.analyze_all(faults);
     obs::SpanCollector::install(nullptr);
@@ -370,13 +369,13 @@ TEST(BridgeObservabilityTest, ObserveSpansMatchDistinctRootsAtAnyJobs) {
       EXPECT_EQ(keys, (std::vector<std::string>{"root", "stop",
                                                 "gates_evaluated"}));
     }
-    EXPECT_EQ(layer->stats().roots_chased, roots) << "jobs " << jobs;
+    EXPECT_EQ(layer->observe_stats().roots_chased, roots) << "jobs " << jobs;
     // The packed layer is the same forest at any worker count.
-    if (jobs == 1) frozen_at_one_job = layer->stats().frozen_nodes;
-    EXPECT_EQ(layer->stats().frozen_nodes, frozen_at_one_job);
+    if (jobs == 1) frozen_at_one_job = layer->observe_stats().frozen_nodes;
+    EXPECT_EQ(layer->observe_stats().frozen_nodes, frozen_at_one_job);
 
     obs::MetricsRegistry registry;
-    layer->stats().export_metrics(registry);
+    layer->observe_stats().export_metrics(registry);
     EXPECT_EQ(registry.counter("dp.observe.roots").value(), roots);
     EXPECT_EQ(registry.gauge("dp.observe.frozen_nodes").value(),
               static_cast<double>(frozen_at_one_job));
@@ -392,7 +391,7 @@ TEST(BridgeObservabilityTest, OneLayerServesAnAndSweepThenAnOrSweep) {
   own.sampling.target_count = 200;
   std::vector<NetId> wires;
   for (const BridgeType type : {BridgeType::And, BridgeType::Or}) {
-    const std::vector<NetId> w = Observabilities::wires_of(
+    const std::vector<NetId> w = bridge_wires(
         fault::nfbf_fault_set(circuit, structure, layout, type,
                               own.sampling));
     wires.insert(wires.end(), w.begin(), w.end());
@@ -401,8 +400,8 @@ TEST(BridgeObservabilityTest, OneLayerServesAnAndSweepThenAnOrSweep) {
   analysis::AnalysisOptions shared = own;
   obs::SpanCollector spans;
   obs::SpanCollector::install(&spans);
-  shared.observabilities = std::make_shared<const Observabilities>(
-      std::make_shared<const SharedGoodFunctions>(circuit), structure, wires);
+  shared.shared_good = std::make_shared<const SharedGoodFunctions>(
+      SharedGoodFunctions(circuit), structure, wires);
   const analysis::CircuitProfile and_shared =
       analysis::analyze_bridging(circuit, BridgeType::And, shared);
   const analysis::CircuitProfile or_shared =

@@ -28,8 +28,7 @@ struct Rig {
   explicit Rig(Circuit&& c)
       : circuit(std::move(c)),
         structure(circuit),
-        layer(std::make_shared<const SharedGoodFunctions>(circuit), structure,
-              Observabilities::every_net(circuit)),
+        layer(SharedGoodFunctions(circuit), structure, every_net(circuit)),
         stack(layer, structure),
         good(stack.good),
         dp(stack.propagator),
@@ -37,7 +36,7 @@ struct Rig {
 
   Circuit circuit;
   Structure structure;
-  Observabilities layer;
+  SharedGoodFunctions layer;  ///< layered over every region root
   AdoptedPropagator stack;
   const GoodFunctions& good;
   const DifferencePropagator& dp;

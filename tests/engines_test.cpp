@@ -17,14 +17,13 @@ namespace {
 using fault::BridgeType;
 using netlist::Circuit;
 
-/// All three engines in one manager, which adopts an observability layer
-/// over every region root so that DP analyzes any bridge.
+/// All three engines in one manager, which adopts a universe layered over
+/// every region root so that DP analyzes any bridge.
 struct Engines {
   explicit Engines(Circuit&& c)
       : circuit(std::move(c)),
         structure(circuit),
-        layer(std::make_shared<const SharedGoodFunctions>(circuit), structure,
-              Observabilities::every_net(circuit)),
+        layer(SharedGoodFunctions(circuit), structure, every_net(circuit)),
         stack(layer, structure),
         good(stack.good),
         dp(stack.propagator),
@@ -33,7 +32,7 @@ struct Engines {
 
   Circuit circuit;
   netlist::Structure structure;
-  Observabilities layer;
+  SharedGoodFunctions layer;  ///< layered over every region root
   AdoptedPropagator stack;
   const GoodFunctions& good;
   const DifferencePropagator& dp;

@@ -76,10 +76,9 @@ std::vector<Scalars> serial_sweep(const Circuit& circuit,
 std::vector<Scalars> serial_sweep(const Circuit& circuit,
                                   const std::vector<BridgingFault>& faults) {
   Structure structure(circuit);
-  const Observabilities layer(
-      std::make_shared<const SharedGoodFunctions>(circuit), structure,
-      Observabilities::wires_of(faults));
-  const AdoptedPropagator serial(layer, structure);
+  const SharedGoodFunctions layered(SharedGoodFunctions(circuit), structure,
+                                    bridge_wires(faults));
+  const AdoptedPropagator serial(layered, structure);
   std::vector<Scalars> out;
   out.reserve(faults.size());
   for (const BridgingFault& f : faults) {
@@ -88,17 +87,21 @@ std::vector<Scalars> serial_sweep(const Circuit& circuit,
   return out;
 }
 
+/// Over `universe`; nullptr = the engine's default universe, or for
+/// bridges one layered over their wires on `jobs` threads.
 template <typename Fault>
-std::vector<Scalars> parallel_sweep(const Circuit& circuit,
-                                    const std::vector<Fault>& faults,
-                                    std::size_t jobs) {
+std::vector<Scalars> parallel_sweep(
+    const Circuit& circuit, const std::vector<Fault>& faults, std::size_t jobs,
+    std::shared_ptr<const SharedGoodFunctions> universe = nullptr) {
   Structure structure(circuit);
   ParallelEngine::Options opt;
   opt.jobs = jobs;
+  opt.shared_good = std::move(universe);
   if constexpr (std::is_same_v<Fault, BridgingFault>) {
-    opt.observabilities = std::make_shared<const Observabilities>(
-        std::make_shared<const SharedGoodFunctions>(circuit), structure,
-        Observabilities::wires_of(faults), jobs);
+    if (!opt.shared_good) {
+      opt.shared_good = std::make_shared<const SharedGoodFunctions>(
+          SharedGoodFunctions(circuit), structure, bridge_wires(faults), jobs);
+    }
   }
   ParallelEngine engine(circuit, structure, opt);
   EXPECT_GT(engine.stats().frozen_nodes, 0u);  // workers adopt one forest
@@ -118,13 +121,22 @@ TEST_P(ParallelEngineIdentityTest, StuckAtSweepIsBitIdenticalToSerial) {
   ASSERT_FALSE(faults.empty());
 
   const std::vector<Scalars> serial = serial_sweep(circuit, faults);
-  for (std::size_t jobs : {2u, 4u}) {
-    const std::vector<Scalars> par = parallel_sweep(circuit, faults, jobs);
-    ASSERT_EQ(par.size(), serial.size());
-    for (std::size_t i = 0; i < faults.size(); ++i) {
-      EXPECT_EQ(par[i], serial[i])
-          << GetParam() << " jobs=" << jobs << " "
-          << describe(faults[i], circuit);
+  // A served universe is layered by its first bridge sweep and adopted by
+  // every later stuck-at sweep: the layer's nodes and the re-packed
+  // numbering must not move a result.
+  const auto layered = std::make_shared<const SharedGoodFunctions>(
+      SharedGoodFunctions(circuit), Structure(circuit), every_net(circuit));
+  ASSERT_TRUE(layered->layered());
+  for (const auto& universe : {decltype(layered){}, layered}) {
+    for (std::size_t jobs : {2u, 4u}) {
+      const std::vector<Scalars> par =
+          parallel_sweep(circuit, faults, jobs, universe);
+      ASSERT_EQ(par.size(), serial.size());
+      for (std::size_t i = 0; i < faults.size(); ++i) {
+        EXPECT_EQ(par[i], serial[i])
+            << GetParam() << " jobs=" << jobs
+            << (universe ? " layered " : " ") << describe(faults[i], circuit);
+      }
     }
   }
 }
@@ -324,8 +336,10 @@ TEST(ParallelEngineTest, PerFaultFailureIsRethrownAfterTheSweep) {
   const Structure structure(circuit);
   ParallelEngine::Options opt;
   opt.jobs = 2;
-  opt.bdd_node_limit = 1000000;
-  opt.good.cut_threshold = 500;
+  GoodFunctionOptions cuts;
+  cuts.cut_threshold = 500;
+  opt.shared_good =
+      std::make_shared<const SharedGoodFunctions>(circuit, cuts, 1000000);
   ParallelEngine engine(circuit, structure, opt);
 
   const std::vector<StuckAtFault> faults{
@@ -369,13 +383,9 @@ TEST(ParallelEngineTest, MoreJobsThanFaultsIsExactAndCoherent) {
 
 TEST(ParallelEngineTest, BuildFailureIsRethrownFromTheConstructor) {
   // Without cut points the 16x16 multiplier's one-time forest build
-  // exhausts the budget; the constructor must rethrow.
+  // exhausts the budget; the universe's constructor must rethrow.
   const Circuit circuit = netlist::make_multiplier(16);
-  const Structure structure(circuit);
-  ParallelEngine::Options opt;
-  opt.jobs = 2;
-  opt.bdd_node_limit = 1000000;
-  EXPECT_THROW((ParallelEngine{circuit, structure, opt}), bdd::OutOfNodes);
+  EXPECT_THROW((SharedGoodFunctions{circuit, {}, 1000000}), bdd::OutOfNodes);
 }
 
 TEST(ParallelEngineTest, MismatchedSharedForestThrowsAtConstruction) {

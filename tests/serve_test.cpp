@@ -298,6 +298,43 @@ TEST(ServiceTest, ConcurrentAnalyzesShareOneFrozenForest) {
   EXPECT_GE(metrics.counter("serve.forest.reuses").value(), 2u);
 }
 
+/// An ndetect request for `circuit` with options {"n": 2} and no client
+/// vectors: top-up on, collapsed faults.
+JsonValue ndetect_top_up_req(const char* circuit) {
+  JsonValue r = req("ndetect", circuit);
+  JsonValue opts = JsonValue::object();
+  opts["n"] = 2;
+  r["options"] = std::move(opts);
+  return r;
+}
+
+/// The end of ndetect_top_up_req's response frame, computed in process:
+/// its payload members and the closing brace.
+std::string ndetect_top_up_tail(const netlist::Circuit& circuit) {
+  store::KeyBuilder kb;
+  kb.str(analysis::kNDetectSchema);
+  kb.str(store::circuit_content_hash(circuit));
+  kb.u64(2);
+  kb.flag(true);  // topup
+  kb.flag(true);  // collapse
+  kb.u64(0);      // no client vectors
+  analysis::NDetectAnalyzer analyzer(
+      circuit, fault::collapse_checkpoint_faults(circuit));
+  std::vector<std::vector<bool>> vectors;
+  const std::size_t minted = analyzer.top_up(vectors, 2);
+  analysis::NDetectReport report = analyzer.report(vectors, 2);
+  report.minted_vectors = minted;
+  JsonValue minted_vectors = JsonValue::array();
+  for (const auto& v : vectors) {
+    std::string bits;
+    for (const bool b : v) bits += b ? '1' : '0';
+    minted_vectors.push_back(bits);
+  }
+  return "\"report\":" +
+         analysis::ndetect_report_to_json(report, kb.hex()).dump(0) +
+         ",\"minted_vectors\":" + minted_vectors.dump(0) + "}";
+}
+
 /// A cold bf analyze of c95: 40 bridges drawn with `seed`.
 JsonValue bf_req(const char* model, long long seed) {
   JsonValue r = req("analyze", "c95");
@@ -354,6 +391,43 @@ TEST(ServiceTest, BridgeSweepsShareOneResidentObservabilityLayer) {
   const std::string warm = "\"cached\":true";
   and_hit.replace(and_hit.find(warm), warm.size(), "\"cached\":false");
   EXPECT_EQ(and_hit, and_miss);
+
+  // The layered universe now serves every other kind of miss: a stuck-at
+  // sweep over the uncollapsed faults, a hybrid DP remainder and an
+  // ndetect sweep each adopt it and answer the in-process payload.
+  JsonValue sa = req("analyze", "c95");
+  JsonValue sa_opts = JsonValue::object();
+  sa_opts["model"] = "sa";
+  sa_opts["collapse"] = false;
+  sa["options"] = std::move(sa_opts);
+  analysis::AnalysisOptions full;
+  full.collapse = false;
+  EXPECT_TRUE(service.handle(sa).ends_with(
+      "\"profile\":" +
+      analysis::profile_to_json(analysis::analyze_stuck_at(circuit, full),
+                                analysis::profile_cache_key(circuit, "sa",
+                                                            full))
+          .dump(0) +
+      "}"));
+  JsonValue hy = req("analyze", "c95");
+  JsonValue hy_opts = JsonValue::object();
+  hy_opts["model"] = "hybrid";
+  hy_opts["prefilter_patterns"] = 16;  // leaves a DP remainder
+  hy["options"] = std::move(hy_opts);
+  analysis::HybridOptions h;
+  h.prefilter_patterns = 16;
+  const analysis::HybridProfile hybrid =
+      analysis::analyze_stuck_at_hybrid(circuit, {}, h);
+  EXPECT_GT(hybrid.dp_resolved(), 0u);
+  EXPECT_TRUE(service.handle(hy).ends_with(
+      "\"profile\":" + analysis::hybrid_profile_to_json(hybrid).dump(0) +
+      "}"));
+  EXPECT_TRUE(service.handle(ndetect_top_up_req("c95"))
+                  .ends_with(ndetect_top_up_tail(circuit)));
+  EXPECT_EQ(service.resident_counts().forests, 1u);
+  EXPECT_EQ(service.resident_counts().observabilities, 1u);
+  EXPECT_EQ(metrics.counter("serve.forest.builds").value(), 1u);
+  EXPECT_EQ(metrics.counter("serve.observabilities.builds").value(), 1u);
 
   // Evicting the circuit unpins the layer; the next bridge sweep rebuilds
   // it, to the same response.
@@ -721,33 +795,8 @@ TEST_P(CachedFrameTest, HitEqualsMissAndBothCarryTheInProcessPayload) {
   JsonValue request;
   std::string expected_tail;  // the payload members and the closing brace
   if (model == "ndetect") {
-    request = req("ndetect", "c95");
-    JsonValue opts = JsonValue::object();
-    opts["n"] = 2;
-    request["options"] = std::move(opts);
-    store::KeyBuilder kb;
-    kb.str(analysis::kNDetectSchema);
-    kb.str(store::circuit_content_hash(circuit));
-    kb.u64(2);
-    kb.flag(true);  // topup
-    kb.flag(true);  // collapse
-    kb.u64(0);      // no client vectors
-    analysis::NDetectAnalyzer analyzer(
-        circuit, fault::collapse_checkpoint_faults(circuit));
-    std::vector<std::vector<bool>> vectors;
-    const std::size_t minted = analyzer.top_up(vectors, 2);
-    analysis::NDetectReport report = analyzer.report(vectors, 2);
-    report.minted_vectors = minted;
-    JsonValue minted_vectors = JsonValue::array();
-    for (const auto& v : vectors) {
-      std::string bits;
-      for (const bool b : v) bits += b ? '1' : '0';
-      minted_vectors.push_back(bits);
-    }
-    expected_tail =
-        "\"report\":" +
-        analysis::ndetect_report_to_json(report, kb.hex()).dump(0) +
-        ",\"minted_vectors\":" + minted_vectors.dump(0) + "}";
+    request = ndetect_top_up_req("c95");
+    expected_tail = ndetect_top_up_tail(circuit);
   } else {
     request = analyze_req("c95", model, 1);
     analysis::AnalysisOptions a;
